@@ -229,27 +229,14 @@ def parse_config(
     )
 
 
-_RANGE_HINTS = {
-    "eta": "eta",
-    "lam": "lambda",
-    "omega": "omega",
-    "kappa": "kappa",
-    "gamma_ca": "gamma_ca",
-    "gamma_cb": "gamma_cb",
-    "dt": "dt",
-    "t_wait2": "T2",
-    "t_wait": "T",
-    "n_max": "n_max",
-    "adiabatic": "adiabatic",
-    "delta": "delta",
-}
+_CLI_KEYS = {"lam": "lambda", "t_wait": "T", "t_wait2": "T2"}
 
 
 def _offending_key(exc: Exception) -> str:
-    msg = str(exc)
-    for attr, key in _RANGE_HINTS.items():
-        if attr in msg:
-            return key
+    """CLI key of the SystemParams field a validation message starts with."""
+    field = str(exc).split(" ", 1)[0]
+    if field in {f.name for f in dataclasses.fields(SystemParams)}:
+        return _CLI_KEYS.get(field, field)
     return "params"
 
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytic import heralded_states
 from .hilbert import BasisIndex, StateVector
-from .model import ChannelTag, SystemParams, initial_state
+from .model import ChannelTag, SystemParams
 from .trajectory import (
     Outcome,
     RngStream,
@@ -66,14 +65,6 @@ class SweepResult:
     param: str
     points: tuple[SweepPoint, ...]
     master_seed: int
-    timestamp: str
-
-    @staticmethod
-    def make(params, param, points, master_seed) -> "SweepResult":
-        return SweepResult(
-            params, param, tuple(points), master_seed,
-            datetime.now(timezone.utc).isoformat(),
-        )
 
 
 def _target_vectors(dims: tuple[int, ...]) -> dict[ChannelTag, np.ndarray]:
@@ -117,13 +108,14 @@ def _stage1_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
     targets = _target_vectors(params.dims)
-    psi0 = initial_state(params)
     clicked = np.zeros(stop - start, dtype=bool)
     is_d1 = np.zeros(stop - start, dtype=bool)
     fid = np.full(stop - start, np.nan)
     for i in range(start, stop):
         rng = RngStream(seed, i).for_stage(0)
-        res = run_until_click(psi0, engine, rng, params.t_wait, sampler=sampler, share_curve=True)
+        res = run_until_click(
+            engine.psi0, engine, rng, params.t_wait, sampler=sampler, share_curve=True
+        )
         j = i - start
         if res.clicked:
             clicked[j] = True
@@ -236,7 +228,7 @@ def sweep(
                 p_v, n_traj, seed, sampler=sampler, threads=threads, param=param, value=float(v)
             )
         )
-    return SweepResult.make(params, param, points, seed)
+    return SweepResult(params, param, tuple(points), seed)
 
 
 def run_redistribution(
@@ -259,31 +251,36 @@ def run_redistribution(
         if not 0.0 <= phi < 2.0 * math.pi + 1e-12:
             raise ValueError(f"illegal grid value for phi: {phi}")
         p_phi = params.with_(phi=phi)
-        n_clicks, same_tag, fid = _run_chunked(
-            _protocol_chunk, p_phi, n_traj, seed, sampler, threads
-        )
-        heralded = n_clicks >= 1
-        two = n_clicks == 2
-        n_her = int(heralded.sum())
-        n_two = int(two.sum())
-        p_hat = n_her / n_traj
-        f_vals = fid[heralded]
-        ps_hat = float(same_tag[two].mean()) if n_two else float("nan")
-        points.append(
-            SweepPoint(
-                param="phi",
-                value=phi,
-                n_traj=n_traj,
-                p_hat=p_hat,
-                p_stderr=_binomial_stderr(p_hat, n_traj),
-                f_hat=float(f_vals.mean()) if f_vals.size else float("nan"),
-                f_stderr=_sample_stderr(f_vals),
-                ps_hat=ps_hat,
-                ps_stderr=_binomial_stderr(ps_hat, n_two) if n_two else float("nan"),
-                two_click_fraction=(n_two / n_her) if n_her else float("nan"),
-            )
-        )
-    return SweepResult.make(params, "phi", points, seed)
+        cols = _run_chunked(_protocol_chunk, p_phi, n_traj, seed, sampler, threads)
+        points.append(_protocol_point("phi", phi, *cols))
+    return SweepResult(params, "phi", tuple(points), seed)
+
+
+def _protocol_point(
+    param: str, value: float, n_clicks: np.ndarray, same_tag: np.ndarray, fid: np.ndarray
+) -> SweepPoint:
+    """Reduce per-trajectory protocol columns (recorded clicks, second click
+    on the first click's detector, herald fidelity) to a SweepPoint."""
+    n = n_clicks.size
+    heralded = n_clicks >= 1
+    two = n_clicks == 2
+    n_her = int(heralded.sum())
+    n_two = int(two.sum())
+    p_hat = n_her / n
+    f_vals = fid[heralded]
+    ps_hat = float(same_tag[two].mean()) if n_two else float("nan")
+    return SweepPoint(
+        param=param,
+        value=value,
+        n_traj=n,
+        p_hat=p_hat,
+        p_stderr=_binomial_stderr(p_hat, n),
+        f_hat=float(f_vals.mean()) if f_vals.size else float("nan"),
+        f_stderr=_sample_stderr(f_vals),
+        ps_hat=ps_hat,
+        ps_stderr=_binomial_stderr(ps_hat, n_two) if n_two else float("nan"),
+        two_click_fraction=(n_two / n_her) if n_her else float("nan"),
+    )
 
 
 def aggregate(
@@ -297,9 +294,8 @@ def aggregate(
     if not records:
         raise ValueError("aggregate needs at least one record")
     recs = sorted(records, key=lambda r: r.stream_index)
-    n = len(recs)
-    clicked = np.array([r.first_click is not None for r in recs])
-    two = np.array([r.outcome is Outcome.TWO_CLICKS for r in recs])
+    clicks = {Outcome.NO_CLICK: 0, Outcome.ONE_CLICK: 1, Outcome.TWO_CLICKS: 2}
+    n_clicks = np.array([clicks[r.outcome] for r in recs])
     fid = np.array(
         [
             fidelity_to_target(r.first_click.state, r.first_click.tag)
@@ -314,20 +310,4 @@ def aggregate(
             for r in recs
         ]
     )
-    p_hat = float(clicked.mean())
-    f_vals = fid[clicked]
-    n_two = int(two.sum())
-    n_her = int(clicked.sum())
-    ps_hat = float(same[two].mean()) if n_two else float("nan")
-    return SweepPoint(
-        param=param,
-        value=value,
-        n_traj=n,
-        p_hat=p_hat,
-        p_stderr=_binomial_stderr(p_hat, n),
-        f_hat=float(f_vals.mean()) if f_vals.size else float("nan"),
-        f_stderr=_sample_stderr(f_vals),
-        ps_hat=ps_hat,
-        ps_stderr=_binomial_stderr(ps_hat, n_two) if n_two else float("nan"),
-        two_click_fraction=(n_two / n_her) if n_her else float("nan"),
-    )
+    return _protocol_point(param, value, n_clicks, same, fid)

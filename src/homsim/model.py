@@ -80,14 +80,17 @@ class SystemParams:
             raise ValueError("lam must be > 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if self.t_wait < 0 or self.t_wait2 < 0:
-            raise ValueError("t_wait and t_wait2 must be >= 0")
+        for name in ("t_wait", "t_wait2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.n_max not in (1, 2):
             raise ValueError("n_max must be 1 or 2")
         if self.adiabatic and (self.gamma_ca > 0 or self.gamma_cb > 0):
             raise ValueError(
                 "adiabatic Hamiltonian has no |c> level; spontaneous decay requires adiabatic=False"
             )
+        if self.adiabatic and self.delta == 0:
+            raise ValueError("delta must be nonzero: the adiabatic Hamiltonian divides by it")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

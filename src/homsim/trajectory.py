@@ -11,10 +11,13 @@ Two statistically equivalent samplers over the same jump-channel set:
   precomputed once and replayed against each trajectory's random numbers;
   this is exactly the stepping loop, just evaluated segment-wise.
 
-* fast: waiting-time sampling.  Draw r, propagate the unnormalized state
-  with coarse precomputed propagators until its squared norm crosses r,
-  refine the crossing by dyadic bisection to 1e-6 time resolution, then
-  select the channel from the weights at the crossing state.
+* fast: waiting-time sampling.  Draw r; if the unnormalized no-jump state
+  still has squared norm >= r at the window end the window times out,
+  otherwise the crossing time is root-found (the norm never grows along a
+  no-jump segment, so the root is unique) and the channel is selected from
+  the weights at the crossing state.  The no-jump state at any time comes
+  from one eigendecomposition of H_eff, psi(t) = V exp(-i w t) V^-1 psi,
+  or from expm when V is too ill-conditioned (near an exceptional point).
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -30,6 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
+from scipy.optimize import brentq
 
 from .hilbert import OperatorMatrix, StateVector
 from .model import (
@@ -44,7 +48,7 @@ from .model import (
 )
 
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
-TIME_RESOLUTION = 1e-6      # bisection refinement of fast-sampler click times
+EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
 _CURVE_CACHE_MAX = 4
 
@@ -161,19 +165,10 @@ class _FixedCurve(NamedTuple):
     pvals: np.ndarray    # per-step jump probability of the normalized state
 
 
-class _CoarseCurve(NamedTuple):
-    states: np.ndarray   # (m+1, D) unnormalized at the coarse grid
-    n2: np.ndarray
-    times: np.ndarray
-
-
-class _ScanHit(NamedTuple):
-    crossed: bool
-    psi_left: Optional[np.ndarray]   # unnormalized state at the interval's left edge
-    n2_left: float
-    t_left: float
-    width: float
-    final: Optional[np.ndarray]      # unnormalized state at t_end when not crossed
+class _Segment(NamedTuple):
+    coeffs: np.ndarray   # start state in the evaluator's basis (see StageEngine._evolve)
+    end: np.ndarray      # unnormalized state at the segment end
+    n2_end: float        # its squared norm
 
 
 def precompute_propagator(h_eff: OperatorMatrix, dt: float) -> OperatorMatrix:
@@ -186,10 +181,10 @@ def precompute_propagator(h_eff: OperatorMatrix, dt: float) -> OperatorMatrix:
 class StageEngine:
     """Precomputed machinery for one (params, Hamiltonian) pair.
 
-    Holds the jump channels, the summed jump operator, the fine fixed-step
-    propagator, and lazily built coarse/dyadic propagator sets for the fast
-    sampler.  Immutable after construction apart from internal caches; safe
-    to share read-only across worker trajectories.
+    Holds the initial state, the jump channels, the summed jump operator,
+    the fine fixed-step propagator and the eigendecomposition of H_eff that
+    the fast sampler propagates with.  Immutable after construction apart
+    from internal caches; safe to share read-only across worker trajectories.
     """
 
     def __init__(
@@ -212,9 +207,14 @@ class StageEngine:
         self.total_op = total_jump_operator(self.channels)
         self.propagator = _scipy_expm(-1j * self.dt * self.h_eff)
         self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
+        self.psi0 = initial_state(params)
+        self._w, self._v = np.linalg.eig(self.h_eff)
+        # near an exceptional point V is close to singular and V^-1 loses
+        # the digits the spectral propagator needs; expm is used instead
+        self.spectral = bool(np.linalg.cond(self._v) <= EIG_COND_MAX)
+        self._v_inv = np.linalg.inv(self._v) if self.spectral else None
         self._fixed_cache: dict = {}
         self._coarse_cache: dict = {}
-        self._dyadic_cache: dict = {}
 
     # -- fixed-step machinery -------------------------------------------------
 
@@ -351,130 +351,57 @@ class StageEngine:
 
     # -- fast-sampler machinery -----------------------------------------------
 
-    def _coarse_set(self, t_max: float):
-        """Coarse step plus dyadic refinement propagators for a window."""
-        key = round(float(t_max), 12)
-        hit = self._dyadic_cache.get(key)
-        if hit is not None:
-            return hit
-        coarse = max(16.0 * self.dt, t_max / 256.0)
-        coarse = min(coarse, t_max)
-        levels = max(1, math.ceil(math.log2(max(coarse / TIME_RESOLUTION, 2.0))))
-        props = [_scipy_expm(-1j * (coarse / 2**k) * self.h_eff) for k in range(levels + 1)]
-        entry = (coarse, props)
-        self._dyadic_cache[key] = entry
-        return entry
+    def _evolve(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """Unnormalized no-jump state a time t into a segment whose start
+        state has coefficients coeffs: eigenbasis components when spectral,
+        otherwise the state itself."""
+        if self.spectral:
+            return self._v @ (np.exp(-1j * t * self._w) * coeffs)
+        return _scipy_expm(-1j * t * self.h_eff) @ coeffs
 
-    def _dyadic_advance(self, psi: np.ndarray, span: float, coarse: float, props) -> np.ndarray:
-        """Propagate by an arbitrary span < coarse using the dyadic set
-        (binary expansion, truncated at the time resolution)."""
-        remaining = span
-        out = psi
-        for k in range(1, len(props)):
-            w = coarse / 2**k
-            if remaining >= w - 1e-15:
-                out = props[k] @ out
-                remaining -= w
-        return out
+    def _segment(self, psi_n: np.ndarray, span: float) -> _Segment:
+        coeffs = self._v_inv @ psi_n if self.spectral else psi_n
+        end = self._evolve(coeffs, span)
+        return _Segment(coeffs, end, float(np.vdot(end, end).real))
 
-    def coarse_curve(self, psi_n: np.ndarray, t_max: float) -> _CoarseCurve:
+    def coarse_curve(self, psi_n: np.ndarray, t_max: float) -> _Segment:
+        """The no-jump segment from psi_n over a whole window, cached by start
+        state so that trajectories sharing it decompose it once."""
         key = (psi_n.tobytes(), round(float(t_max), 12))
-        hit = self._coarse_cache.get(key)
-        if hit is not None:
-            return hit
-        coarse, props = self._coarse_set(t_max)
-        m = int(t_max / coarse)
-        pts = [psi_n]
-        times = [0.0]
-        cur = psi_n
-        for _ in range(m):
-            cur = props[0] @ cur
-            pts.append(cur)
-            times.append(times[-1] + coarse)
-        rem = t_max - times[-1]
-        if rem > TIME_RESOLUTION:
-            cur = self._dyadic_advance(cur, rem, coarse, props)
-            pts.append(cur)
-            times.append(t_max)
-        states = np.array(pts)
-        n2 = np.einsum("ij,ij->i", states.conj(), states).real
-        curve = _CoarseCurve(states, n2, np.array(times))
-        if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
-            self._coarse_cache.pop(next(iter(self._coarse_cache)))
-        self._coarse_cache[key] = curve
-        return curve
-
-    def _fast_scan_shared(self, curve: _CoarseCurve, r: float) -> _ScanHit:
-        if curve.n2[-1] >= r:
-            return _ScanHit(False, None, 0.0, 0.0, 0.0, curve.states[-1])
-        i = int(np.argmax(curve.n2 < r))     # first grid point below threshold
-        return _ScanHit(
-            True,
-            curve.states[i - 1],
-            float(curve.n2[i - 1]),
-            float(curve.times[i - 1]),
-            float(curve.times[i] - curve.times[i - 1]),
-            None,
-        )
-
-    def _fast_scan_lazy(self, psi_n: np.ndarray, t0: float, t_max: float, r: float) -> _ScanHit:
-        coarse, props = self._coarse_set(t_max)
-        cur = psi_n
-        n2_cur = 1.0
-        t = t0
-        while t + coarse <= t_max + 1e-12:
-            nxt = props[0] @ cur
-            n2 = np.vdot(nxt, nxt).real
-            if n2 < r:
-                return _ScanHit(True, cur, n2_cur, t, coarse, None)
-            cur, n2_cur, t = nxt, n2, t + coarse
-        rem = t_max - t
-        if rem > TIME_RESOLUTION:
-            nxt = self._dyadic_advance(cur, rem, coarse, props)
-            n2 = np.vdot(nxt, nxt).real
-            if n2 < r:
-                return _ScanHit(True, cur, n2_cur, t, rem, None)
-            cur = nxt
-        return _ScanHit(False, None, 0.0, 0.0, 0.0, cur)
-
-    def _bisect(self, hit: _ScanHit, r: float, t_max: float):
-        """Refine the norm crossing inside one scan interval by greedy dyadic
-        descent; the returned state sits just before the crossing."""
-        coarse, props = self._coarse_set(t_max)
-        cur = hit.psi_left
-        advanced = 0.0
-        for k in range(1, len(props)):
-            w = coarse / 2**k
-            if advanced + w <= hit.width + 1e-15:
-                cand = props[k] @ cur
-                if np.vdot(cand, cand).real >= r:
-                    cur = cand
-                    advanced += w
-        t_jump = hit.t_left + advanced
-        psi_hat = cur / math.sqrt(np.vdot(cur, cur).real)
-        return t_jump, psi_hat
+        seg = self._coarse_cache.get(key)
+        if seg is None:
+            seg = self._segment(psi_n, t_max)
+            if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
+                self._coarse_cache.pop(next(iter(self._coarse_cache)))
+            self._coarse_cache[key] = seg
+        return seg
 
     def _run_fast(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
         events: list[Event] = []
         psi = psi_n
         t_seg = 0.0
-        first_segment = True
         while True:
             r = rng.step_uniform()
-            if share_curve and first_segment:
-                hit = self._fast_scan_shared(self.coarse_curve(psi, t_max), r)
+            span = t_max - t_seg
+            if share_curve and not events:   # only a window's start state is shared
+                seg = self.coarse_curve(psi, span)
             else:
-                hit = self._fast_scan_lazy(psi, t_seg, t_max, r)
-            if not hit.crossed:
-                final = hit.final / math.sqrt(np.vdot(hit.final, hit.final).real)
+                seg = self._segment(psi, span)
+            if seg.n2_end >= r:
+                final = seg.end / math.sqrt(seg.n2_end)
                 return StageResult(False, None, None, self._wrap(final), events)
-            t_jump, psi_hat = self._bisect(hit, r, t_max)
-            tag, rec, psi = self._collapse(psi_hat, rng)
-            events.append(Event(t_offset + t_jump, tag, rec))
+
+            def excess(t):
+                out = self._evolve(seg.coeffs, t)
+                return np.vdot(out, out).real - r
+
+            wait = brentq(excess, 0.0, span)
+            t_seg += wait
+            cross = self._evolve(seg.coeffs, wait)
+            tag, rec, psi = self._collapse(cross / math.sqrt(np.vdot(cross, cross).real), rng)
+            events.append(Event(t_offset + t_seg, tag, rec))
             if rec:
-                return StageResult(True, tag, t_offset + t_jump, self._wrap(psi), events)
-            t_seg = t_jump
-            first_segment = False
+                return StageResult(True, tag, t_offset + t_seg, self._wrap(psi), events)
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
@@ -587,9 +514,8 @@ def run_protocol(
     times are absolute; the second window opens at the first click.
     """
     eng = engine if engine is not None else StageEngine(params)
-    psi0 = initial_state(params)
     s1 = run_until_click(
-        psi0, eng, rng.for_stage(0), params.t_wait, sampler=sampler, share_curve=True
+        eng.psi0, eng, rng.for_stage(0), params.t_wait, sampler=sampler, share_curve=True
     )
     events = list(s1.events)
     if not s1.clicked:

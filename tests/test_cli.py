@@ -40,6 +40,12 @@ def test_range_error_names_key():
         parse_config("entangle-sweep", overrides={"eta": "1.5"})
     with pytest.raises(ConfigError, match="n_traj"):
         parse_config("entangle-sweep", overrides={"n_traj": "0"})
+    with pytest.raises(ConfigError, match="key 'T':"):
+        parse_config("entangle-sweep", overrides={"T": "-1"})
+    with pytest.raises(ConfigError, match="key 'T2':"):
+        parse_config("entangle-sweep", overrides={"T2": "-1"})
+    with pytest.raises(ConfigError, match="key 'delta':"):
+        parse_config("entangle-sweep", overrides={"delta": "0", "adiabatic": "true"})
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -163,6 +169,9 @@ def test_spectrum_peak_and_norm(tmp_path):
 def test_config_error_exit_code(tmp_path, capsys):
     assert _run(["entangle-sweep", "--eta", "2.0"]) == EXIT_CONFIG
     assert "eta" in capsys.readouterr().err
+    # the reduced generator divides by delta: a config error, not a traceback
+    assert _run(["entangle-sweep", "--delta", "0", "--adiabatic", "true"]) == EXIT_CONFIG
+    assert "key 'delta'" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(tmp_path):

@@ -46,6 +46,13 @@ def test_params_validation():
         SystemParams(n_max=3)
     with pytest.raises(ValueError):
         SystemParams(gamma_ca=0.1, adiabatic=True)
+    with pytest.raises(ValueError, match="^delta"):
+        SystemParams(delta=0.0, adiabatic=True)
+    with pytest.raises(ValueError, match="^t_wait must"):
+        SystemParams(t_wait=-1.0)
+    with pytest.raises(ValueError, match="^t_wait2 must"):
+        SystemParams(t_wait2=-1.0)
+    SystemParams(delta=0.0, adiabatic=False)   # the full generator needs no detuning
     assert SystemParams().reflectance == pytest.approx(0.5)
     p = SystemParams(lam=1.5)
     assert p.reflectance + p.transmittance == pytest.approx(1.0)

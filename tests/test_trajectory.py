@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, matrix_exp
 from homsim.model import ChannelTag, SystemParams, initial_state, stage_hamiltonian
@@ -21,6 +22,8 @@ from homsim.trajectory import (
 from homsim.experiments import fidelity_to_target
 
 IDEAL = SystemParams(adiabatic=False)
+# kappa = 2 g omega / delta: the reduced generator is defective here
+EXCEPTIONAL = SystemParams(adiabatic=True, kappa=0.1, t_wait=20.0)
 RNG = np.random.default_rng(31337)
 
 
@@ -57,6 +60,49 @@ def test_propagator_contracts():
         v = RNG.normal(size=36) + 1j * RNG.normal(size=36)
         v /= np.linalg.norm(v)
         assert np.linalg.norm(u @ v) <= 1.0 + 1e-9
+
+
+def test_spectral_propagation_matches_expm():
+    # the fast sampler's eigenbasis evaluator over a seeded box of parameters,
+    # both generators and both photon cutoffs, out to t = 1e4
+    rng = np.random.default_rng(20260808)
+    worst = 0.0
+    for i in range(16):
+        adiabatic = bool(i % 2)
+        gamma = 0.0 if adiabatic else rng.uniform(0.0, 1.0)
+        p = SystemParams(
+            omega=rng.uniform(0.2, 2.0), delta=rng.uniform(5.0, 40.0),
+            kappa=rng.uniform(0.5, 20.0), gamma_ca=gamma, gamma_cb=gamma,
+            n_max=1 + (i // 2) % 2, adiabatic=adiabatic,
+        )
+        eng = StageEngine(p)
+        assert eng.spectral
+        psi = rng.normal(size=eng.h_eff.shape[0]) + 1j * rng.normal(size=eng.h_eff.shape[0])
+        psi /= np.linalg.norm(psi)
+        for t in (0.5, 10.0, 100.0, 1e3, 1e4):
+            exact = expm(-1j * t * eng.h_eff) @ psi
+            worst = max(worst, float(np.max(np.abs(eng._segment(psi, t).end - exact))))
+    assert worst < 1e-10
+
+
+def test_exceptional_point_takes_expm_evaluator():
+    assert not StageEngine(EXCEPTIONAL).spectral
+    for kappa in (0.05, 0.2):
+        assert StageEngine(EXCEPTIONAL.with_(kappa=kappa)).spectral
+
+
+def test_exceptional_point_click_fraction_matches_survival_oracle():
+    eng = StageEngine(EXCEPTIONAL)
+    out = expm(-1j * EXCEPTIONAL.t_wait * eng.h_eff) @ eng.psi0.amplitudes
+    p_true = 1.0 - float(np.vdot(out, out).real)
+    n = 1500
+    clicks = sum(
+        run_until_click(eng.psi0, eng, RngStream(190, i).for_stage(0), EXCEPTIONAL.t_wait,
+                        sampler="fast", share_curve=True).clicked
+        for i in range(n)
+    )
+    assert 0.3 < p_true < 0.7
+    assert abs(clicks / n - p_true) <= 3 * math.sqrt(p_true * (1 - p_true) / n)
 
 
 # -- single step ------------------------------------------------------------------
