@@ -35,10 +35,8 @@ from .trajectory import (
     RngStream,
     StageEngine,
     TrajectoryRecord,
-    precompute_propagator,
     run_protocol,
     run_until_click,
-    sample_click_fast,
     step,
 )
 from .experiments import (

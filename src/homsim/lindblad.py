@@ -161,16 +161,24 @@ def ensemble_compare(
     names = tuple(name for name, _ in observables)
     ops = [op for _, op in observables]
     t_grid = tuple(float(t) for t in t_grid)
+    if any(b < a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError(f"t_grid must be non-decreasing, got {t_grid}")
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
 
     psi0 = initial_state(params)
-    acc = np.zeros((len(ops), len(t_grid)))
-    acc2 = np.zeros_like(acc)
-    for i in range(n_traj):
-        vals = run_unconditioned(psi0, eng, RngStream(seed, i), t_grid, ops)
-        acc += vals
-        acc2 += vals * vals
-    mean = acc / n_traj
-    var = np.maximum(acc2 / n_traj - mean**2, 0.0)
+    # deviations from the first trajectory's values: a sample whose values
+    # are all equal then has exactly zero variance, with no cancellation
+    shift = run_unconditioned(psi0, eng, RngStream(seed, 0), t_grid, ops)
+    acc = np.zeros_like(shift)
+    acc2 = np.zeros_like(shift)
+    for i in range(1, n_traj):
+        dev = run_unconditioned(psi0, eng, RngStream(seed, i), t_grid, ops) - shift
+        acc += dev
+        acc2 += dev * dev
+    mean_dev = acc / n_traj
+    mean = shift + mean_dev
+    var = np.maximum(acc2 / n_traj - mean_dev**2, 0.0)
     stderr = np.sqrt(var / max(n_traj - 1, 1))
 
     h_stage = stage_hamiltonian(params).entries

@@ -7,9 +7,10 @@ Two statistically equivalent samplers over the same jump-channel set:
   draw; a hit selects one channel in proportion to its weight and collapses
   the state, a miss applies the exact no-jump propagator exp(-i H_eff dt)
   followed by renormalization.  Between jumps the evolution is deterministic,
-  so the per-step states and probabilities along a no-jump segment are
-  precomputed once and replayed against each trajectory's random numbers;
-  this is exactly the stepping loop, just evaluated segment-wise.
+  so one replay kernel (StageEngine._fixed_scan) evaluates a no-jump segment
+  blockwise against a trajectory's random numbers, replaying a cached block
+  for a start state many trajectories share.  It serves the stopping windows
+  and the unconditioned walk; `step` is the literal one-step reference.
 
 * fast: waiting-time sampling.  Draw r; if the unnormalized no-jump state
   still has squared norm >= r at the window end the window times out,
@@ -50,7 +51,8 @@ from .model import (
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
-_CURVE_CACHE_MAX = 4
+_CURVE_CACHE_MAX = 4        # fast-sampler segments cached per engine
+_FIXED_CACHE_STEPS = 1 << 16   # fixed-step states cached per engine (38 MB at dim 36)
 
 
 class StepSizeError(RuntimeError):
@@ -171,13 +173,6 @@ class _Segment(NamedTuple):
     n2_end: float        # its squared norm
 
 
-def precompute_propagator(h_eff: OperatorMatrix, dt: float) -> OperatorMatrix:
-    """Exact no-jump propagator exp(-i H_eff dt), built once and reused."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    return OperatorMatrix(_scipy_expm(-1j * dt * h_eff.entries), h_eff.basis_dims)
-
-
 class StageEngine:
     """Precomputed machinery for one (params, Hamiltonian) pair.
 
@@ -191,12 +186,9 @@ class StageEngine:
         self,
         params: SystemParams,
         hamiltonian: Optional[OperatorMatrix] = None,
-        *,
-        p_step_max: float = P_STEP_MAX,
     ):
         self.params = params
         self.dt = params.dt
-        self.p_step_max = p_step_max
         h = hamiltonian if hamiltonian is not None else stage_hamiltonian(params)
         self.h_eff = h.entries
         self.dims = params.dims
@@ -223,53 +215,55 @@ class StageEngine:
         mpsi = states @ self.total_op.T
         mexp = np.einsum("ij,ij->i", states.conj(), mpsi).real
         p = self.dt * mexp / n2
-        if p.size and p.max() >= self.p_step_max:
+        if p.size and p.max() >= P_STEP_MAX:
             raise StepSizeError(
-                f"per-step jump probability {p.max():.3g} exceeds {self.p_step_max}; reduce dt"
+                f"per-step jump probability {p.max():.3g} exceeds {P_STEP_MAX}; reduce dt"
             )
         return p
 
-    def fixed_curve(self, psi_n: np.ndarray, n_steps: int) -> _FixedCurve:
-        """Deterministic no-jump evolution from psi_n, cached by initial state."""
-        key = (psi_n.tobytes(), n_steps)
-        hit = self._fixed_cache.get(key)
-        if hit is not None:
-            return hit
+    def _fixed_block(self, psi_n: np.ndarray, n_steps: int) -> _FixedCurve:
+        """n_steps of the no-jump evolution from psi_n, uncached."""
         states = np.empty((n_steps + 1, psi_n.size), dtype=complex)
         states[0] = psi_n
         u = self.propagator
         for k in range(n_steps):
             states[k + 1] = u @ states[k]
         n2 = np.einsum("ij,ij->i", states.conj(), states).real
-        curve = _FixedCurve(states, n2, self._pvals(states[:n_steps], n2[:n_steps]))
-        if len(self._fixed_cache) >= _CURVE_CACHE_MAX:
-            self._fixed_cache.pop(next(iter(self._fixed_cache)))
-        self._fixed_cache[key] = curve
+        return _FixedCurve(states, n2, self._pvals(states[:n_steps], n2[:n_steps]))
+
+    def fixed_curve(self, psi_n: np.ndarray, n_steps: int) -> _FixedCurve:
+        """_fixed_block cached by start state, for states many trajectories share."""
+        key = (psi_n.tobytes(), n_steps)
+        curve = self._fixed_cache.get(key)
+        if curve is None:
+            curve = self._fixed_block(psi_n, n_steps)
+            # bounded in steps, not entries: the unconditioned walk caches one
+            # short segment per observation time; the newest curve always stays
+            cached = sum(c.pvals.size for c in self._fixed_cache.values())
+            while self._fixed_cache and cached + n_steps > _FIXED_CACHE_STEPS:
+                cached -= self._fixed_cache.pop(next(iter(self._fixed_cache))).pvals.size
+            self._fixed_cache[key] = curve
         return curve
 
-    def _fixed_scan(self, psi_n: np.ndarray, r: np.ndarray):
-        """Walk the no-jump evolution from psi_n against uniforms r, blockwise.
+    def _fixed_scan(self, psi_n: np.ndarray, r: np.ndarray, shared: bool):
+        """Walk the no-jump evolution from psi_n against the uniforms r.
 
         Returns (k, psi_hat_k) for the first step k with r[k] < P_k, or
-        (None, psi_final_normalized) if the segment survives all of r.
+        (None, psi_final_normalized) if the segment survives all of r.  A
+        shared start state replays its cached curve in one block; any other
+        is walked in _FIXED_BLOCK blocks.
         """
-        u = self.propagator
         cur = psi_n
         off = 0
         n = r.size
         while off < n:
-            m = min(_FIXED_BLOCK, n - off)
-            states = np.empty((m + 1, cur.size), dtype=complex)
-            states[0] = cur
-            for k in range(m):
-                states[k + 1] = u @ states[k]
-            n2 = np.einsum("ij,ij->i", states.conj(), states).real
-            pv = self._pvals(states[:m], n2[:m])
-            hits = np.flatnonzero(r[off : off + m] < pv)
+            m = n - off if shared else min(_FIXED_BLOCK, n - off)
+            blk = self.fixed_curve(cur, m) if shared else self._fixed_block(cur, m)
+            hits = np.flatnonzero(r[off : off + m] < blk.pvals)
             if hits.size:
                 j = int(hits[0])
-                return off + j, states[j] / math.sqrt(n2[j])
-            cur = states[m] / math.sqrt(n2[m])
+                return off + j, blk.states[j] / math.sqrt(blk.n2[j])
+            cur = blk.states[m] / math.sqrt(blk.n2[m])
             off += m
         return None, cur
 
@@ -287,67 +281,24 @@ class StageEngine:
         return self.tags[idx], self.recorded[idx], post
 
     def _run_fixed(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
-        dt = self.dt
-        n_steps = int(round(t_max / dt))
+        n_steps = int(round(t_max / self.dt))
         events: list[Event] = []
-        if n_steps == 0:
-            return StageResult(False, None, None, self._wrap(psi_n), events)
         r = rng.step_uniforms(n_steps)
         k0 = 0
         psi = psi_n
-        on_curve = share_curve
-        while True:
-            if on_curve:
-                curve = self.fixed_curve(psi, n_steps)
-                hits = np.flatnonzero(r < curve.pvals)
-                if hits.size == 0:
-                    final = curve.states[n_steps] / math.sqrt(curve.n2[n_steps])
-                    return StageResult(False, None, None, self._wrap(final), events)
-                k = int(hits[0])
-                psi_hat = curve.states[k] / math.sqrt(curve.n2[k])
-            else:
-                rel, out = self._fixed_scan(psi, r[k0:])
-                if rel is None:
-                    return StageResult(False, None, None, self._wrap(out), events)
-                k = k0 + rel
-                psi_hat = out
+        while k0 < n_steps:
+            # only a window's start state is shared
+            rel, psi_hat = self._fixed_scan(psi, r[k0:], share_curve and not events)
+            if rel is None:
+                return StageResult(False, None, None, self._wrap(psi_hat), events)
+            k = k0 + rel
             tag, rec, psi = self._collapse(psi_hat, rng)
-            t_evt = t_offset + (k + 1) * dt
+            t_evt = t_offset + (k + 1) * self.dt
             events.append(Event(t_evt, tag, rec))
             if rec:
                 return StageResult(True, tag, t_evt, self._wrap(psi), events)
             k0 = k + 1
-            on_curve = False
-            if k0 >= n_steps:
-                return StageResult(False, None, None, self._wrap(psi), events)
-
-    def _run_fixed_reference(self, psi_n, rng, t_max, t_offset, renorm) -> StageResult:
-        """Literal one-step-at-a-time loop; also carries the sqrt(1-P)
-        renormalization variant kept for cross-checking."""
-        n_steps = int(round(t_max / self.dt))
-        events: list[Event] = []
-        psi = psi_n
-        for k in range(n_steps):
-            mexp = np.vdot(psi, self.total_op @ psi).real
-            p = self.dt * mexp
-            if p >= self.p_step_max:
-                raise StepSizeError(
-                    f"per-step jump probability {p:.3g} exceeds {self.p_step_max}; reduce dt"
-                )
-            if rng.step_uniform() < p:
-                tag, rec, psi = self._collapse(psi, rng)
-                t_evt = t_offset + (k + 1) * self.dt
-                events.append(Event(t_evt, tag, rec))
-                if rec:
-                    return StageResult(True, tag, t_evt, self._wrap(psi), events)
-            else:
-                prop = self.propagator @ psi
-                if renorm == "sqrt1mp":
-                    psi = prop / math.sqrt(1.0 - p)
-                else:
-                    psi = prop / math.sqrt(np.vdot(prop, prop).real)
-        nrm = math.sqrt(np.vdot(psi, psi).real)
-        return StageResult(False, None, None, self._wrap(psi / nrm), events)
+        return StageResult(False, None, None, self._wrap(psi), events)
 
     # -- fast-sampler machinery -----------------------------------------------
 
@@ -409,7 +360,10 @@ class StageEngine:
 
 def _as_unit_array(psi: StateVector | np.ndarray) -> np.ndarray:
     arr = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
-    return arr / math.sqrt(np.vdot(arr, arr).real)
+    n2 = np.vdot(arr, arr).real
+    if not n2 > 0.0:
+        raise ValueError(f"start state must have a positive norm, got squared norm {n2}")
+    return arr / math.sqrt(n2)
 
 
 def step(
@@ -421,14 +375,12 @@ def step(
     *,
     total_op: Optional[np.ndarray] = None,
     p_step_max: float = P_STEP_MAX,
-    renorm: str = "exact",
 ) -> tuple[StateVector, Optional[Event]]:
-    """One interval of the jump/no-jump loop on a normalized state.
+    """One interval of the jump/no-jump loop on a normalized state: the
+    literal reference that the engine's replay kernel must reproduce.
 
     Returns the successor state and, when a jump fired, an Event whose time
-    is dt (relative to the start of the step).  renorm="sqrt1mp" selects the
-    first-order 1/sqrt(1-P) no-jump renormalization instead of dividing by
-    the exact norm.
+    is dt (relative to the start of the step).
     """
     arr = psi.amplitudes
     m = total_op if total_op is not None else total_jump_operator(list(channels))
@@ -446,10 +398,7 @@ def step(
         post = post / math.sqrt(np.vdot(post, post).real)
         return StateVector(post, psi.basis_dims), Event(dt, ch.tag, ch.recorded)
     prop = propagator.entries @ arr
-    if renorm == "sqrt1mp":
-        prop = prop / math.sqrt(1.0 - p)
-    else:
-        prop = prop / math.sqrt(np.vdot(prop, prop).real)
+    prop = prop / math.sqrt(np.vdot(prop, prop).real)
     return StateVector(prop, psi.basis_dims), None
 
 
@@ -462,7 +411,6 @@ def run_until_click(
     sampler: str = "fixed",
     share_curve: bool = False,
     t_offset: float = 0.0,
-    renorm: str = "exact",
 ) -> StageResult:
     """Evolve from psi0 until the first recorded detector click or t_max.
 
@@ -476,28 +424,11 @@ def run_until_click(
         raise ValueError("t_max must be >= 0")
     if t_max == 0.0:
         return StageResult(False, None, None, engine._wrap(psi_n), [])
-    if renorm == "sqrt1mp":
-        return engine._run_fixed_reference(psi_n, rng, t_max, t_offset, renorm)
     if sampler == "fixed":
         return engine._run_fixed(psi_n, rng, t_max, share_curve, t_offset)
     if sampler == "fast":
         return engine._run_fast(psi_n, rng, t_max, share_curve, t_offset)
     raise ValueError(f"unknown sampler {sampler!r}")
-
-
-def sample_click_fast(
-    psi0: StateVector | np.ndarray,
-    engine: StageEngine,
-    rng: RngStream,
-    t_max: float,
-    *,
-    share_curve: bool = False,
-    t_offset: float = 0.0,
-) -> StageResult:
-    """Waiting-time sampler; same contract as run_until_click."""
-    return run_until_click(
-        psi0, engine, rng, t_max, sampler="fast", share_curve=share_curve, t_offset=t_offset
-    )
 
 
 def run_protocol(
@@ -559,53 +490,31 @@ def run_unconditioned(
 
     All jumps, recorded or not, are applied and the walk continues to the
     end of the grid; averaging many of these against the density-matrix
-    integrator is the correctness oracle for the whole unraveling.
+    integrator is the correctness oracle for the whole unraveling.  The walk
+    goes from grid time to grid time (repeats allowed) with the replay
+    kernel, shared until the trajectory first jumps.
     """
     dt = engine.dt
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0 or not np.all(t_grid >= 0.0):
+        raise ValueError(f"t_grid must be a non-empty set of times >= 0, got {t_grid}")
     grid_idx = np.rint(t_grid / dt).astype(int)
     if np.max(np.abs(grid_idx * dt - t_grid)) > 1e-9:
-        raise ValueError("observation times must sit on the dt grid")
-    n_steps = int(grid_idx.max())
+        raise ValueError("t_grid times must sit on the dt grid")
     obs = [o.entries for o in observables]
-    vals = np.empty((len(obs), len(t_grid)))
-    psi_n = _as_unit_array(psi0)
-    r = rng.step_uniforms(n_steps)
-
-    curve = engine.fixed_curve(psi_n, n_steps)
-    hits = np.flatnonzero(r < curve.pvals)
-    first_jump = int(hits[0]) if hits.size else None
-
-    def record(j: int, psi_hat: np.ndarray):
-        for a, o in enumerate(obs):
-            vals[a, j] = np.vdot(psi_hat, o @ psi_hat).real
-
-    horizon = n_steps if first_jump is None else first_jump
-    for j, gk in enumerate(grid_idx):
-        if gk <= horizon:
-            record(j, curve.states[gk] / math.sqrt(curve.n2[gk]))
-    if first_jump is None:
-        return vals
-
-    # leave the shared curve at the first jump and walk the rest serially
-    k = first_jump
-    _, _, psi = engine._collapse(curve.states[k] / math.sqrt(curve.n2[k]), rng)
-    k += 1
-    want = {int(g): j for j, g in enumerate(grid_idx) if g > horizon}
-    u = engine.propagator
-    m = engine.total_op
-    while k <= n_steps:
-        if k in want:
-            record(want[k], psi)
-        if k == n_steps:
-            break
-        p = dt * np.vdot(psi, m @ psi).real
-        if p >= engine.p_step_max:
-            raise StepSizeError(f"per-step jump probability {p:.3g} exceeds {engine.p_step_max}")
-        if r[k] < p:
-            _, _, psi = engine._collapse(psi, rng)
-        else:
-            nxt = u @ psi
-            psi = nxt / math.sqrt(np.vdot(nxt, nxt).real)
-        k += 1
+    vals = np.empty((len(obs), t_grid.size))
+    psi = _as_unit_array(psi0)
+    r = rng.step_uniforms(int(grid_idx.max()))
+    k = 0
+    shared = True
+    for j in np.argsort(grid_idx, kind="stable"):
+        while True:
+            rel, psi_hat = engine._fixed_scan(psi, r[k : grid_idx[j]], shared)
+            if rel is None:
+                break
+            _, _, psi = engine._collapse(psi_hat, rng)
+            k += rel + 1
+            shared = False
+        psi, k = psi_hat, grid_idx[j]
+        vals[:, j] = [np.vdot(psi, o @ psi).real for o in obs]
     return vals

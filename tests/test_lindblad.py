@@ -136,6 +136,26 @@ def test_ensemble_compare_zero_time_exact():
     assert abs(report.z_scores[0, 0]) == 0.0
 
 
+def test_ensemble_compare_rejects_decreasing_grid_and_no_trajectories():
+    p = SystemParams(adiabatic=False)
+    with pytest.raises(ValueError, match="t_grid"):
+        ensemble_compare(p, [("n_c1", number_op(p))], (2.0, 1.0), 10, 0)
+    with pytest.raises(ValueError, match="n_traj"):
+        ensemble_compare(p, [("n_c1", number_op(p))], (1.0,), 0, 0)
+    report = ensemble_compare(p, [("n_c1", number_op(p))], (1.0, 1.0), 10, 0)
+    assert np.array_equal(report.traj_mean[:, 0], report.traj_mean[:, 1])
+    assert np.array_equal(report.lindblad_value[:, 0], report.lindblad_value[:, 1])
+
+
+def test_ensemble_equal_samples_have_zero_variance():
+    # no trajectory jumps before t = 1 at this seed: every sample is equal, so
+    # the spread is exactly zero and the Poisson-floor branch scores it
+    p = SystemParams(adiabatic=False)
+    report = ensemble_compare(p, [("n_c1", number_op(p))], (1.0,), 1000, 3)
+    assert report.traj_stderr[0, 0] == 0.0
+    assert report.z_scores[0, 0] == 0.0
+
+
 def test_ensemble_stderr_clt_scaling():
     # photon-number observable where every trajectory has an O(1) spread:
     # a bare photon either already leaked (n=0) or not (n=1)

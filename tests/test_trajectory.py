@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, matrix_exp
+from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, identity, matrix_exp
 from homsim.model import ChannelTag, SystemParams, initial_state, stage_hamiltonian
 from homsim.trajectory import (
     Outcome,
@@ -13,10 +13,9 @@ from homsim.trajectory import (
     StageEngine,
     StepSizeError,
     TrajectoryRecord,
-    precompute_propagator,
     run_protocol,
+    run_unconditioned,
     run_until_click,
-    sample_click_fast,
     step,
 )
 from homsim.experiments import fidelity_to_target
@@ -41,7 +40,7 @@ def photon_state(p):
 
 def test_propagator_unitary_without_damping():
     p = SystemParams(kappa=0.0, adiabatic=False)
-    u = precompute_propagator(stage_hamiltonian(p), p.dt).entries
+    u = StageEngine(p).propagator
     assert np.max(np.abs(u.conj().T @ u - np.eye(36))) < 1e-10
 
 
@@ -49,13 +48,13 @@ def test_propagator_first_order_limit():
     h = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
     h = OperatorMatrix(h / np.linalg.norm(h, 2), (6,))
     dt = 1e-4
-    u = precompute_propagator(h, dt).entries
+    u = matrix_exp(h, -1j * dt).entries
     first = np.eye(6) - 1j * dt * h.entries
     assert np.max(np.abs(u - first)) < 1e-7
 
 
 def test_propagator_contracts():
-    u = precompute_propagator(stage_hamiltonian(IDEAL), IDEAL.dt).entries
+    u = StageEngine(IDEAL).propagator
     for _ in range(10):
         v = RNG.normal(size=36) + 1j * RNG.normal(size=36)
         v /= np.linalg.norm(v)
@@ -177,7 +176,7 @@ def test_zero_window_no_click():
 def test_no_decay_times_out():
     p = SystemParams(kappa=0.0, adiabatic=False)
     eng = StageEngine(p)
-    res = sample_click_fast(initial_state(p), eng, RngStream(0, 1), p.t_wait)
+    res = run_until_click(initial_state(p), eng, RngStream(0, 1), p.t_wait, sampler="fast")
     assert not res.clicked
     assert np.vdot(res.state.amplitudes, res.state.amplitudes).real == pytest.approx(1.0)
 
@@ -275,23 +274,14 @@ def test_detection_thinning():
     assert abs(recorded / n - eta) <= 3 * sd
 
 
-def test_sqrt1mp_variant_statistical_agreement():
-    # boosted emission rate so a short window has plenty of clicks
-    p = SystemParams(omega=2.0, kappa=2.0, delta=10.0, t_wait=10.0, adiabatic=False)
-    eng = StageEngine(p)
-    n = 500
-    p_exact = sum(
-        run_until_click(initial_state(p), eng, RngStream(100, i).for_stage(0), p.t_wait,
-                        sampler="fixed", share_curve=True).clicked
-        for i in range(n)
-    ) / n
-    p_compat = sum(
-        run_until_click(initial_state(p), eng, RngStream(101, i).for_stage(0), p.t_wait,
-                        renorm="sqrt1mp").clicked
-        for i in range(n)
-    ) / n
-    sd = math.sqrt(2 * p_exact * (1 - p_exact) / n)
-    assert abs(p_exact - p_compat) <= 4 * sd
+def test_zero_norm_start_state_rejected():
+    eng = StageEngine(IDEAL)
+    zero = np.zeros(36, dtype=complex)
+    for sampler in ("fixed", "fast"):
+        with pytest.raises(ValueError, match="norm"):
+            run_until_click(zero, eng, RngStream(0, 0), IDEAL.t_wait, sampler=sampler)
+    with pytest.raises(ValueError, match="norm"):
+        run_unconditioned(zero, eng, RngStream(0, 0), (1.0,), [identity(IDEAL.dims)])
 
 
 def test_herald_fidelity_by_tag():
@@ -396,3 +386,49 @@ def test_fast_vs_fixed_click_time_distributions():
                 ts.append(res.time)
         samples[sampler] = np.asarray(ts)
     assert stats.ks_2samp(samples["fixed"], samples["fast"]).pvalue > 0.01
+
+
+# -- unconditioned walk -------------------------------------------------------------
+
+
+def test_unconditioned_repeated_time_fills_every_column():
+    # stream 13 jumps before t = 10; both columns must hold the post-jump state
+    p = SystemParams(gamma_ca=0.3, gamma_cb=0.3, adiabatic=False)
+    eng = StageEngine(p)
+    vals = run_unconditioned(eng.psi0, eng, RngStream(5, 13), (10.0, 10.0), [identity(p.dims)])
+    assert vals[0, 0] == pytest.approx(1.0) and vals[0, 1] == pytest.approx(1.0)
+
+
+def test_unconditioned_walk_equals_step_loop():
+    # the replay walk against the literal stepping loop, over an unsorted grid
+    # with a repeated time, on trajectories that jump (some more than once)
+    p = SystemParams(omega=2.0, kappa=2.0, delta=10.0, gamma_ca=0.3, gamma_cb=0.3,
+                     adiabatic=False)
+    eng = StageEngine(p)
+    u_op = OperatorMatrix(eng.propagator, p.dims)
+    obs = [identity(p.dims), OperatorMatrix(eng.total_op, p.dims)]
+    t_grid = (5.0, 0.0, 2.0, 5.0)
+    idx = [int(round(t / p.dt)) for t in t_grid]
+    jumps = []
+    for i in range(20):
+        vals = run_unconditioned(eng.psi0, eng, RngStream(40, i), t_grid, obs)
+        rng = RngStream(40, i)
+        psi = eng.psi0
+        ref = {}
+        jumps.append(0)
+        for k in range(max(idx) + 1):
+            ref[k] = [np.vdot(psi.amplitudes, o.entries @ psi.amplitudes).real for o in obs]
+            if k < max(idx):
+                psi, ev = step(psi, u_op, eng.channels, rng, p.dt, total_op=eng.total_op)
+                jumps[-1] += ev is not None
+        for j, k in enumerate(idx):
+            assert np.max(np.abs(vals[:, j] - ref[k])) < 1e-10
+    assert sum(jumps) >= 10 and max(jumps) >= 2
+
+
+def test_unconditioned_rejects_empty_or_negative_grid():
+    eng = StageEngine(IDEAL)
+    obs = [identity(IDEAL.dims)]
+    for grid in ((), (-1.0,), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="t_grid"):
+            run_unconditioned(eng.psi0, eng, RngStream(0, 0), grid, obs)
