@@ -4,19 +4,7 @@ second emitted photon behind a beam splitter."""
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    BasisIndex,
-    OperatorMatrix,
-    StateVector,
-    apply,
-    embed,
-    expectation,
-    inner,
-    kron,
-    matrix_exp,
-    norm2,
-    normalize,
-)
+from .hilbert import BasisIndex, OperatorMatrix, StateVector, embed, matrix_exp
 from .model import (
     ChannelTag,
     JumpChannel,

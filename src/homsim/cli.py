@@ -17,20 +17,18 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import __version__
 from .analytic import EmitterParams, emission_norm, emission_amplitude
 from .experiments import run_redistribution, sweep
-from .hilbert import BasisIndex, basis_state, embed, fock_destroy
-from .lindblad import ensemble_compare
-from .model import SystemParams, build_hamiltonian, build_h_eff, build_jump_channels, total_jump_operator
-from .trajectory import RngStream, StageEngine, run_until_click
+from .model import SystemParams
+from .oracles import run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -333,114 +331,11 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _oracle_checks(cfg: RunConfig) -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed)
-
-    # channel set vs no-jump generator: H_eff - H = -(i/2) sum L^dag L
-    worst = 0.0
-    for _ in range(10):
-        p = SystemParams(
-            omega=rng.uniform(0.2, 2.0), delta=rng.uniform(5.0, 40.0),
-            kappa=rng.uniform(1.0, 20.0), gamma_ca=rng.uniform(0.0, 1.0),
-            gamma_cb=rng.uniform(0.0, 1.0), eta=rng.uniform(0.1, 1.0),
-            lam=rng.uniform(0.3, 3.0), adiabatic=False,
-        )
-        gap = build_h_eff(p).entries - build_hamiltonian(p).entries \
-            + 0.5j * total_jump_operator(build_jump_channels(p))
-        worst = max(worst, float(np.max(np.abs(gap))))
-    checks.append({
-        "name": "channel_consistency", "passed": worst < 1e-12, "max_abs_residual": worst,
-    })
-
-    # frozen-ion waiting times against the exponential law, both samplers
-    n_ks = min(cfg.n_traj, 10000)
-    frozen = cfg.params.with_(
-        omega=0.0, gamma_ca=0.0, gamma_cb=0.0, eta=1.0, dt=1e-4, adiabatic=False
-    )
-    engine = StageEngine(frozen)
-    psi0 = basis_state(BasisIndex("a", "a", 1, 0), frozen.dims)
-    scale = 1.0 / (2.0 * frozen.kappa)
-    times = {}
-    # distinct master seeds per sampler: the mutual KS test needs independent samples
-    for off, name in ((1, "fixed"), (11, "fast")):
-        ts = []
-        for i in range(n_ks):
-            res = run_until_click(
-                psi0, engine, RngStream(cfg.seed + off, i).for_stage(0), 1.0,
-                sampler=name, share_curve=True,
-            )
-            if res.clicked:
-                ts.append(res.time)
-        times[name] = np.asarray(ts)
-        ks = _stats.kstest(times[name], "expon", args=(0.0, scale))
-        checks.append({
-            "name": f"waiting_time_ks_{name}", "passed": bool(ks.pvalue > 0.01),
-            "ks_stat": float(ks.statistic), "p_value": float(ks.pvalue), "n": len(ts),
-        })
-    ks2 = _stats.ks_2samp(times["fixed"], times["fast"])
-    checks.append({
-        "name": "waiting_time_ks_mutual", "passed": bool(ks2.pvalue > 0.01),
-        "ks_stat": float(ks2.statistic), "p_value": float(ks2.pvalue),
-    })
-
-    # fast vs fixed-step click times at the standard operating point
-    ideal = cfg.params.with_(gamma_ca=0.0, gamma_cb=0.0, eta=1.0, adiabatic=False)
-    engine = StageEngine(ideal)
-    psi0 = basis_state(BasisIndex("a", "a", 0, 0), ideal.dims)
-    clicks = {}
-    for off, name in ((2, "fixed"), (12, "fast")):
-        ts = []
-        for i in range(n_ks):
-            res = run_until_click(
-                psi0, engine, RngStream(cfg.seed + off, i).for_stage(0), ideal.t_wait,
-                sampler=name, share_curve=True,
-            )
-            if res.clicked:
-                ts.append(res.time)
-        clicks[name] = np.asarray(ts)
-    ks2 = _stats.ks_2samp(clicks["fixed"], clicks["fast"])
-    p_fix = len(clicks["fixed"]) / n_ks
-    p_fast = len(clicks["fast"]) / n_ks
-    sd = math.sqrt(2.0 * max(p_fix * (1 - p_fix), 1e-12) / n_ks)
-    checks.append({
-        "name": "fast_vs_fixed_ks", "passed": bool(ks2.pvalue > 0.01),
-        "ks_stat": float(ks2.statistic), "p_value": float(ks2.pvalue),
-        "p_fixed": p_fix, "p_fast": p_fast, "click_fraction_z": (p_fast - p_fix) / sd,
-    })
-
-    # unconditioned ensemble vs the density-matrix integrator
-    n_ens = min(cfg.n_traj, 5000)
-    dims = ideal.dims
-    n_c1 = embed(fock_destroy(ideal.n_max + 1), 2, dims)
-    n_c1 = n_c1.dag().entries @ n_c1.entries
-    from .hilbert import OperatorMatrix
-
-    proj_aa = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
-    for n1 in range(ideal.n_max + 1):
-        for n2 in range(ideal.n_max + 1):
-            k = BasisIndex("a", "a", n1, n2).flatten(dims)
-            proj_aa[k, k] = 1.0
-    report = ensemble_compare(
-        ideal,
-        [("n_cavity1", OperatorMatrix(n_c1, dims)), ("pop_aa", OperatorMatrix(proj_aa, dims))],
-        (1.0, 5.0, 10.0),
-        n_ens,
-        cfg.seed + 3,
-    )
-    checks.append({
-        "name": "lindblad_ensemble", "passed": report.passed(3.0),
-        "max_abs_z": report.max_abs_z, "n_traj": n_ens,
-        "z_scores": [[float(z) for z in row] for row in report.z_scores],
-    })
-    return checks
-
-
 def _cmd_oracle_check(cfg: RunConfig) -> int:
-    checks = _oracle_checks(cfg)
+    checks = run_suite(cfg.params, cfg.n_traj, cfg.seed)
     ok = all(c["passed"] for c in checks)
     report = {"passed": ok, "checks": checks}
-    out = cfg.out if cfg.out.endswith(".json") else cfg.out.rsplit(".", 1)[0] + ".json"
+    out = os.path.splitext(cfg.out)[0] + ".json"
     try:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

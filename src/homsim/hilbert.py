@@ -18,9 +18,6 @@ from scipy.linalg import expm as _scipy_expm
 ION_LEVELS = ("a", "b", "c")
 LEVEL_INDEX = {name: i for i, name in enumerate(ION_LEVELS)}
 
-# Headroom for "norm never grows" assertions under non-Hermitian evolution.
-NORM_GROWTH_TOL = 1e-9
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
@@ -102,11 +99,6 @@ def identity(dims: tuple[int, ...]) -> OperatorMatrix:
     return OperatorMatrix(np.eye(math.prod(dims), dtype=complex), dims)
 
 
-def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Tensor product; basis dims concatenate in order."""
-    return OperatorMatrix(np.kron(a.entries, b.entries), a.basis_dims + b.basis_dims)
-
-
 def embed(op: np.ndarray | OperatorMatrix, subsystem: int, dims: tuple[int, ...]) -> OperatorMatrix:
     """Lift a single-subsystem operator to the full space.
 
@@ -131,36 +123,6 @@ def matrix_exp(a: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
     is far below 1e-12 for the operator norms used here.
     """
     return OperatorMatrix(_scipy_expm(scale * a.entries), a.basis_dims)
-
-
-def apply(op: OperatorMatrix, psi: StateVector) -> StateVector:
-    if op.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {psi.dim}")
-    return StateVector(op.entries @ psi.amplitudes, psi.basis_dims)
-
-
-def inner(psi: StateVector, chi: StateVector) -> complex:
-    """<psi|chi> with the physicist's convention (conjugate-linear first slot)."""
-    if psi.dim != chi.dim:
-        raise ValueError("dimension mismatch in inner product")
-    return complex(np.vdot(psi.amplitudes, chi.amplitudes))
-
-
-def norm2(psi: StateVector) -> float:
-    return float(np.real(np.vdot(psi.amplitudes, psi.amplitudes)))
-
-
-def normalize(psi: StateVector) -> StateVector:
-    n2 = norm2(psi)
-    if n2 <= 0.0:
-        raise ValueError("cannot normalize a zero-norm state")
-    return StateVector(psi.amplitudes / math.sqrt(n2), psi.basis_dims)
-
-
-def expectation(psi: StateVector, op: OperatorMatrix) -> complex:
-    if op.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {psi.dim}")
-    return complex(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes))
 
 
 def basis_state(label: BasisIndex, dims: tuple[int, ...]) -> StateVector:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +68,21 @@ class DensityMatrix:
             raise IntegrationError(f"negative eigenvalue {w.min():.3g}")
 
 
+def _master_rhs(hamiltonian: OperatorMatrix, channels: Sequence[JumpChannel]):
+    """d rho/dt as a function of rho, with the L^dag L products formed once."""
+    h = hamiltonian.entries
+    ells = [ch.operator.entries for ch in channels]
+    ldls = [e.conj().T @ e for e in ells]
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h)
+        for ell, ldl in zip(ells, ldls):
+            out += ell @ r @ ell.conj().T - 0.5 * (ldl @ r + r @ ldl)
+        return out
+
+    return rhs
+
+
 def liouvillian_apply(
     rho: DensityMatrix | np.ndarray,
     hamiltonian: OperatorMatrix,
@@ -75,15 +90,9 @@ def liouvillian_apply(
 ) -> np.ndarray:
     """Right-hand side of the master equation."""
     r = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    h = hamiltonian.entries
-    if r.shape != h.shape:
+    if r.shape != hamiltonian.entries.shape:
         raise ValueError("dimension mismatch between rho and H")
-    out = -1j * (h @ r - r @ h)
-    for ch in channels:
-        ell = ch.operator.entries
-        ldl = ell.conj().T @ ell
-        out += ell @ r @ ell.conj().T - 0.5 * (ldl @ r + r @ ldl)
-    return out
+    return _master_rhs(hamiltonian, channels)(r)
 
 
 def integrate(
@@ -98,16 +107,7 @@ def integrate(
     """Classical fourth-order Runge-Kutta with physicality checks along the way."""
     if dt_rk <= 0:
         raise ValueError("dt_rk must be > 0")
-    h = hamiltonian.entries
-    ells = [ch.operator.entries for ch in channels]
-    ldls = [e.conj().T @ e for e in ells]
-
-    def rhs(r):
-        out = -1j * (h @ r - r @ h)
-        for ell, ldl in zip(ells, ldls):
-            out += ell @ r @ ell.conj().T - 0.5 * (ldl @ r + r @ ldl)
-        return out
-
+    rhs = _master_rhs(hamiltonian, channels)
     n = max(1, int(round(t_end / dt_rk)))
     step_len = t_end / n
     check_every = max(1, n // max(1, checkpoints))
@@ -149,15 +149,12 @@ def ensemble_compare(
     t_grid: Sequence[float],
     n_traj: int,
     seed: int,
-    *,
-    dt_rk: Optional[float] = None,
-    engine: Optional[StageEngine] = None,
 ) -> EnsembleReport:
     """Run n_traj unconditioned trajectories and z-score their observable
     means against the RK4 master-equation solution at each grid time."""
     from .model import initial_state
 
-    eng = engine if engine is not None else StageEngine(params)
+    eng = StageEngine(params)
     names = tuple(name for name, _ in observables)
     ops = [op for _, op in observables]
     t_grid = tuple(float(t) for t in t_grid)
@@ -187,10 +184,9 @@ def ensemble_compare(
     rho = DensityMatrix.from_state(psi0)
     ref = np.empty((len(ops), len(t_grid)))
     t_prev = 0.0
-    step_rk = dt_rk if dt_rk is not None else params.dt / RK_STEP_DIVISOR
     for j, t in enumerate(t_grid):
         if t > t_prev:
-            rho = integrate(rho, h_herm, channels, t - t_prev, step_rk)
+            rho = integrate(rho, h_herm, channels, t - t_prev, params.dt / RK_STEP_DIVISOR)
             t_prev = t
         for a, op in enumerate(ops):
             ref[a, j] = np.trace(op.entries @ rho.entries).real

@@ -174,7 +174,7 @@ class _Segment(NamedTuple):
 
 
 class StageEngine:
-    """Precomputed machinery for one (params, Hamiltonian) pair.
+    """Precomputed machinery for one parameter set.
 
     Holds the initial state, the jump channels, the summed jump operator,
     the fine fixed-step propagator and the eigendecomposition of H_eff that
@@ -182,15 +182,10 @@ class StageEngine:
     from internal caches; safe to share read-only across worker trajectories.
     """
 
-    def __init__(
-        self,
-        params: SystemParams,
-        hamiltonian: Optional[OperatorMatrix] = None,
-    ):
+    def __init__(self, params: SystemParams):
         self.params = params
         self.dt = params.dt
-        h = hamiltonian if hamiltonian is not None else stage_hamiltonian(params)
-        self.h_eff = h.entries
+        self.h_eff = stage_hamiltonian(params).entries
         self.dims = params.dims
         self.channels: list[JumpChannel] = build_jump_channels(params)
         self.ops = [ch.operator.entries for ch in self.channels]

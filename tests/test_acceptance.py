@@ -12,24 +12,21 @@ independent sampling noise.
 import math
 
 import numpy as np
-from scipy import stats
 
+from homsim import oracles
 from homsim.experiments import (
     fidelity_to_target,
     run_entanglement_generation,
     run_redistribution,
     sweep,
 )
-from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, embed, fock_destroy
-from homsim.lindblad import DensityMatrix, ensemble_compare, integrate
+from homsim.lindblad import DensityMatrix, integrate
 from homsim.model import (
     ChannelTag,
     SystemParams,
-    build_h_eff,
     build_hamiltonian,
     build_jump_channels,
     initial_state,
-    total_jump_operator,
 )
 from homsim.trajectory import RngStream, StageEngine, run_until_click
 
@@ -177,69 +174,30 @@ def test_criterion_06_heralded_state_fidelity():
 
 
 def test_criterion_07_unraveling_oracle():
-    p = FULL
-    c1 = embed(fock_destroy(p.n_max + 1), 2, p.dims)
-    n_c1 = OperatorMatrix(c1.entries.conj().T @ c1.entries, p.dims)
-    proj = np.zeros((36, 36), dtype=complex)
-    for a1 in range(p.n_max + 1):
-        for a2 in range(p.n_max + 1):
-            k = BasisIndex("a", "a", a1, a2).flatten(p.dims)
-            proj[k, k] = 1.0
-    report = ensemble_compare(
-        p, [("n_c1", n_c1), ("pop_aa", OperatorMatrix(proj, p.dims))],
-        (1.0, 5.0, 10.0), 5000, SEED + 3,
-    )
-    ok = report.passed(3.0)
-    ok = _report(7, ok, f"max |z| = {report.max_abs_z:.2f} over 2 observables x 3 times "
-                        f"at n=5000 (need <= 3)")
+    rec = oracles.lindblad_ensemble(FULL, 5000, SEED + 3)
+    ok = _report(7, rec["passed"], f"max |z| = {rec['max_abs_z']:.2f} over 2 observables x 3 "
+                                   f"times at n=5000 (need <= 3)")
     assert ok
 
 
 def test_criterion_08_waiting_time_law():
-    p = SystemParams(omega=0.0, dt=1e-4, adiabatic=False)
-    eng = StageEngine(p)
-    psi0 = basis_state(BasisIndex("a", "a", 1, 0), p.dims)
-    scale = 1.0 / (2.0 * p.kappa)
-    samples = {}
-    pvals = {}
-    for off, sampler in ((4, "fixed"), (5, "fast")):
-        ts = []
-        for i in range(10_000):
-            res = run_until_click(psi0, eng, RngStream(SEED + off, i).for_stage(0), 1.0,
-                                  sampler=sampler, share_curve=True)
-            if res.clicked:
-                ts.append(res.time)
-        samples[sampler] = np.asarray(ts)
-        pvals[sampler] = stats.kstest(samples[sampler], "expon", args=(0.0, scale)).pvalue
-    p_mut = stats.ks_2samp(samples["fixed"], samples["fast"]).pvalue
-    ok = pvals["fixed"] > 0.01 and pvals["fast"] > 0.01 and p_mut > 0.01
+    fixed, fast, mutual = oracles.waiting_time_ks(FULL, 10_000, SEED + 4, SEED + 5)
+    ok = fixed["passed"] and fast["passed"] and mutual["passed"]
     ok = _report(
         8, ok,
-        f"KS p-values: fixed={pvals['fixed']:.3f}, fast={pvals['fast']:.3f}, "
-        f"mutual={p_mut:.3f} (need > 0.01 each, n=10^4)",
+        f"KS p-values: fixed={fixed['p_value']:.3f}, fast={fast['p_value']:.3f}, "
+        f"mutual={mutual['p_value']:.3f} (need > 0.01 each, n=10^4)",
     )
     assert ok
 
 
 def test_criterion_09_structural_invariants():
     msgs = []
-    ok = True
 
     # channel set against the no-jump generator
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(30):
-        p = SystemParams(
-            omega=rng.uniform(0.2, 2.0), delta=rng.uniform(5.0, 40.0),
-            kappa=rng.uniform(0.5, 20.0), gamma_ca=rng.uniform(0.0, 1.0),
-            gamma_cb=rng.uniform(0.0, 1.0), eta=rng.uniform(0.05, 1.0),
-            lam=rng.uniform(0.3, 3.0), adiabatic=False,
-        )
-        gap = (build_h_eff(p).entries - build_hamiltonian(p).entries
-               + 0.5j * total_jump_operator(build_jump_channels(p)))
-        worst = max(worst, float(np.max(np.abs(gap))))
-    ok &= worst < 1e-12
-    msgs.append(f"channel identity residual {worst:.1e} (need < 1e-12)")
+    rec = oracles.channel_consistency(SEED)
+    ok = rec["passed"]
+    msgs.append(f"channel identity residual {rec['max_abs_residual']:.1e} (need < 1e-12)")
 
     # unitary propagator without damping
     p0 = SystemParams(kappa=0.0, adiabatic=False)

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from homsim.cli import (
@@ -196,29 +195,37 @@ def test_oracle_check_failure_exit(tmp_path, monkeypatch):
     import homsim.cli as cli
 
     monkeypatch.setattr(
-        cli, "_oracle_checks", lambda cfg: [{"name": "stub", "passed": False}]
+        cli, "run_suite", lambda params, n_traj, seed: [{"name": "stub", "passed": False}]
     )
     out = tmp_path / "oracle.json"
     assert _run(["oracle-check", "--out", str(out)]) == EXIT_ORACLE
     assert not json.loads(out.read_text())["passed"]
 
 
+def test_oracle_check_replaces_only_the_file_extension(tmp_path, monkeypatch):
+    import homsim.cli as cli
+
+    monkeypatch.setattr(
+        cli, "run_suite", lambda params, n_traj, seed: [{"name": "stub", "passed": True}]
+    )
+    (tmp_path / "runs.v2").mkdir()
+    for given, written in (("runs.v2/report", "runs.v2/report.json"),
+                           ("runs.v2/report.csv", "runs.v2/report.json"),
+                           ("runs.v2/r.json", "runs.v2/r.json")):
+        assert _run(["oracle-check", "--out", str(tmp_path / given)]) == EXIT_OK
+        assert json.loads((tmp_path / written).read_text())["passed"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["runs.v2"]
+
+
 def test_corrupted_channel_set_fails_consistency():
     # negative control for the channel/generator identity
-    from homsim.model import (
-        JumpChannel,
-        SystemParams,
-        build_h_eff,
-        build_hamiltonian,
-        build_jump_channels,
-        total_jump_operator,
-    )
     from homsim.hilbert import OperatorMatrix
+    from homsim.model import JumpChannel, SystemParams, build_jump_channels
+    from homsim.oracles import channel_residual
 
     p = SystemParams(gamma_ca=0.2, gamma_cb=0.1, eta=0.8, adiabatic=False)
     channels = build_jump_channels(p)
     bad = [JumpChannel(OperatorMatrix(1.01 * channels[0].operator.entries, p.dims),
                        channels[0].tag, channels[0].recorded)] + channels[1:]
-    gap = (build_h_eff(p).entries - build_hamiltonian(p).entries
-           + 0.5j * total_jump_operator(bad))
-    assert np.max(np.abs(gap)) > 1e-6
+    assert channel_residual(p, channels) < 1e-12
+    assert channel_residual(p, bad) > 1e-6

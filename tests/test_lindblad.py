@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, embed, fock_destroy, matrix_exp
+from homsim.hilbert import BasisIndex, basis_state, matrix_exp
 from homsim.lindblad import (
     DensityMatrix,
     IntegrationError,
@@ -18,21 +18,16 @@ from homsim.model import (
     initial_state,
     stage_hamiltonian,
 )
+from homsim.oracles import ensemble_observables
 from homsim.trajectory import RngStream, StageEngine, run_until_click
 
 
-def number_op(p, which=0):
-    c = embed(fock_destroy(p.n_max + 1), 2 + which, p.dims)
-    return OperatorMatrix(c.entries.conj().T @ c.entries, p.dims)
+def number_op(p):
+    return dict(ensemble_observables(p))["n_c1"]
 
 
 def aa_projector(p):
-    proj = np.zeros((36, 36), dtype=complex)
-    for n1 in range(p.n_max + 1):
-        for n2 in range(p.n_max + 1):
-            k = BasisIndex("a", "a", n1, n2).flatten(p.dims)
-            proj[k, k] = 1.0
-    return OperatorMatrix(proj, p.dims)
+    return dict(ensemble_observables(p))["pop_aa"]
 
 
 def test_liouvillian_unitary_trace_free():
@@ -117,13 +112,7 @@ def test_no_click_survival_cross_check():
 
 def test_ensemble_compare_z_scores():
     p = SystemParams(adiabatic=False)
-    report = ensemble_compare(
-        p,
-        [("n_c1", number_op(p)), ("pop_aa", aa_projector(p))],
-        (1.0, 5.0),
-        1500,
-        99,
-    )
+    report = ensemble_compare(p, ensemble_observables(p), (1.0, 5.0), 1500, 99)
     assert report.max_abs_z <= 3.0
     assert report.n_traj == 1500
 
