@@ -202,6 +202,9 @@ def parse_config(
     n_traj = vals.get("n_traj", default_n)
     if n_traj < 1:
         raise ConfigError(f"value out of range for key 'n_traj': {n_traj}")
+    seed = vals.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"value out of range for key 'seed': {seed}")
 
     grid = vals.get("grid")
     if grid is None:
@@ -211,7 +214,7 @@ def parse_config(
         command=command,
         params=params,
         n_traj=n_traj,
-        seed=vals.get("seed", 0),
+        seed=seed,
         threads=threads,
         param=param,
         grid=tuple(grid),

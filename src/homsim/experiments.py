@@ -22,9 +22,9 @@ import numpy as np
 from .analytic import heralded_states
 from .hilbert import BasisIndex, StateVector
 from .model import ChannelTag, SystemParams
+from .rng import StreamBlock, check_seed
 from .trajectory import (
     Outcome,
-    RngStream,
     StageEngine,
     TrajectoryRecord,
     run_protocol,
@@ -107,14 +107,14 @@ def _sample_stderr(values: np.ndarray) -> float:
 def _stage1_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
+    block = StreamBlock(seed, start, stop)
     targets = _target_vectors(params.dims)
     clicked = np.zeros(stop - start, dtype=bool)
     is_d1 = np.zeros(stop - start, dtype=bool)
     fid = np.full(stop - start, np.nan)
     for i in range(start, stop):
-        rng = RngStream(seed, i).for_stage(0)
         res = run_until_click(
-            engine.psi0, engine, rng, params.t_wait, sampler=sampler, share_curve=True
+            engine.psi0, engine, block.stream(i), params.t_wait, sampler=sampler, share_curve=True
         )
         j = i - start
         if res.clicked:
@@ -127,13 +127,14 @@ def _stage1_chunk(args):
 def _protocol_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
+    block = StreamBlock(seed, start, stop)
     targets = _target_vectors(params.dims)
     n = stop - start
     n_clicks = np.zeros(n, dtype=np.int8)
     same_tag = np.zeros(n, dtype=bool)
     fid = np.full(n, np.nan)
     for i in range(start, stop):
-        rec = run_protocol(params, RngStream(seed, i), sampler=sampler, engine=engine)
+        rec = run_protocol(params, block.stream(i), sampler=sampler, engine=engine)
         j = i - start
         if rec.first_click is not None:
             n_clicks[j] = 1
@@ -145,6 +146,7 @@ def _protocol_chunk(args):
 
 
 def _run_chunked(worker, params, n_traj, seed, sampler, threads):
+    check_seed(seed)
     tasks = [
         (params, seed, lo, min(lo + _CHUNK, n_traj), sampler) for lo in range(0, n_traj, _CHUNK)
     ]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .hilbert import OperatorMatrix, StateVector
 from .model import JumpChannel, SystemParams, build_jump_channels, stage_hamiltonian
-from .trajectory import RngStream, StageEngine, run_unconditioned
+from .rng import StreamBlock
+from .trajectory import StageEngine, run_unconditioned
 
 TRACE_TOL = 1e-8
 HERM_TOL = 1e-10
@@ -164,13 +165,14 @@ def ensemble_compare(
         raise ValueError("n_traj must be >= 1")
 
     psi0 = initial_state(params)
+    block = StreamBlock(seed, 0, n_traj)
     # deviations from the first trajectory's values: a sample whose values
     # are all equal then has exactly zero variance, with no cancellation
-    shift = run_unconditioned(psi0, eng, RngStream(seed, 0), t_grid, ops)
+    shift = run_unconditioned(psi0, eng, block.stream(0), t_grid, ops)
     acc = np.zeros_like(shift)
     acc2 = np.zeros_like(shift)
     for i in range(1, n_traj):
-        dev = run_unconditioned(psi0, eng, RngStream(seed, i), t_grid, ops) - shift
+        dev = run_unconditioned(psi0, eng, block.stream(i), t_grid, ops) - shift
         acc += dev
         acc2 += dev * dev
     mean_dev = acc / n_traj

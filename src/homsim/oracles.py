@@ -27,7 +27,8 @@ from .model import (
     build_jump_channels,
     total_jump_operator,
 )
-from .trajectory import RngStream, StageEngine, run_until_click
+from .rng import StreamBlock
+from .trajectory import StageEngine, run_until_click
 
 
 def channel_residual(params: SystemParams, channels: Sequence[JumpChannel]) -> float:
@@ -58,9 +59,10 @@ def channel_consistency(seed: int) -> dict:
 def _click_times(psi0, engine: StageEngine, seed: int, n: int, t_max: float,
                  sampler: str) -> np.ndarray:
     """Stage-1 click times of n trajectories on streams (seed, 0..n-1)."""
+    block = StreamBlock(seed, 0, n)
     ts = []
     for i in range(n):
-        res = run_until_click(psi0, engine, RngStream(seed, i).for_stage(0), t_max,
+        res = run_until_click(psi0, engine, block.stream(i), t_max,
                               sampler=sampler, share_curve=True)
         if res.clicked:
             ts.append(res.time)

@@ -22,7 +22,13 @@ Two statistically equivalent samplers over the same jump-channel set:
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
-bit-reproducible in isolation and independent of scheduling order.
+bit-reproducible in isolation and independent of scheduling order.  The
+streams live in homsim.rng: a chunk of trajectories derives the keys and
+first output blocks of all its streams in one vectorized pass (a
+StreamBlock), bit-exact against numpy's SeedSequence and Philox, which stay
+the reference for a stream made on its own.  A stream serves its first four
+draws per substream from the block and continues on a numpy Philox from the
+block's key at counter 1.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .model import (
     stage_hamiltonian,
     total_jump_operator,
 )
+from .rng import RngStream
 
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
@@ -105,49 +112,6 @@ class TrajectoryRecord:
         times = [e.time for e in self.events]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("events must be time-ordered")
-
-
-class RngStream:
-    """Per-trajectory random source.
-
-    Two independent Philox substreams per stage: one consumed by the
-    jump/no-jump decisions (one value per fixed step, or one per waiting-time
-    segment for the fast sampler), one consumed by channel selection.  Keying
-    is (master_seed, stream_index, stage, substream), so identical inputs
-    reproduce identical trajectories on any platform and in any scheduling
-    order.
-    """
-
-    def __init__(self, master_seed: int, stream_index: int, stage: int = 0):
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        self.stage = int(stage)
-        self._step_gen: Optional[np.random.Generator] = None
-        self._chan_gen: Optional[np.random.Generator] = None
-
-    def _gen(self, substream: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_index, self.stage, substream)
-        )
-        return np.random.Generator(np.random.Philox(ss))
-
-    def for_stage(self, stage: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_index, stage)
-
-    def step_uniform(self) -> float:
-        if self._step_gen is None:
-            self._step_gen = self._gen(0)
-        return float(self._step_gen.random())
-
-    def step_uniforms(self, n: int) -> np.ndarray:
-        if self._step_gen is None:
-            self._step_gen = self._gen(0)
-        return self._step_gen.random(n)
-
-    def channel_uniform(self) -> float:
-        if self._chan_gen is None:
-            self._chan_gen = self._gen(1)
-        return float(self._chan_gen.random())
 
 
 @dataclass

@@ -173,6 +173,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "key 'delta'" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for command in ("entangle-sweep", "redistribute", "oracle-check"):
+        argv = [command, "--seed", "-1", "--n_traj", "10", "--grid", "1.0", "--out", str(out)]
+        assert _run(argv) == EXIT_CONFIG
+        assert "key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = _run(["entangle-sweep", "--param", "eta", "--grid", "1.0",

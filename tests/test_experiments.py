@@ -12,7 +12,9 @@ from homsim.experiments import (
     sweep,
 )
 from homsim.hilbert import BasisIndex, StateVector
+from homsim.lindblad import ensemble_compare
 from homsim.model import ChannelTag, SystemParams
+from homsim.oracles import ensemble_observables
 from homsim.trajectory import ClickInfo, Event, Outcome, RngStream, StageEngine, TrajectoryRecord, run_protocol
 
 DIMS = (3, 3, 2, 2)
@@ -108,6 +110,17 @@ def test_sweep_validation():
         sweep(p, "coupling", [1.0], 10, 0)
     with pytest.raises(ValueError):
         run_entanglement_generation(p, 0, 0)
+
+
+def test_library_entry_points_name_a_negative_seed():
+    p = SystemParams(adiabatic=True)
+    with pytest.raises(ValueError, match="seed"):
+        sweep(p, "eta", [1.0], 10, -1)
+    with pytest.raises(ValueError, match="seed"):
+        run_redistribution(p, [0.0], 10, -1)
+    full = SystemParams(adiabatic=False)
+    with pytest.raises(ValueError, match="seed"):
+        ensemble_compare(full, ensemble_observables(full), (0.1,), 5, -1)
 
 
 def test_gamma_sweep_switches_hamiltonian():
