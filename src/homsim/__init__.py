@@ -30,7 +30,6 @@ from .trajectory import (
 from .experiments import (
     SweepPoint,
     SweepResult,
-    aggregate,
     fidelity_to_target,
     run_entanglement_generation,
     run_redistribution,

@@ -23,13 +23,7 @@ from .analytic import heralded_states
 from .hilbert import BasisIndex, StateVector
 from .model import ChannelTag, SystemParams
 from .rng import StreamBlock, check_seed
-from .trajectory import (
-    Outcome,
-    StageEngine,
-    TrajectoryRecord,
-    run_protocol,
-    run_until_click,
-)
+from .trajectory import StageEngine, run_protocol, run_until_click
 
 _CHUNK = 5000   # trajectories per worker task; fixed so results never depend on thread count
 
@@ -264,6 +258,8 @@ def _protocol_point(
     """Reduce per-trajectory protocol columns (recorded clicks, second click
     on the first click's detector, herald fidelity) to a SweepPoint."""
     n = n_clicks.size
+    if n == 0:
+        raise ValueError("a protocol point needs at least one trajectory")
     heralded = n_clicks >= 1
     two = n_clicks == 2
     n_her = int(heralded.sum())
@@ -283,33 +279,3 @@ def _protocol_point(
         ps_stderr=_binomial_stderr(ps_hat, n_two) if n_two else float("nan"),
         two_click_fraction=(n_two / n_her) if n_her else float("nan"),
     )
-
-
-def aggregate(
-    records: Sequence[TrajectoryRecord],
-    *,
-    param: str = "",
-    value: float = float("nan"),
-) -> SweepPoint:
-    """Reduce raw records to a SweepPoint, deterministically: records are
-    sorted by stream index first, so any arrival order gives the same floats."""
-    if not records:
-        raise ValueError("aggregate needs at least one record")
-    recs = sorted(records, key=lambda r: r.stream_index)
-    clicks = {Outcome.NO_CLICK: 0, Outcome.ONE_CLICK: 1, Outcome.TWO_CLICKS: 2}
-    n_clicks = np.array([clicks[r.outcome] for r in recs])
-    fid = np.array(
-        [
-            fidelity_to_target(r.first_click.state, r.first_click.tag)
-            if r.first_click is not None
-            else np.nan
-            for r in recs
-        ]
-    )
-    same = np.array(
-        [
-            r.second_click is not None and r.second_click[0] is r.first_click.tag
-            for r in recs
-        ]
-    )
-    return _protocol_point(param, value, n_clicks, same, fid)

@@ -12,13 +12,17 @@ Two statistically equivalent samplers over the same jump-channel set:
   for a start state many trajectories share.  It serves the stopping windows
   and the unconditioned walk; `step` is the literal one-step reference.
 
-* fast: waiting-time sampling.  Draw r; if the unnormalized no-jump state
-  still has squared norm >= r at the window end the window times out,
-  otherwise the crossing time is root-found (the norm never grows along a
-  no-jump segment, so the root is unique) and the channel is selected from
-  the weights at the crossing state.  The no-jump state at any time comes
-  from one eigendecomposition of H_eff, psi(t) = V exp(-i w t) V^-1 psi,
-  or from expm when V is too ill-conditioned (near an exceptional point).
+* fast: waiting-time sampling (Plenio and Knight, RMP 70, 101 (1998)).
+  Draw r; if the unnormalized no-jump state still has squared norm >= r at
+  the window end the window times out, otherwise the crossing time is
+  root-found and the channel is selected from the weights at the crossing
+  state.  The norm never grows along a no-jump segment, so the root is
+  unique: safeguarded Newton with the analytic slope -<psi| sum L^dag L |psi>
+  finds it (StageEngine._crossing), starting from a norm table on the
+  window segment every stage-1 trajectory shares.  The no-jump state at any
+  time comes from one eigendecomposition of H_eff,
+  psi(t) = V exp(-i w t) V^-1 psi, or from expm when V is too
+  ill-conditioned (near an exceptional point).
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -40,7 +44,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
-from scipy.optimize import brentq
 
 from .hilbert import OperatorMatrix, StateVector
 from .model import (
@@ -60,6 +63,11 @@ EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates wit
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
 _CURVE_CACHE_MAX = 4        # fast-sampler segments cached per engine
 _FIXED_CACHE_STEPS = 1 << 16   # fixed-step states cached per engine (38 MB at dim 36)
+_TABLE_POINTS = 257         # grid of the norm table a shared fast-sampler segment carries
+_NEWTON_MAX = 100           # crossing iterations before the root-find gives up
+_XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
+_RTOL = 4 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class StepSizeError(RuntimeError):
@@ -131,10 +139,16 @@ class _FixedCurve(NamedTuple):
     pvals: np.ndarray    # per-step jump probability of the normalized state
 
 
-class _Segment(NamedTuple):
+@dataclass(eq=False, slots=True)
+class _Segment:
     coeffs: np.ndarray   # start state in the evaluator's basis (see StageEngine._evolve)
     end: np.ndarray      # unnormalized state at the segment end
     n2_end: float        # its squared norm
+    # shared segments only: minus the squared norm on linspace(0, span,
+    # _TABLE_POINTS), made monotone, so that it ascends for searchsorted
+    table: Optional[np.ndarray] = None
+    # the normalized end state, built at the segment's first timeout
+    final: Optional[StateVector] = None
 
 
 class StageEngine:
@@ -153,6 +167,7 @@ class StageEngine:
         self.dims = params.dims
         self.channels: list[JumpChannel] = build_jump_channels(params)
         self.ops = [ch.operator.entries for ch in self.channels]
+        self._op_stack = np.stack(self.ops)
         self.tags = [ch.tag for ch in self.channels]
         self.recorded = [ch.recorded for ch in self.channels]
         self.total_op = total_jump_operator(self.channels)
@@ -228,7 +243,8 @@ class StageEngine:
 
     def _collapse(self, psi_hat: np.ndarray, rng: RngStream):
         """Pick a channel proportionally to its weight and apply it."""
-        weights = np.array([np.vdot(op @ psi_hat, op @ psi_hat).real for op in self.ops])
+        amps = self._op_stack @ psi_hat
+        weights = np.einsum("ij,ij->i", amps.conj(), amps).real
         total = weights.sum()
         if total <= 0.0:
             raise RuntimeError("jump triggered with zero total channel weight")
@@ -276,15 +292,76 @@ class StageEngine:
 
     def coarse_curve(self, psi_n: np.ndarray, t_max: float) -> _Segment:
         """The no-jump segment from psi_n over a whole window, cached by start
-        state so that trajectories sharing it decompose it once."""
+        state so that trajectories sharing it decompose it once.  It carries
+        a table of the squared norm on a fixed grid, where its crossings start."""
         key = (psi_n.tobytes(), round(float(t_max), 12))
         seg = self._coarse_cache.get(key)
         if seg is None:
             seg = self._segment(psi_n, t_max)
+            seg.table = -np.minimum.accumulate(self._norm_grid(seg.coeffs, t_max))
             if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
                 self._coarse_cache.pop(next(iter(self._coarse_cache)))
             self._coarse_cache[key] = seg
         return seg
+
+    def _norm_grid(self, coeffs: np.ndarray, span: float) -> np.ndarray:
+        """Squared norms of the no-jump states at linspace(0, span, _TABLE_POINTS)."""
+        if self.spectral:
+            times = np.linspace(0.0, span, _TABLE_POINTS)
+            states = (np.exp(np.outer(times, -1j * self._w)) * coeffs) @ self._v.T
+        else:
+            u = _scipy_expm(-1j * (span / (_TABLE_POINTS - 1)) * self.h_eff)
+            states = np.empty((_TABLE_POINTS, coeffs.size), dtype=complex)
+            states[0] = coeffs
+            for k in range(1, _TABLE_POINTS):
+                states[k] = u @ states[k - 1]
+        return np.einsum("ij,ij->i", states.conj(), states).real
+
+    def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
+        """Where Newton starts: interpolated in a shared segment's norm table,
+        otherwise from n2 falling exponentially to n2_end over the span."""
+        if seg.table is None:
+            return span * math.log(r) / math.log(max(seg.n2_end, _TINY))
+        k = min(max(int(np.searchsorted(seg.table, -r)), 1), seg.table.size - 1)
+        above, below = -float(seg.table[k - 1]), -float(seg.table[k])
+        frac = min(max((above - r) / (above - below), 0.0), 1.0) if above > below else 0.5
+        return span * (k - 1 + frac) / (seg.table.size - 1)
+
+    def _crossing(self, seg: _Segment, r: float, span: float) -> tuple[float, np.ndarray]:
+        """The time t in (0, span) at which the segment's squared norm falls to
+        r (seg.n2_end < r < 1), and the unnormalized state there.
+
+        Safeguarded Newton on f(t) = ||psi(t)||^2 - r with the analytic slope
+        f' = -<psi| sum L^dag L |psi>, as in Numerical Recipes' rtsafe.  f
+        never grows along a no-jump segment, so the sign of each evaluation
+        tightens a bracket [lo, hi] around the root.  A Newton step that
+        leaves the bracket, or that fails to halve the step before last (as
+        it does where rounding makes a flat f wander), bisects the bracket
+        instead.  Stops at brentq's tolerance.
+        """
+        lo, hi = 0.0, span
+        t = self._first_guess(seg, r, span)
+        last = before = span   # sizes of the last two steps
+        for _ in range(_NEWTON_MAX):
+            psi = self._evolve(seg.coeffs, t)
+            f = np.vdot(psi, psi).real - r
+            if f > 0.0:
+                lo = t
+            else:
+                hi = t
+            slope = -np.vdot(psi, self.total_op @ psi).real
+            step = -f / slope if slope < 0.0 else math.nan
+            if not (lo <= t + step <= hi and abs(step) <= 0.5 * before):
+                step = 0.5 * (lo + hi) - t
+            before, last = last, abs(step)
+            nxt = t + step
+            if last <= _XTOL + _RTOL * nxt:
+                # one first-order step carries the state to the returned time
+                return nxt, psi - 1j * step * (self.h_eff @ psi)
+            t = nxt
+        raise RuntimeError(
+            f"no norm crossing of r = {r!r} found in {_NEWTON_MAX} iterations on [0, {span!r}]"
+        )
 
     def _run_fast(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
         events: list[Event] = []
@@ -298,16 +375,11 @@ class StageEngine:
             else:
                 seg = self._segment(psi, span)
             if seg.n2_end >= r:
-                final = seg.end / math.sqrt(seg.n2_end)
-                return StageResult(False, None, None, self._wrap(final), events)
-
-            def excess(t):
-                out = self._evolve(seg.coeffs, t)
-                return np.vdot(out, out).real - r
-
-            wait = brentq(excess, 0.0, span)
+                if seg.final is None:
+                    seg.final = self._wrap(seg.end / math.sqrt(seg.n2_end))
+                return StageResult(False, None, None, seg.final, events)
+            wait, cross = self._crossing(seg, r, span)
             t_seg += wait
-            cross = self._evolve(seg.coeffs, wait)
             tag, rec, psi = self._collapse(cross / math.sqrt(np.vdot(cross, cross).real), rng)
             events.append(Event(t_offset + t_seg, tag, rec))
             if rec:
@@ -405,7 +477,12 @@ def run_protocol(
     """
     eng = engine if engine is not None else StageEngine(params)
     s1 = run_until_click(
-        eng.psi0, eng, rng.for_stage(0), params.t_wait, sampler=sampler, share_curve=True
+        eng.psi0,
+        eng,
+        rng if rng.stage == 0 else rng.for_stage(0),
+        params.t_wait,
+        sampler=sampler,
+        share_curve=True,
     )
     events = list(s1.events)
     if not s1.clicked:

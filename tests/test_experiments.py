@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from homsim.analytic import p1_p2_split
 from homsim.experiments import (
-    aggregate,
+    _protocol_chunk,
+    _protocol_point,
+    _stage1_chunk,
     fidelity_to_target,
     run_entanglement_generation,
     run_redistribution,
@@ -15,7 +18,7 @@ from homsim.hilbert import BasisIndex, StateVector
 from homsim.lindblad import ensemble_compare
 from homsim.model import ChannelTag, SystemParams
 from homsim.oracles import ensemble_observables
-from homsim.trajectory import ClickInfo, Event, Outcome, RngStream, StageEngine, TrajectoryRecord, run_protocol
+from homsim.trajectory import Outcome, RngStream, StageEngine, run_protocol
 
 DIMS = (3, 3, 2, 2)
 
@@ -44,52 +47,88 @@ def test_fidelity_examples():
         fidelity_to_target(plus_state(), ChannelTag.LOST_D1)
 
 
-def synthetic_record(idx, clicked, tag=ChannelTag.D1, state=None):
-    if not clicked:
-        return TrajectoryRecord(idx, (), None, None, Outcome.NO_CLICK, plus_state())
-    st = state if state is not None else plus_state()
-    ev = Event(1.0, tag, True)
-    return TrajectoryRecord(idx, (ev,), ClickInfo(tag, 1.0, st), None, Outcome.ONE_CLICK, st)
-
-
 def test_aggregate_all_success():
-    recs = [synthetic_record(i, True) for i in range(40)]
-    pt = aggregate(recs)
+    pt = _protocol_point("phi", 0.0, np.ones(40, dtype=np.int8), np.zeros(40, dtype=bool),
+                         np.ones(40))
     assert pt.p_hat == 1.0
     assert pt.p_stderr == 0.0
     assert pt.f_hat == pytest.approx(1.0)
+    assert pt.two_click_fraction == 0.0
+    assert math.isnan(pt.ps_hat)
 
 
 def test_aggregate_half_and_half():
-    recs = [synthetic_record(i, i % 2 == 0) for i in range(100)]
-    pt = aggregate(recs)
+    n_clicks = (np.arange(100) % 2 == 0).astype(np.int8)
+    pt = _protocol_point("phi", 0.0, n_clicks, np.zeros(100, dtype=bool),
+                         np.where(n_clicks == 1, 1.0, np.nan))
     assert pt.p_hat == pytest.approx(0.5)
     assert pt.p_stderr == pytest.approx(0.5 / 10.0)
 
 
 def test_aggregate_order_independent():
+    # counts do not depend on trajectory order; the fidelity mean only to rounding
     rng = np.random.default_rng(3)
-    recs = [synthetic_record(i, bool(rng.integers(2)),
-                             tag=ChannelTag.D1 if rng.integers(2) else ChannelTag.D2,
-                             state=plus_state() if rng.integers(2) else minus_state())
-            for i in range(60)]
-    a = aggregate(recs)
-    perm = list(recs)
-    rng.shuffle(perm)
-    b = aggregate(perm)
-    import dataclasses
-
-    for k, va in dataclasses.asdict(a).items():
-        vb = getattr(b, k)
-        if isinstance(va, float) and math.isnan(va):
-            assert math.isnan(vb)
-        else:
-            assert va == vb, k
+    n_clicks = rng.integers(0, 3, size=60).astype(np.int8)
+    same_tag = (n_clicks == 2) & (rng.random(60) < 0.5)
+    fid = np.where(n_clicks >= 1, rng.random(60), np.nan)
+    cols = (n_clicks, same_tag, fid)
+    perm = rng.permutation(60)
+    a = _protocol_point("phi", 1.0, *cols)
+    b = _protocol_point("phi", 1.0, *(c[perm] for c in cols))
+    for k in ("n_traj", "p_hat", "p_stderr", "ps_hat", "ps_stderr", "two_click_fraction"):
+        assert getattr(a, k) == getattr(b, k), k
+    assert b.f_hat == pytest.approx(a.f_hat, rel=1e-14)
+    assert b.f_stderr == pytest.approx(a.f_stderr, rel=1e-12)
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate([])
+        _protocol_point("phi", 0.0, np.zeros(0, dtype=np.int8), np.zeros(0, dtype=bool),
+                        np.zeros(0))
+
+
+def brentq_crossing(self, seg, r, span):
+    """The crossing as brentq found it before the Newton root-finder."""
+    def excess(t):
+        out = self._evolve(seg.coeffs, t)
+        return np.vdot(out, out).real - r
+
+    t = brentq(excess, 0.0, span)
+    return t, self._evolve(seg.coeffs, t)
+
+
+@pytest.mark.parametrize("worker, params", [
+    (_stage1_chunk, SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5)),
+    (_protocol_chunk, SystemParams(adiabatic=True, phi=1.0)),
+], ids=["stage1-gamma0.5", "protocol-phi1"])
+def test_newton_crossing_keeps_brentq_decisions(monkeypatch, worker, params):
+    # identical streams: the crossing root-finder may move click times within
+    # its tolerance, never a decision
+    task = (params, 4242, 0, 2000, "fast")
+    newton = worker(task)
+    monkeypatch.setattr(StageEngine, "_crossing", brentq_crossing)
+    reference = worker(task)
+    for got, want in zip(newton[:2], reference[:2]):
+        assert np.array_equal(got, want)
+    assert reference[0].sum() > 100
+    assert np.array_equal(np.isnan(newton[2]), np.isnan(reference[2]))
+    assert np.nanmax(np.abs(newton[2] - reference[2])) <= 1e-12
+
+
+def test_protocol_chunk_builds_one_stream_per_window(monkeypatch):
+    built = []
+    init = RngStream.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "__init__", counting_init)
+    n = 1000
+    n_clicks, _, _ = _protocol_chunk((SystemParams(adiabatic=True, phi=1.0), 5, 0, n, "fast"))
+    second_windows = int((n_clicks >= 1).sum())
+    assert second_windows > 0
+    assert len(built) == n + second_windows
 
 
 def test_single_point_sweep_matches_direct_run():

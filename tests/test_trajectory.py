@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, identity, matrix_exp
 from homsim.model import ChannelTag, SystemParams, initial_state, stage_hamiltonian
 from homsim.trajectory import (
+    EIG_COND_MAX,
     Outcome,
     RngStream,
     StageEngine,
@@ -102,6 +105,106 @@ def test_exceptional_point_click_fraction_matches_survival_oracle():
     )
     assert 0.3 < p_true < 0.7
     assert abs(clicks / n - p_true) <= 3 * math.sqrt(p_true * (1 - p_true) / n)
+
+
+# -- fast-sampler crossing ----------------------------------------------------------
+
+
+def brentq_crossing(eng, seg, r, span):
+    def excess(t):
+        psi = eng._evolve(seg.coeffs, t)
+        return np.vdot(psi, psi).real - r
+
+    return brentq(excess, 0.0, span)
+
+
+def assert_exact_crossing(eng, seg, r, span):
+    t, psi = eng._crossing(seg, r, span)
+    assert 0.0 < t < span
+    at_t = eng._evolve(seg.coeffs, t)
+    assert abs(np.vdot(at_t, at_t).real - r) <= 1e-12
+    assert abs(t - brentq_crossing(eng, seg, r, span)) <= 1e-9
+    assert np.max(np.abs(psi - at_t)) <= 1e-12
+
+
+def start_state(eng, kind, t_prep):
+    """psi0, or a phase-gated post-click or post-SPONT state taken from the
+    no-jump evolution of psi0 at t_prep."""
+    psi0 = eng.psi0.amplitudes
+    if kind == "psi0":
+        return psi0
+    tag = ChannelTag.D1 if kind == "gated" else ChannelTag.SPONT_A_ION1
+    post = eng.ops[eng.tags.index(tag)] @ eng._segment(psi0, t_prep).end
+    post = post / np.linalg.norm(post)
+    return eng.phase_diag * post if kind == "gated" else post
+
+
+def crossing_segment(eng, psi, span, shared):
+    return eng.coarse_curve(psi, span) if shared else eng._segment(psi, span)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    eta=st.floats(0.05, 1.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    kind=st.sampled_from(["psi0", "gated", "spont"]),
+    t_prep=st.floats(0.5, 50.0),
+    shared=st.booleans(),
+    u=st.floats(0.0, 1.0),
+)
+def test_crossing_is_the_exact_root(adiabatic, gamma, eta, phi, kind, t_prep, shared, u):
+    # the reduced generator has no |c> level to decay from
+    gamma = 0.0 if adiabatic else gamma
+    assume(kind != "spont" or gamma > 0.0)
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, phi=phi)
+    eng = StageEngine(p)
+    span = p.t_wait2 if kind == "gated" else p.t_wait
+    seg = crossing_segment(eng, start_state(eng, kind, t_prep), span, shared)
+    r = seg.n2_end + u * (1.0 - seg.n2_end)
+    # within 1e-8 of 1 the norm sits within rounding of r over more than 1e-9
+    # in t, so no root-finder can be held to 1e-9 there (see the edge test)
+    assume(seg.n2_end < r <= 1.0 - 1e-8)
+    assert_exact_crossing(eng, seg, r, span)
+
+
+@pytest.mark.parametrize("adiabatic", [True, False])
+def test_crossing_edges(adiabatic):
+    gamma = 0.0 if adiabatic else 0.3
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma)
+    eng = StageEngine(p)
+    psi0 = eng.psi0.amplitudes
+    for shared in (True, False):
+        seg = crossing_segment(eng, psi0, p.t_wait, shared)
+        # just above n2_end the crossing sits at the window's end
+        assert_exact_crossing(eng, seg, seg.n2_end + 1e-12, p.t_wait)
+        # close to 1 it sits near 0, where the norm is flat
+        assert_exact_crossing(eng, seg, 1.0 - 1e-8, p.t_wait)
+    # a window so long that the end norm underflows
+    long_span = 1e7
+    seg = eng._segment(psi0, long_span)
+    assert seg.n2_end == 0.0
+    for r in (0.9, 1e-3, 1e-100):
+        assert_exact_crossing(eng, seg, r, long_span)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rel=st.floats(-2e-3, 2e-3), shared=st.booleans(), u=st.floats(0.0, 1.0))
+@example(rel=0.0, shared=True, u=0.5)
+@example(rel=0.0, shared=False, u=0.5)
+def test_crossing_near_the_exceptional_point(rel, shared, u):
+    # kappa within 2e-3 of 2 g omega / delta: cond(V) runs from about 1e3 to
+    # 2.5e10, so both evaluators are drawn
+    p = EXCEPTIONAL.with_(kappa=EXCEPTIONAL.kappa * (1.0 + rel))
+    eng = StageEngine(p)
+    assert eng.spectral == (np.linalg.cond(eng._v) <= EIG_COND_MAX)
+    psi0 = eng.psi0.amplitudes
+    seg = crossing_segment(eng, psi0, p.t_wait, shared)
+    assert np.max(np.abs(seg.end - expm(-1j * p.t_wait * eng.h_eff) @ psi0)) <= 1e-10
+    r = seg.n2_end + u * (1.0 - seg.n2_end)
+    assume(seg.n2_end < r <= 1.0 - 1e-8)
+    assert_exact_crossing(eng, seg, r, p.t_wait)
 
 
 # -- single step ------------------------------------------------------------------
