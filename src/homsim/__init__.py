@@ -8,6 +8,7 @@ from .hilbert import BasisIndex, OperatorMatrix, StateVector, embed, matrix_exp
 from .model import (
     ChannelTag,
     JumpChannel,
+    ParamError,
     SystemParams,
     build_h_eff,
     build_h_eff_adiabatic,
@@ -42,7 +43,6 @@ from .analytic import (
     bs_mode_transform,
     detection_rate,
     heralded_states,
-    p1_p2_split,
     same_detector_probability,
     success_probability,
     emission_amplitude,

@@ -158,12 +158,6 @@ def success_probability(p: SystemParams) -> float:
     return min(1.0, detection_rate(p) * p.t_wait)
 
 
-def p1_p2_split(phi: float) -> tuple[float, float]:
-    """Second-photon detector weights after adding relative phase phi to the
-    heralded state: ((1+cos phi)/2, (1-cos phi)/2)."""
-    return (1.0 + math.cos(phi)) / 2.0, (1.0 - math.cos(phi)) / 2.0
-
-
 def same_detector_probability(phi: float) -> float:
     """Probability that the second photon exits toward the detector that saw
     the first one."""

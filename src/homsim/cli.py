@@ -7,6 +7,10 @@ manipulation phase), `oracle-check` (the self-consistency oracle suite) and
 
 Configuration is a flat key/value JSON file plus `--key value` flags, flags
 winning.  All inputs are dimensionless in units of the ion-cavity coupling g.
+The physics keys are the `SystemParams` fields except g, read from the
+dataclass, with `lambda`, `T` and `T2` standing for lam, t_wait and t_wait2,
+plus the shorthand `gamma` for gamma_ca = gamma_cb.  SystemParams owns their
+defaults and ranges; a config error names the key to fix (exit code 2).
 Every command is a pure function of (config, seed): reruns produce
 byte-identical data files, for any worker-thread count.
 """
@@ -20,14 +24,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .analytic import EmitterParams, emission_norm, emission_amplitude
-from .experiments import run_redistribution, sweep
-from .model import SystemParams
+from .analytic import EmitterParams, emission_amplitude, emission_norm, same_detector_probability
+from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
+from .model import ParamError, SystemParams
 from .oracles import run_suite
 
 EXIT_OK = 0
@@ -42,22 +46,11 @@ DEFAULT_GRIDS = {
     "phi": tuple(k * math.pi / 6.0 for k in range(13)),
 }
 
-_PARAM_KEYS = {
-    "omega": float,
-    "kappa": float,
-    "delta": float,
-    "eta": float,
-    "lambda": float,
-    "gamma": float,
-    "gamma_ca": float,
-    "gamma_cb": float,
-    "phi": float,
-    "dt": float,
-    "T": float,
-    "T2": float,
-    "n_max": int,
-    "adiabatic": bool,
-}
+# SystemParams field -> CLI key, where the two differ; g is the unit
+_ALIASES = {"lam": "lambda", "t_wait": "T", "t_wait2": "T2"}
+_FIELDS = get_type_hints(SystemParams)
+_PARAM_TYPES = {_ALIASES.get(f, f): typ for f, typ in _FIELDS.items() if f != "g"}
+_PARAM_TYPES["gamma"] = float   # shorthand: gamma_ca = gamma_cb = gamma
 _RUN_KEYS = {
     "command": str,
     "n_traj": int,
@@ -76,7 +69,7 @@ _RUN_KEYS = {
     "nu_max": float,
     "nu_points": int,
 }
-_ALL_KEYS = {**_PARAM_KEYS, **_RUN_KEYS}
+_ALL_KEYS = {**_PARAM_TYPES, **_RUN_KEYS}
 
 
 class ConfigError(Exception):
@@ -130,9 +123,10 @@ def parse_config(
 ) -> RunConfig:
     """Merge file values and flag overrides into a validated RunConfig.
 
-    Unknown keys are rejected; flags take precedence over file values;
-    defaults follow the standard operating point (omega = g, kappa = 10 g,
-    delta = 20 g, T = 100/g, T2 = 100 T).
+    Unknown keys are rejected; flags take precedence over file values.  A
+    physics key left out takes its SystemParams default, except that T2
+    follows a given T as 100 T and adiabatic defaults to "no decay".  Every
+    config error names the offending key.
     """
     merged: dict = {}
     if path is not None:
@@ -157,33 +151,16 @@ def parse_config(
 
     if "gamma" in vals and ("gamma_ca" in vals or "gamma_cb" in vals):
         raise ConfigError("key 'gamma' conflicts with explicit 'gamma_ca'/'gamma_cb'")
-    gamma = vals.pop("gamma", None)
-    gamma_ca = vals.get("gamma_ca", gamma if gamma is not None else 0.0)
-    gamma_cb = vals.get("gamma_cb", gamma if gamma is not None else 0.0)
-
-    t_wait = vals.get("T", 100.0)
-    t_wait2 = vals.get("T2", 100.0 * t_wait)
-    adiabatic = vals.get("adiabatic", gamma_ca == 0.0 and gamma_cb == 0.0)
-
+    if "gamma" in vals:
+        vals["gamma_ca"] = vals["gamma_cb"] = vals["gamma"]
+    given = {f: vals[key] for f in _FIELDS if (key := _ALIASES.get(f, f)) in vals}
+    if "t_wait" in given:
+        given.setdefault("t_wait2", 100.0 * given["t_wait"])
+    given.setdefault("adiabatic", not (given.get("gamma_ca") or given.get("gamma_cb")))
     try:
-        params = SystemParams(
-            g=1.0,
-            omega=vals.get("omega", 1.0),
-            delta=vals.get("delta", 20.0),
-            kappa=vals.get("kappa", 10.0),
-            gamma_ca=gamma_ca,
-            gamma_cb=gamma_cb,
-            eta=vals.get("eta", 1.0),
-            lam=vals.get("lambda", 1.0),
-            phi=vals.get("phi", 0.0),
-            dt=vals.get("dt", 0.01),
-            t_wait=t_wait,
-            t_wait2=t_wait2,
-            n_max=vals.get("n_max", 1),
-            adiabatic=adiabatic,
-        )
-    except ValueError as exc:
-        key = _offending_key(exc)
+        params = SystemParams(**given)
+    except ParamError as exc:
+        key = _ALIASES.get(exc.field, exc.field)
         raise ConfigError(f"value out of range for key '{key}': {exc}") from None
 
     fmt = vals.get("format", "csv")
@@ -193,7 +170,7 @@ def parse_config(
     if engine not in ("fast", "fixed"):
         raise ConfigError(f"invalid value for key 'engine': {engine!r} (want fast or fixed)")
     param = vals.get("param", "eta")
-    if command == "entangle-sweep" and param not in ("eta", "lambda", "gamma"):
+    if command == "entangle-sweep" and param not in SWEEPABLE:
         raise ConfigError(f"invalid value for key 'param': {param!r}")
     threads = vals.get("threads", 1)
     if threads < 1:
@@ -206,9 +183,16 @@ def parse_config(
     if seed < 0:
         raise ConfigError(f"value out of range for key 'seed': {seed}")
 
-    grid = vals.get("grid")
-    if grid is None:
-        grid = DEFAULT_GRIDS["phi"] if command == "redistribute" else DEFAULT_GRIDS[param]
+    swept = "phi" if command == "redistribute" else param
+    grid = vals.get("grid", DEFAULT_GRIDS.get(swept, ()))
+    if command in ("entangle-sweep", "redistribute"):
+        if not grid:
+            raise ConfigError("invalid value for key 'grid': no values")
+        for v in grid:
+            try:
+                _apply_sweep_value(params, swept, v)
+            except ValueError as exc:
+                raise ConfigError(f"value out of range for key 'grid' at {v!r}: {exc}") from None
 
     return RunConfig(
         command=command,
@@ -228,17 +212,6 @@ def parse_config(
         nu_max=vals.get("nu_max"),
         nu_points=vals.get("nu_points", 201),
     )
-
-
-_CLI_KEYS = {"lam": "lambda", "t_wait": "T", "t_wait2": "T2"}
-
-
-def _offending_key(exc: Exception) -> str:
-    """CLI key of the SystemParams field a validation message starts with."""
-    field = str(exc).split(" ", 1)[0]
-    if field in {f.name for f in dataclasses.fields(SystemParams)}:
-        return _CLI_KEYS.get(field, field)
-    return "params"
 
 
 def _fmt(x) -> str:
@@ -307,7 +280,7 @@ def _cmd_redistribute(cfg: RunConfig) -> int:
     header = ["phi", "n_traj", "Ps_hat", "Ps_stderr", "two_click_fraction", "Ps_theory"]
     rows = [
         [pt.value, pt.n_traj, pt.ps_hat, pt.ps_stderr, pt.two_click_fraction,
-         (1.0 + math.cos(pt.value)) / 2.0]
+         same_detector_probability(pt.value)]
         for pt in result.points
     ]
     _write_table(cfg, header, rows, _meta(cfg, grid=list(cfg.grid)))
@@ -359,14 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, typ in _ALL_KEYS.items():
             if key == "command":
                 continue
-            dest = "lam_" if key == "lambda" else key
             if typ is bool:
-                p.add_argument(f"--{key}", dest=dest, default=None, choices=["true", "false"])
+                p.add_argument(f"--{key}", default=None, choices=["true", "false"])
             elif typ is tuple:
-                p.add_argument(f"--{key}", dest=dest, default=None,
-                               help="comma-separated values")
+                p.add_argument(f"--{key}", default=None, help="comma-separated values")
             else:
-                p.add_argument(f"--{key}", dest=dest, default=None, type=str)
+                p.add_argument(f"--{key}", default=None, type=str)
     return parser
 
 
@@ -380,14 +351,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    for key in _ALL_KEYS:
-        if key == "command":
-            continue
-        dest = "lam_" if key == "lambda" else key
-        val = getattr(args, dest, None)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: getattr(args, key) for key in _ALL_KEYS if key != "command"}
     try:
         cfg = parse_config(args.command, args.config, overrides)
     except ConfigError as exc:

@@ -141,6 +141,8 @@ def _protocol_chunk(args):
 
 def _run_chunked(worker, params, n_traj, seed, sampler, threads):
     check_seed(seed)
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
     tasks = [
         (params, seed, lo, min(lo + _CHUNK, n_traj), sampler) for lo in range(0, n_traj, _CHUNK)
     ]
@@ -167,8 +169,6 @@ def run_entanglement_generation(
 ) -> SweepPoint:
     """Stage-1 only: herald fraction and mean fidelity of the heralded state,
     with binomial / sample standard errors."""
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
     clicked, _, fid = _run_chunked(_stage1_chunk, params, n_traj, seed, sampler, threads)
     p_hat = float(clicked.mean())
     f_vals = fid[clicked]
@@ -184,22 +184,20 @@ def run_entanglement_generation(
     )
 
 
+_SWEEP_FIELDS = {"eta": "eta", "lambda": "lam", "phi": "phi"}
+
+
 def _apply_sweep_value(params: SystemParams, name: str, value: float) -> SystemParams:
-    if name == "eta":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"illegal grid value for eta: {value}")
-        return params.with_(eta=value)
-    if name == "lambda":
-        if value <= 0:
-            raise ValueError(f"illegal grid value for lambda: {value}")
-        return params.with_(lam=value)
+    """params with one grid value of `name` (a SWEEPABLE name or "phi") set.
+    SystemParams checks the range of eta, lambda and gamma; phi's is checked
+    here."""
     if name == "gamma":
-        if value < 0:
-            raise ValueError(f"illegal grid value for gamma: {value}")
         # spontaneous decay needs the three-level Hamiltonian
         adiab = params.adiabatic and value == 0.0
         return params.with_(gamma_ca=value, gamma_cb=value, adiabatic=adiab)
-    raise ValueError(f"unknown sweep parameter {name!r}; expected one of {SWEEPABLE}")
+    if name == "phi" and not 0.0 <= value < 2.0 * math.pi + 1e-12:
+        raise ValueError(f"illegal grid value for phi: {value}")
+    return params.with_(**{_SWEEP_FIELDS[name]: value})
 
 
 def sweep(
@@ -216,6 +214,8 @@ def sweep(
     per-trajectory random streams (common random numbers)."""
     if not grid:
         raise ValueError("grid must be nonempty")
+    if param not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {param!r}; expected one of {SWEEPABLE}")
     points = []
     for v in grid:
         p_v = _apply_sweep_value(params, param, float(v))
@@ -244,9 +244,7 @@ def run_redistribution(
     points = []
     for phi in phi_grid:
         phi = float(phi)
-        if not 0.0 <= phi < 2.0 * math.pi + 1e-12:
-            raise ValueError(f"illegal grid value for phi: {phi}")
-        p_phi = params.with_(phi=phi)
+        p_phi = _apply_sweep_value(params, "phi", phi)
         cols = _run_chunked(_protocol_chunk, p_phi, n_traj, seed, sampler, threads)
         points.append(_protocol_point("phi", phi, *cols))
     return SweepResult(params, "phi", tuple(points), seed)

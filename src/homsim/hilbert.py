@@ -68,9 +68,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.basis_dims)
-
 
 @dataclass(frozen=True)
 class BasisIndex:

@@ -26,6 +26,8 @@ from .trajectory import StageEngine, run_unconditioned
 TRACE_TOL = 1e-8
 HERM_TOL = 1e-10
 EIG_TOL = 1e-8
+CHECKPOINTS = 20     # physicality checks per integrate() call
+Z_LIMIT = 3.0        # EnsembleReport.passed: largest accepted |z|
 
 # RK4 truncation pushes near-zero eigenvalues slightly negative; dt/8 keeps
 # the worst case near -2e-9, inside EIG_TOL with margin (dt/2 gives -4.5e-7
@@ -58,14 +60,14 @@ class DensityMatrix:
         amp = psi.amplitudes
         return DensityMatrix(np.outer(amp, amp.conj()), psi.basis_dims)
 
-    def validate(self, trace_tol=TRACE_TOL, herm_tol=HERM_TOL, eig_tol=EIG_TOL):
+    def validate(self):
         rho = self.entries
-        if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+        if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
             raise IntegrationError(f"trace drifted to {np.trace(rho):.12g}")
-        if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+        if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
             raise IntegrationError("Hermiticity lost")
         w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if w.min() < -eig_tol:
+        if w.min() < -EIG_TOL:
             raise IntegrationError(f"negative eigenvalue {w.min():.3g}")
 
 
@@ -102,8 +104,6 @@ def integrate(
     channels: Sequence[JumpChannel],
     t_end: float,
     dt_rk: float,
-    *,
-    checkpoints: int = 20,
 ) -> DensityMatrix:
     """Classical fourth-order Runge-Kutta with physicality checks along the way."""
     if dt_rk <= 0:
@@ -111,7 +111,7 @@ def integrate(
     rhs = _master_rhs(hamiltonian, channels)
     n = max(1, int(round(t_end / dt_rk)))
     step_len = t_end / n
-    check_every = max(1, n // max(1, checkpoints))
+    check_every = max(1, n // CHECKPOINTS)
     rho = rho0.entries.copy()
     for k in range(n):
         k1 = rhs(rho)
@@ -140,8 +140,8 @@ class EnsembleReport:
     def max_abs_z(self) -> float:
         return float(np.max(np.abs(self.z_scores)))
 
-    def passed(self, limit: float = 3.0) -> bool:
-        return bool(np.all(np.abs(self.z_scores) <= limit))
+    def passed(self) -> bool:
+        return bool(np.all(np.abs(self.z_scores) <= Z_LIMIT))
 
 
 def ensemble_compare(

@@ -43,6 +43,15 @@ class ChannelTag(enum.Enum):
     SPONT_B_ION2 = "SPONT_B_ION2"
 
 
+class ParamError(ValueError):
+    """A SystemParams value out of range.  `field` names the offending field,
+    and the message starts with it."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical and numerical knobs, in units of g.
@@ -73,24 +82,25 @@ class SystemParams:
     def __post_init__(self):
         for name in ("g", "omega", "kappa", "gamma_ca", "gamma_cb"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ParamError(name, "must be >= 0")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+            raise ParamError("eta", "must lie in [0, 1]")
         if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+            raise ParamError("lam", "must be > 0")
         if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+            raise ParamError("dt", "must be > 0")
         for name in ("t_wait", "t_wait2"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ParamError(name, "must be >= 0")
         if self.n_max not in (1, 2):
-            raise ValueError("n_max must be 1 or 2")
+            raise ParamError("n_max", "must be 1 or 2")
         if self.adiabatic and (self.gamma_ca > 0 or self.gamma_cb > 0):
-            raise ValueError(
-                "adiabatic Hamiltonian has no |c> level; spontaneous decay requires adiabatic=False"
+            raise ParamError(
+                "adiabatic",
+                "Hamiltonian has no |c> level; spontaneous decay requires adiabatic=False",
             )
         if self.adiabatic and self.delta == 0:
-            raise ValueError("delta must be nonzero: the adiabatic Hamiltonian divides by it")
+            raise ParamError("delta", "must be nonzero: the adiabatic Hamiltonian divides by it")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

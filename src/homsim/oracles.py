@@ -138,7 +138,7 @@ def lindblad_ensemble(params: SystemParams, n: int, seed: int) -> dict:
     for ensemble_observables at t = 1, 5 and 10."""
     report = ensemble_compare(params, ensemble_observables(params), (1.0, 5.0, 10.0), n, seed)
     return {
-        "name": "lindblad_ensemble", "passed": report.passed(3.0),
+        "name": "lindblad_ensemble", "passed": report.passed(),
         "max_abs_z": report.max_abs_z, "n_traj": n,
         "z_scores": [[float(z) for z in row] for row in report.z_scores],
     }

@@ -10,7 +10,6 @@ from homsim.analytic import (
     detection_rate,
     emission_norm,
     heralded_states,
-    p1_p2_split,
     same_detector_probability,
     spectral_density,
     success_probability,
@@ -168,13 +167,14 @@ def test_success_probability():
 
 
 def test_p1_p2_split():
-    assert p1_p2_split(0.0) == pytest.approx((1.0, 0.0))
-    assert p1_p2_split(math.pi) == pytest.approx((0.0, 1.0))
-    assert p1_p2_split(math.pi / 2) == pytest.approx((0.5, 0.5))
+    # detector 1 takes same_detector_probability, detector 2 the rest
+    for phi, p1, p2 in ((0.0, 1.0, 0.0), (math.pi, 0.0, 1.0), (math.pi / 2, 0.5, 0.5)):
+        ps = same_detector_probability(phi)
+        assert (ps, 1.0 - ps) == pytest.approx((p1, p2))
     for phi in RNG.uniform(0, 2 * math.pi, size=10):
-        p1, p2 = p1_p2_split(phi)
-        assert p1 + p2 == pytest.approx(1.0)
-        assert same_detector_probability(phi) == pytest.approx(p1)
+        ps = same_detector_probability(phi)
+        assert ps == pytest.approx((1.0 + math.cos(phi)) / 2.0)
+        assert 1.0 - ps == pytest.approx((1.0 - math.cos(phi)) / 2.0)
 
 
 def test_same_detector_probability_symmetry():

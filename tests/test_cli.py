@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homsim.cli import (
     EXIT_CONFIG,
@@ -12,6 +14,88 @@ from homsim.cli import (
     main,
     parse_config,
 )
+from homsim.model import ParamError, SystemParams
+
+# the CLI key of every SystemParams field but g, the unit
+CLI_KEY = {
+    "omega": "omega", "delta": "delta", "kappa": "kappa", "gamma_ca": "gamma_ca",
+    "gamma_cb": "gamma_cb", "eta": "eta", "lam": "lambda", "phi": "phi", "dt": "dt",
+    "t_wait": "T", "t_wait2": "T2", "n_max": "n_max", "adiabatic": "adiabatic",
+}
+NON_NEGATIVE = ("g", "omega", "kappa", "gamma_ca", "gamma_cb", "t_wait", "t_wait2")
+NEGATIVE = st.floats(max_value=-5e-324)
+
+
+def _flag(value) -> str:
+    return str(value).lower()
+
+
+@st.composite
+def out_of_range(draw):
+    """One setting SystemParams rejects: (field, constructor kwargs, message)."""
+    field = draw(st.sampled_from(NON_NEGATIVE + ("eta", "lam", "dt", "n_max", "adiabatic",
+                                                 "delta")))
+    if field in NON_NEGATIVE:
+        return field, {field: draw(NEGATIVE)}, f"{field} must be >= 0"
+    if field == "eta":
+        value = draw(NEGATIVE | st.floats(min_value=1.0, exclude_min=True))
+        return field, {field: value}, "eta must lie in [0, 1]"
+    if field in ("lam", "dt"):
+        return field, {field: draw(st.floats(max_value=0.0))}, f"{field} must be > 0"
+    if field == "n_max":
+        value = draw(st.integers().filter(lambda n: n not in (1, 2)))
+        return field, {field: value}, "n_max must be 1 or 2"
+    if field == "adiabatic":
+        rate = draw(st.sampled_from(("gamma_ca", "gamma_cb")))
+        return field, {"adiabatic": True, rate: draw(st.floats(min_value=5e-324))}, (
+            "adiabatic Hamiltonian has no |c> level; spontaneous decay requires adiabatic=False"
+        )
+    return field, {"adiabatic": True, "delta": draw(st.sampled_from((0.0, -0.0)))}, (
+        "delta must be nonzero: the adiabatic Hamiltonian divides by it"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(out_of_range())
+def test_out_of_range_value_names_its_field(case):
+    field, kwargs, message = case
+    with pytest.raises(ParamError) as err:
+        SystemParams(**kwargs)
+    assert err.value.field == field
+    assert str(err.value) == message
+    if field == "g":
+        return
+    overrides = {CLI_KEY[f]: _flag(v) for f, v in kwargs.items()}
+    with pytest.raises(ConfigError) as err:
+        parse_config("entangle-sweep", overrides=overrides)
+    assert str(err.value) == f"value out of range for key '{CLI_KEY[field]}': {message}"
+
+
+# a valid value for every CLI physics key, none of them the key's default
+GIVEN = {
+    "omega": 2.5, "delta": 7.0, "kappa": 3.5, "gamma_ca": 0.25, "gamma_cb": 0.125,
+    "eta": 0.5, "lambda": 2.0, "phi": 1.25, "dt": 0.02, "T": 40.0, "T2": 300.0,
+    "n_max": 2, "adiabatic": False,
+}
+
+
+@pytest.mark.parametrize("field", sorted(CLI_KEY))
+def test_physics_key_lands_in_its_field(field):
+    assert set(CLI_KEY) == {f.name for f in dataclasses.fields(SystemParams)} - {"g"}
+    key = CLI_KEY[field]
+    value = GIVEN[key]
+    cfg = parse_config("entangle-sweep", overrides={key: _flag(value)})
+    # every omitted key keeps its SystemParams default, up to the CLI's two
+    # derived ones: T2 = 100 T, and adiabatic unless decay is on
+    want = dataclasses.replace(SystemParams(), **{field: value})
+    if field == "t_wait":
+        want = want.with_(t_wait2=100.0 * value)
+    if field != "adiabatic":
+        want = want.with_(adiabatic=not (want.gamma_ca or want.gamma_cb))
+    assert cfg.params == want
+    if key != field:
+        with pytest.raises(ConfigError, match=f"unknown config key: '{field}'"):
+            parse_config("entangle-sweep", overrides={field: _flag(value)})
 
 
 def test_defaults():
@@ -171,6 +255,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     # the reduced generator divides by delta: a config error, not a traceback
     assert _run(["entangle-sweep", "--delta", "0", "--adiabatic", "true"]) == EXIT_CONFIG
     assert "key 'delta'" in capsys.readouterr().err
+    # a bad grid value is caught before any trajectory runs
+    out = tmp_path / "x.csv"
+    for argv in (["entangle-sweep", "--param", "eta", "--grid", "1.5"],
+                 ["entangle-sweep", "--param", "gamma", "--grid", "-0.1"],
+                 ["entangle-sweep", "--param", "lambda", "--grid", "1.0,0"],
+                 ["entangle-sweep", "--grid", ","],
+                 ["redistribute", "--grid", "7"],
+                 ["redistribute", "--grid", ","]):
+        assert _run(argv + ["--n_traj", "10", "--out", str(out)]) == EXIT_CONFIG
+        assert "key 'grid'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from homsim.analytic import p1_p2_split
+from homsim.analytic import same_detector_probability
 from homsim.experiments import (
     _protocol_chunk,
     _protocol_point,
@@ -151,6 +151,17 @@ def test_sweep_validation():
         run_entanglement_generation(p, 0, 0)
 
 
+@pytest.mark.parametrize("n_traj", [0, -3])
+def test_library_entry_points_name_a_bad_n_traj(n_traj):
+    p = SystemParams(adiabatic=True)
+    with pytest.raises(ValueError, match="n_traj"):
+        sweep(p, "eta", [1.0], n_traj, 0)
+    with pytest.raises(ValueError, match="n_traj"):
+        run_entanglement_generation(p, n_traj, 0)
+    with pytest.raises(ValueError, match="n_traj"):
+        run_redistribution(p, [0.0], n_traj, 0, threads=2)
+
+
 def test_library_entry_points_name_a_negative_seed():
     p = SystemParams(adiabatic=True)
     with pytest.raises(ValueError, match="seed"):
@@ -226,7 +237,7 @@ def test_conditioned_second_click_split():
         if rec.outcome is Outcome.TWO_CLICKS and rec.first_click.tag is ChannelTag.D1:
             d1_total += 1
             d1_then_d1 += rec.second_click[0] is ChannelTag.D1
-    want = p1_p2_split(phi)[0]
+    want = same_detector_probability(phi)
     assert d1_total > 50
     sd = math.sqrt(want * (1 - want) / d1_total)
     assert abs(d1_then_d1 / d1_total - want) <= 3 * sd
