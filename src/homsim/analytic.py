@@ -9,16 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hilbert import StateVector
 from .model import SystemParams
-
-# Lorentzian tails fall off only as 1/nu^2 (a +-50 linewidth window would
-# still truncate 6.4e-3 of the line), so normalization integrals run over the
-# whole axis: adaptive quadrature on +-50 linewidths plus the infinite tails.
-SPECTRUM_HALF_WINDOW = 50.0
-QUAD_ABS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,29 +67,16 @@ def spectral_density(nu: float, t: float, p: EmitterParams) -> float:
 
 
 def emission_norm(t: float, p: EmitterParams) -> float:
-    """Integral of the spectral density over the line; tends to 1 as t -> inf
-    (total single-photon emission probability).
+    """Integral of the spectral density over the whole line: the probability
+    1 - exp(-rate t) that the photon has been emitted by time t.
 
-    Adaptive quadrature over +-50 linewidths, plus the exact tails: writing
-    x = nu - omega0 and a = rate/2, the density is
-    (rate/2pi) [(1 + e^{-2at}) - 2 e^{-at} cos(xt)] / (x^2 + a^2), whose
-    Lorentzian tail integrates in closed form and whose oscillatory tail
-    reduces to a finite cosine-weighted integral.
+    Exact: writing x = nu - omega0 and a = rate/2, the density is
+    (rate/2pi) [(1 + e^{-2at}) - 2 e^{-at} cos(xt)] / (x^2 + a^2), and the
+    two terms integrate to (1 + e^{-2at}) and -2 e^{-2at}.
     """
-    a = p.rate / 2.0
-    w = SPECTRUM_HALF_WINDOW * p.rate
-    lo, hi = p.omega0 - w, p.omega0 + w
-    core, _ = quad(spectral_density, lo, hi, args=(t, p), epsabs=QUAD_ABS_TOL, limit=400)
-    i1 = (math.pi / 2.0 - math.atan(w / a)) / a
-    if t > 0:
-        j, _ = quad(lambda x: 1.0 / (x * x + a * a), 0.0, w,
-                    weight="cos", wvar=t, epsabs=QUAD_ABS_TOL, limit=400)
-    else:
-        j = math.atan(w / a) / a
-    i2 = (math.pi / (2.0 * a)) * math.exp(-a * t) - j
-    tail = (p.rate / math.pi) * ((1.0 + math.exp(-p.rate * t)) * i1
-                                 - 2.0 * math.exp(-a * t) * i2)
-    return float(core + tail)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return -math.expm1(-p.rate * t)
 
 
 def bs_mode_transform(state: ModePair, lam: float) -> ModePair:

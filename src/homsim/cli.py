@@ -52,7 +52,6 @@ _FIELDS = get_type_hints(SystemParams)
 _PARAM_TYPES = {_ALIASES.get(f, f): typ for f, typ in _FIELDS.items() if f != "g"}
 _PARAM_TYPES["gamma"] = float   # shorthand: gamma_ca = gamma_cb = gamma
 _RUN_KEYS = {
-    "command": str,
     "n_traj": int,
     "seed": int,
     "threads": int,
@@ -330,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key/value JSON file")
         for key, typ in _ALL_KEYS.items():
-            if key == "command":
-                continue
             if typ is bool:
                 p.add_argument(f"--{key}", default=None, choices=["true", "false"])
             elif typ is tuple:
@@ -351,7 +348,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _ALL_KEYS if key != "command"}
+    overrides = {key: getattr(args, key) for key in _ALL_KEYS}
     try:
         cfg = parse_config(args.command, args.config, overrides)
     except ConfigError as exc:

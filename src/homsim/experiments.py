@@ -130,12 +130,11 @@ def _protocol_chunk(args):
     for i in range(start, stop):
         rec = run_protocol(params, block.stream(i), sampler=sampler, engine=engine)
         j = i - start
-        if rec.first_click is not None:
-            n_clicks[j] = 1
-            fid[j] = abs(np.vdot(targets[rec.first_click.tag], rec.first_click.state.amplitudes)) ** 2
-        if rec.second_click is not None:
-            n_clicks[j] = 2
-            same_tag[j] = rec.second_click[0] is rec.first_click.tag
+        first, second = rec.first, rec.second
+        if second is not None:   # the first window heralded
+            n_clicks[j] = 1 + second.clicked
+            fid[j] = abs(np.vdot(targets[first.tag], first.state.amplitudes)) ** 2
+            same_tag[j] = second.tag is first.tag   # tag None after a stage-2 timeout
     return n_clicks, same_tag, fid
 
 

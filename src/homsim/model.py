@@ -31,7 +31,7 @@ from .hilbert import (
 
 class ChannelTag(enum.Enum):
     """Which collapse happened.  D1/D2 are observed detector clicks; the rest
-    collapse the state but produce no record."""
+    collapse the state but produce no record (see `recorded`)."""
 
     D1 = "D1"
     D2 = "D2"
@@ -41,6 +41,10 @@ class ChannelTag(enum.Enum):
     SPONT_B_ION1 = "SPONT_B_ION1"
     SPONT_A_ION2 = "SPONT_A_ION2"
     SPONT_B_ION2 = "SPONT_B_ION2"
+
+    @property
+    def recorded(self) -> bool:
+        return self is ChannelTag.D1 or self is ChannelTag.D2
 
 
 class ParamError(ValueError):
@@ -125,7 +129,6 @@ class JumpChannel:
 
     operator: OperatorMatrix
     tag: ChannelTag
-    recorded: bool
 
 
 def _ion_op(mat: np.ndarray, which: int, p: SystemParams) -> OperatorMatrix:
@@ -214,15 +217,11 @@ def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
     amp_rec = math.sqrt(2.0 * p.kappa * p.eta)
     amp_lost = math.sqrt(2.0 * p.kappa * (1.0 - p.eta))
     if p.eta > 0:
-        channels.append(JumpChannel(OperatorMatrix(amp_rec * d1, p.dims), ChannelTag.D1, True))
-        channels.append(JumpChannel(OperatorMatrix(amp_rec * d2, p.dims), ChannelTag.D2, True))
+        channels.append(JumpChannel(OperatorMatrix(amp_rec * d1, p.dims), ChannelTag.D1))
+        channels.append(JumpChannel(OperatorMatrix(amp_rec * d2, p.dims), ChannelTag.D2))
     if p.eta < 1:
-        channels.append(
-            JumpChannel(OperatorMatrix(amp_lost * d1, p.dims), ChannelTag.LOST_D1, False)
-        )
-        channels.append(
-            JumpChannel(OperatorMatrix(amp_lost * d2, p.dims), ChannelTag.LOST_D2, False)
-        )
+        channels.append(JumpChannel(OperatorMatrix(amp_lost * d1, p.dims), ChannelTag.LOST_D1))
+        channels.append(JumpChannel(OperatorMatrix(amp_lost * d2, p.dims), ChannelTag.LOST_D2))
     spont = [
         (p.gamma_ca, "a", ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2),
         (p.gamma_cb, "b", ChannelTag.SPONT_B_ION1, ChannelTag.SPONT_B_ION2),
@@ -232,7 +231,7 @@ def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
             amp = math.sqrt(2.0 * rate)
             for i, tag in ((0, tag1), (1, tag2)):
                 op = amp * _ion_op(level_transfer(target, "c"), i, p).entries
-                channels.append(JumpChannel(OperatorMatrix(op, p.dims), tag, False))
+                channels.append(JumpChannel(OperatorMatrix(op, p.dims), tag))
     return channels
 
 

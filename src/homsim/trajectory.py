@@ -33,6 +33,12 @@ StreamBlock), bit-exact against numpy's SeedSequence and Philox, which stay
 the reference for a stream made on its own.  A stream serves its first four
 draws per substream from the block and continues on a numpy Philox from the
 block's key at counter 1.
+
+A waiting window returns a StageResult: the recorded click that ended it, or
+a timeout, with the state it left and every collapse on the way.  Whether a
+collapse is recorded is a property of its tag (ChannelTag.recorded).  A
+protocol run is two windows, and its TrajectoryRecord holds just those two
+results; the outcome and the event list are derived from them.
 """
 
 from __future__ import annotations
@@ -86,51 +92,43 @@ class Event:
 
     time: float
     tag: ChannelTag
-    recorded: bool
-
-
-@dataclass(frozen=True)
-class ClickInfo:
-    """A recorded detector click plus the renormalized post-click state."""
-
-    tag: ChannelTag
-    time: float
-    state: StateVector
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Outcome of one full two-stage protocol run."""
-
-    stream_index: int
-    events: tuple[Event, ...]
-    first_click: Optional[ClickInfo]
-    second_click: Optional[tuple[ChannelTag, float]]
-    outcome: Outcome
-    final_state: StateVector
-
-    def __post_init__(self):
-        n_rec = sum(1 for e in self.events if e.recorded)
-        expected = {0: Outcome.NO_CLICK, 1: Outcome.ONE_CLICK}.get(n_rec, Outcome.TWO_CLICKS)
-        if self.outcome is not expected:
-            raise ValueError(f"outcome {self.outcome} inconsistent with {n_rec} recorded events")
-        if self.second_click is not None and self.first_click is not None:
-            if not self.second_click[1] > self.first_click.time:
-                raise ValueError("second click must come after the first")
-        times = [e.time for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("events must be time-ordered")
 
 
 @dataclass
 class StageResult:
-    """What one waiting window produced: a recorded click or a timeout."""
+    """What one waiting window produced: the recorded click that ended it
+    (tag and time; both None after a timeout), the state it left behind and
+    every collapse on the way."""
 
-    clicked: bool
     tag: Optional[ChannelTag]
     time: Optional[float]
     state: StateVector
     events: list[Event] = field(default_factory=list)
+
+    @property
+    def clicked(self) -> bool:
+        return self.tag is not None
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """One full two-stage protocol run: the stage-1 window and, when it
+    heralded, the stage-2 window (None after a stage-1 timeout)."""
+
+    stream_index: int
+    first: StageResult
+    second: Optional[StageResult]
+
+    @property
+    def outcome(self) -> Outcome:
+        if self.second is None:
+            return Outcome.NO_CLICK
+        return Outcome.TWO_CLICKS if self.second.clicked else Outcome.ONE_CLICK
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every collapse of the run, in time order."""
+        return tuple(self.first.events) + tuple(self.second.events if self.second else ())
 
 
 class _FixedCurve(NamedTuple):
@@ -169,7 +167,6 @@ class StageEngine:
         self.ops = [ch.operator.entries for ch in self.channels]
         self._op_stack = np.stack(self.ops)
         self.tags = [ch.tag for ch in self.channels]
-        self.recorded = [ch.recorded for ch in self.channels]
         self.total_op = total_jump_operator(self.channels)
         self.propagator = _scipy_expm(-1j * self.dt * self.h_eff)
         self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
@@ -253,7 +250,7 @@ class StageEngine:
         idx = min(idx, len(self.ops) - 1)
         post = self.ops[idx] @ psi_hat
         post = post / math.sqrt(np.vdot(post, post).real)
-        return self.tags[idx], self.recorded[idx], post
+        return self.tags[idx], post
 
     def _run_fixed(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
         n_steps = int(round(t_max / self.dt))
@@ -265,15 +262,15 @@ class StageEngine:
             # only a window's start state is shared
             rel, psi_hat = self._fixed_scan(psi, r[k0:], share_curve and not events)
             if rel is None:
-                return StageResult(False, None, None, self._wrap(psi_hat), events)
+                return StageResult(None, None, self._wrap(psi_hat), events)
             k = k0 + rel
-            tag, rec, psi = self._collapse(psi_hat, rng)
+            tag, psi = self._collapse(psi_hat, rng)
             t_evt = t_offset + (k + 1) * self.dt
-            events.append(Event(t_evt, tag, rec))
-            if rec:
-                return StageResult(True, tag, t_evt, self._wrap(psi), events)
+            events.append(Event(t_evt, tag))
+            if tag.recorded:
+                return StageResult(tag, t_evt, self._wrap(psi), events)
             k0 = k + 1
-        return StageResult(False, None, None, self._wrap(psi), events)
+        return StageResult(None, None, self._wrap(psi), events)
 
     # -- fast-sampler machinery -----------------------------------------------
 
@@ -377,13 +374,13 @@ class StageEngine:
             if seg.n2_end >= r:
                 if seg.final is None:
                     seg.final = self._wrap(seg.end / math.sqrt(seg.n2_end))
-                return StageResult(False, None, None, seg.final, events)
+                return StageResult(None, None, seg.final, events)
             wait, cross = self._crossing(seg, r, span)
             t_seg += wait
-            tag, rec, psi = self._collapse(cross / math.sqrt(np.vdot(cross, cross).real), rng)
-            events.append(Event(t_offset + t_seg, tag, rec))
-            if rec:
-                return StageResult(True, tag, t_offset + t_seg, self._wrap(psi), events)
+            tag, psi = self._collapse(cross / math.sqrt(np.vdot(cross, cross).real), rng)
+            events.append(Event(t_offset + t_seg, tag))
+            if tag.recorded:
+                return StageResult(tag, t_offset + t_seg, self._wrap(psi), events)
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
@@ -427,7 +424,7 @@ def step(
         ch = channels[idx]
         post = ch.operator.entries @ arr
         post = post / math.sqrt(np.vdot(post, post).real)
-        return StateVector(post, psi.basis_dims), Event(dt, ch.tag, ch.recorded)
+        return StateVector(post, psi.basis_dims), Event(dt, ch.tag)
     prop = propagator.entries @ arr
     prop = prop / math.sqrt(np.vdot(prop, prop).real)
     return StateVector(prop, psi.basis_dims), None
@@ -454,7 +451,7 @@ def run_until_click(
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if t_max == 0.0:
-        return StageResult(False, None, None, engine._wrap(psi_n), [])
+        return StageResult(None, None, engine._wrap(psi_n), [])
     if sampler == "fixed":
         return engine._run_fixed(psi_n, rng, t_max, share_curve, t_offset)
     if sampler == "fast":
@@ -476,7 +473,7 @@ def run_protocol(
     times are absolute; the second window opens at the first click.
     """
     eng = engine if engine is not None else StageEngine(params)
-    s1 = run_until_click(
+    first = run_until_click(
         eng.psi0,
         eng,
         rng if rng.stage == 0 else rng.for_stage(0),
@@ -484,34 +481,17 @@ def run_protocol(
         sampler=sampler,
         share_curve=True,
     )
-    events = list(s1.events)
-    if not s1.clicked:
-        return TrajectoryRecord(
-            rng.stream_index, tuple(events), None, None, Outcome.NO_CLICK, s1.state
+    second = None
+    if first.clicked:
+        second = run_until_click(
+            eng.phase_diag * first.state.amplitudes,
+            eng,
+            rng.for_stage(1),
+            params.t_wait2,
+            sampler=sampler,
+            t_offset=first.time,
         )
-    first = ClickInfo(s1.tag, s1.time, s1.state)
-    gated = eng.phase_diag * s1.state.amplitudes
-    s2 = run_until_click(
-        gated,
-        eng,
-        rng.for_stage(1),
-        params.t_wait2,
-        sampler=sampler,
-        t_offset=first.time,
-    )
-    events.extend(s2.events)
-    if not s2.clicked:
-        return TrajectoryRecord(
-            rng.stream_index, tuple(events), first, None, Outcome.ONE_CLICK, s2.state
-        )
-    return TrajectoryRecord(
-        rng.stream_index,
-        tuple(events),
-        first,
-        (s2.tag, s2.time),
-        Outcome.TWO_CLICKS,
-        s2.state,
-    )
+    return TrajectoryRecord(rng.stream_index, first, second)
 
 
 def run_unconditioned(
@@ -548,7 +528,7 @@ def run_unconditioned(
             rel, psi_hat = engine._fixed_scan(psi, r[k : grid_idx[j]], shared)
             if rel is None:
                 break
-            _, _, psi = engine._collapse(psi_hat, rng)
+            _, psi = engine._collapse(psi_hat, rng)
             k += rel + 1
             shared = False
         psi, k = psi_hat, grid_idx[j]

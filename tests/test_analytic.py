@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.integrate import quad
+
+import homsim
 
 from homsim.analytic import (
     ModePair,
@@ -42,9 +49,37 @@ def test_emitter_emission_norm_long_time():
 
 
 def test_emitter_emission_norm_follows_decay_law():
-    p = EmitterParams(1.3, omega0=2.0)
-    for t in (0.3, 1.0, 4.0):
-        assert emission_norm(t, p) == pytest.approx(1.0 - math.exp(-p.rate * t), abs=1e-6)
+    # the amplitude formula, integrated over the whole line, gives the norm;
+    # nu = omega0 + (rate/2) tan(theta) maps the line onto (-pi/2, pi/2)
+    for p in (EmitterParams(1.3, omega0=2.0), EmitterParams(0.5, omega0=-1.0)):
+        a = p.rate / 2.0
+
+        def density(theta, t, p=p, a=a):
+            return spectral_density(p.omega0 + a * math.tan(theta), t, p) * a / math.cos(theta) ** 2
+
+        for t in (0.3, 1.0, 4.0, 50.0):
+            whole, _ = quad(density, -math.pi / 2, math.pi / 2, args=(t,),
+                            epsabs=1e-6, epsrel=0.0, limit=5000)
+            assert emission_norm(t, p) == pytest.approx(whole, abs=1e-5)
+            assert emission_norm(t, p) == pytest.approx(1.0 - math.exp(-p.rate * t), rel=1e-14)
+
+
+@given(rate=st.floats(1e-3, 1e3), t=st.floats(0.0, 1e4))
+@example(rate=1.0, t=50.0)   # the spectrum command's defaults
+def test_emission_norm_never_exceeds_one(rate, t):
+    assert 0.0 <= emission_norm(t, EmitterParams(rate)) <= 1.0
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        emission_norm(-1.0 - t, EmitterParams(rate))
+
+
+def test_import_leaves_scipy_integrate_out():
+    # the library needs no quadrature; only the oracle suite's scipy.stats loads it
+    src = os.path.dirname(os.path.dirname(homsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, homsim; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_emitter_lorentzian_fwhm():

@@ -265,6 +265,12 @@ def test_config_error_exit_code(tmp_path, capsys):
                  ["redistribute", "--grid", ","]):
         assert _run(argv + ["--n_traj", "10", "--out", str(out)]) == EXIT_CONFIG
         assert "key 'grid'" in capsys.readouterr().err
+    # the subcommand is the command line's to name, not the config file's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "spectrum"}))
+    assert _run(["entangle-sweep", "--config", str(cfg), "--n_traj", "10",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown config key: 'command'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -330,6 +336,6 @@ def test_corrupted_channel_set_fails_consistency():
     p = SystemParams(gamma_ca=0.2, gamma_cb=0.1, eta=0.8, adiabatic=False)
     channels = build_jump_channels(p)
     bad = [JumpChannel(OperatorMatrix(1.01 * channels[0].operator.entries, p.dims),
-                       channels[0].tag, channels[0].recorded)] + channels[1:]
+                       channels[0].tag)] + channels[1:]
     assert channel_residual(p, channels) < 1e-12
     assert channel_residual(p, bad) > 1e-6

@@ -234,9 +234,9 @@ def test_conditioned_second_click_split():
     d1_then_d1 = d1_total = 0
     for i in range(2000):
         rec = run_protocol(p, RngStream(230, i), sampler="fast", engine=eng)
-        if rec.outcome is Outcome.TWO_CLICKS and rec.first_click.tag is ChannelTag.D1:
+        if rec.outcome is Outcome.TWO_CLICKS and rec.first.tag is ChannelTag.D1:
             d1_total += 1
-            d1_then_d1 += rec.second_click[0] is ChannelTag.D1
+            d1_then_d1 += rec.second.tag is ChannelTag.D1
     want = same_detector_probability(phi)
     assert d1_total > 50
     sd = math.sqrt(want * (1 - want) / d1_total)

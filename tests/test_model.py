@@ -169,7 +169,7 @@ def test_jump_channels_ideal_case():
     p = SystemParams(eta=1.0, lam=1.0, adiabatic=False)
     ch = build_jump_channels(p)
     assert [c.tag for c in ch] == [ChannelTag.D1, ChannelTag.D2]
-    assert all(c.recorded for c in ch)
+    assert all(c.tag.recorded for c in ch)
     from homsim.hilbert import embed, fock_destroy
 
     c1 = embed(fock_destroy(2), 2, p.dims).entries
@@ -228,6 +228,17 @@ def test_jump_channels_split_and_spont():
         ChannelTag.D1, ChannelTag.D2, ChannelTag.LOST_D1, ChannelTag.LOST_D2,
         ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2,
     ]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+def test_only_detector_clicks_are_recorded(eta, gamma):
+    assert {t for t in ChannelTag if t.recorded} == {ChannelTag.D1, ChannelTag.D2}
+    p = SystemParams(eta=eta, gamma_ca=gamma, gamma_cb=gamma, adiabatic=False)
+    channels = build_jump_channels(p)
+    recorded = [c.tag for c in channels if c.tag.recorded]
+    assert recorded == ([ChannelTag.D1, ChannelTag.D2] if eta > 0 else [])
+    assert len(channels) == len(recorded) + 2 * (eta < 1) + 4 * (gamma > 0)
 
 
 def test_phase_gate_identity_and_action():
