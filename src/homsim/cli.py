@@ -181,6 +181,13 @@ def parse_config(
     seed = vals.get("seed", 0)
     if seed < 0:
         raise ConfigError(f"value out of range for key 'seed': {seed}")
+    rate = vals.get("rate", 1.0)
+    time = vals.get("time", 50.0)
+    nu_points = vals.get("nu_points", 201)
+    for key, value, ok in (("rate", rate, rate > 0.0), ("time", time, time >= 0.0),
+                           ("nu_points", nu_points, nu_points >= 1)):
+        if not ok:
+            raise ConfigError(f"value out of range for key '{key}': {value}")
 
     swept = "phi" if command == "redistribute" else param
     grid = vals.get("grid", DEFAULT_GRIDS.get(swept, ()))
@@ -204,12 +211,12 @@ def parse_config(
         out=vals.get("out", f"homsim_{command.replace('-', '_')}.{fmt}"),
         format=fmt,
         engine=engine,
-        rate=vals.get("rate", 1.0),
+        rate=rate,
         center=vals.get("center", 0.0),
-        time=vals.get("time", 50.0),
+        time=time,
         nu_min=vals.get("nu_min"),
         nu_max=vals.get("nu_max"),
-        nu_points=vals.get("nu_points", 201),
+        nu_points=nu_points,
     )
 
 

@@ -23,7 +23,7 @@ from .analytic import heralded_states
 from .hilbert import BasisIndex, StateVector
 from .model import ChannelTag, SystemParams
 from .rng import StreamBlock, check_seed
-from .trajectory import StageEngine, run_protocol, run_until_click
+from .trajectory import StageEngine, run_herald_windows, run_protocol, run_until_click
 
 _CHUNK = 5000   # trajectories per worker task; fixed so results never depend on thread count
 
@@ -102,19 +102,25 @@ def _stage1_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
     block = StreamBlock(seed, start, stop)
+    if sampler == "fast":
+        res = run_herald_windows(engine, block, params.t_wait)
+        rows = np.flatnonzero(res.channel >= 0)
+        clicks = [(j, engine.tags[res.channel[j]], state) for j, state in zip(rows, res.state)]
+    else:
+        clicks = []
+        for j, i in enumerate(range(start, stop)):
+            res = run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
+                                  sampler=sampler, share_curve=True)
+            if res.clicked:
+                clicks.append((j, res.tag, res.state.amplitudes))
     targets = _target_vectors(params.dims)
     clicked = np.zeros(stop - start, dtype=bool)
     is_d1 = np.zeros(stop - start, dtype=bool)
     fid = np.full(stop - start, np.nan)
-    for i in range(start, stop):
-        res = run_until_click(
-            engine.psi0, engine, block.stream(i), params.t_wait, sampler=sampler, share_curve=True
-        )
-        j = i - start
-        if res.clicked:
-            clicked[j] = True
-            is_d1[j] = res.tag is ChannelTag.D1
-            fid[j] = abs(np.vdot(targets[res.tag], res.state.amplitudes)) ** 2
+    for j, tag, state in clicks:
+        clicked[j] = True
+        is_d1[j] = tag is ChannelTag.D1
+        fid[j] = abs(np.vdot(targets[tag], state)) ** 2
     return clicked, is_d1, fid
 
 

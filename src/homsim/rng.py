@@ -7,9 +7,12 @@ output block is counter 1, and a uniform is `(raw >> 11) * 2**-53`
 (`Generator.random`).  Building those numpy objects costs about 30 us a
 stream, more than the physics of a typical trajectory, so `StreamBlock`
 derives the keys and first output blocks of a whole range of streams in one
-vectorized pass: numpy's SeedSequence hash mix on 32-bit words, and
-Philox4x64-10 (Salmon et al., SC'11) with each 64x64 -> 128-bit multiply
-split into 32-bit halves.  Both match numpy bit for bit.  numpy stays the
+vectorized pass, one stage at a time and only when a stage is first used:
+numpy's SeedSequence hash mix on 32-bit words, and Philox4x64-10 (Salmon et
+al., SC'11) with each 64x64 -> 128-bit multiply split into 32-bit halves.
+`block_uniforms` gives the output block at any counter, so a batch of
+streams draws past its first block in the same vectorized way
+(`nth_uniforms`).  Both match numpy bit for bit.  numpy stays the
 reference: a stream made outside a block draws from the numpy objects, and a
 block-bound stream that has used its first block continues on
 `Philox(key=..., counter=1)`, whose next block is counter 2.
@@ -23,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _POOL_SIZE = 4   # SeedSequence's default entropy pool, in 32-bit words
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -145,14 +149,17 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (hl >> 32) + (lh >> 32) + carry, x * m
 
 
-def first_uniforms(keys: np.ndarray) -> np.ndarray:
-    """The first HEAD values of `Generator(Philox(key=key)).random()` for
-    each key row of keys (n, 2): the Philox4x64-10 block at counter
-    (1, 0, 0, 0), each raw word as (raw >> 11) * 2**-53."""
+def block_uniforms(keys: np.ndarray, counter: int = 1) -> np.ndarray:
+    """The Philox4x64-10 output block at `counter` (a 256-bit int) for each
+    key row of keys (n, 2), each raw word as (raw >> 11) * 2**-53: the HEAD
+    values `Generator(Philox(key=key, counter=counter - 1)).random()` draws
+    first.  Counter 1 is a stream's first block."""
+    counter = _non_negative(counter, "counter")
+    if counter >> 256:
+        raise ValueError(f"counter must be below 2**256, got {counter}")
     k0 = keys[:, 0]
     k1 = keys[:, 1]
-    c0 = np.ones_like(k0)
-    c1 = c2 = c3 = np.zeros_like(k0)
+    c0, c1, c2, c3 = (np.full_like(k0, (counter >> (64 * j)) & _MASK64) for j in range(4))
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
             k0 = k0 + _PHILOX_W0
@@ -164,11 +171,20 @@ def first_uniforms(keys: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(np.float64) * 2.0**-53
 
 
+def nth_uniforms(keys: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
+    """Draw k (counting from 0) of the streams with key rows keys (n, 2) and
+    first blocks head (n, HEAD): from head while k < HEAD, past it from the
+    block at counter 1 + k // HEAD."""
+    if k < HEAD:
+        return head[:, k]
+    return block_uniforms(keys, 1 + k // HEAD)[:, k % HEAD]
+
+
 class StreamBlock:
     """Keys and first output blocks of the streams [start, stop) of one
-    master seed, for every stage and substream, in one vectorized pass.
-    keys is (n, STAGES, SUBSTREAMS, 2) uint64 and head (n, STAGES,
-    SUBSTREAMS, HEAD) float64: 192 bytes a stream."""
+    master seed.  Each stage's are derived in one vectorized pass when the
+    stage is first used (stage_tables), so a run that only waits for the
+    herald never derives the second window's."""
 
     def __init__(self, master_seed: int, start: int, stop: int):
         self.master_seed = check_seed(master_seed)
@@ -176,14 +192,21 @@ class StreamBlock:
         self.stop = operator.index(stop)
         if self.stop < self.start:
             raise ValueError(f"stop {self.stop} is below start {self.start}")
-        idx = np.arange(self.start, self.stop, dtype=np.uint64)
-        self.keys = np.empty((idx.size, STAGES, SUBSTREAMS, 2), dtype=np.uint64)
-        self.head = np.empty((idx.size, STAGES, SUBSTREAMS, HEAD))
-        for stage in range(STAGES):
-            for sub in range(SUBSTREAMS):
-                keys = stream_keys(self.master_seed, idx, stage, sub)
-                self.keys[:, stage, sub] = keys
-                self.head[:, stage, sub] = first_uniforms(keys)
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def stage_tables(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
+        """keys (n, SUBSTREAMS, 2) uint64 and first blocks (n, SUBSTREAMS,
+        HEAD) float64 of every stream's stage: 96 bytes a stream."""
+        tables = self._tables.get(stage)
+        if tables is None:
+            idx = np.arange(self.start, self.stop, dtype=np.uint64)
+            keys = np.stack(
+                [stream_keys(self.master_seed, idx, stage, sub) for sub in range(SUBSTREAMS)],
+                axis=1,
+            )
+            head = np.stack([block_uniforms(keys[:, sub]) for sub in range(SUBSTREAMS)], axis=1)
+            tables = self._tables[stage] = (keys, head)
+        return tables
 
     def stream(self, index: int) -> "RngStream":
         """The stage-0 stream of trajectory index; for_stage(1) gives its second stage."""
@@ -214,6 +237,7 @@ class RngStream:
             )
         self._block = block
         self._head = _NO_HEAD
+        self._keys = None
         if block is not None:
             if (block.master_seed != self.master_seed or self.stage >= STAGES
                     or not block.start <= self.stream_index < block.stop):
@@ -222,7 +246,9 @@ class RngStream:
                     f"is not in the block of seed {block.master_seed}, "
                     f"streams [{block.start}, {block.stop})"
                 )
-            self._head = block.head[self.stream_index - block.start, self.stage]
+            keys, head = block.stage_tables(self.stage)
+            self._keys = keys[self.stream_index - block.start]
+            self._head = head[self.stream_index - block.start]
         self._drawn = [0, 0]
         self._gens: list[Optional[np.random.Generator]] = [None, None]
 
@@ -232,8 +258,7 @@ class RngStream:
                 self.master_seed, spawn_key=(self.stream_index, self.stage, substream)
             )
             return np.random.Generator(np.random.Philox(ss))
-        key = self._block.keys[self.stream_index - self._block.start, self.stage, substream]
-        return np.random.Generator(np.random.Philox(key=key, counter=1))
+        return np.random.Generator(np.random.Philox(key=self._keys[substream], counter=1))
 
     def _generator(self, substream: int) -> np.random.Generator:
         gen = self._gens[substream]

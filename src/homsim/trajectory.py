@@ -22,7 +22,14 @@ Two statistically equivalent samplers over the same jump-channel set:
   window segment every stage-1 trajectory shares.  The no-jump state at any
   time comes from one eigendecomposition of H_eff,
   psi(t) = V exp(-i w t) V^-1 psi, or from expm when V is too
-  ill-conditioned (near an exceptional point).
+  ill-conditioned (near an exceptional point).  A stage-1 sweep runs the
+  herald windows of a whole chunk of streams as one batch
+  (run_herald_windows): one comparison finds the timeouts, the crossings
+  run as one masked Newton iteration over a stack of states, channels come
+  from a per-row weight matrix, and windows that go on after an unrecorded
+  jump form a shrinking stack.  Its StageEngine *_rows methods repeat the
+  scalar ones row by row, and the scalar window is the reference it is
+  tested against, as step is for the fixed-step replay.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -32,7 +39,8 @@ first output blocks of all its streams in one vectorized pass (a
 StreamBlock), bit-exact against numpy's SeedSequence and Philox, which stay
 the reference for a stream made on its own.  A stream serves its first four
 draws per substream from the block and continues on a numpy Philox from the
-block's key at counter 1.
+block's key at counter 1; the batch reads the block's keys and first draws
+directly and takes later draws from the vectorized Philox at counter 2, 3, ...
 
 A waiting window returns a StageResult: the recorded click that ended it, or
 a timeout, with the state it left and every collapse on the way.  Whether a
@@ -44,6 +52,7 @@ results; the outcome and the event list are derived from them.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -62,7 +71,7 @@ from .model import (
     stage_hamiltonian,
     total_jump_operator,
 )
-from .rng import RngStream
+from .rng import RngStream, StreamBlock, nth_uniforms
 
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
@@ -74,6 +83,7 @@ _NEWTON_MAX = 100           # crossing iterations before the root-find gives up
 _XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
 _RTOL = 4 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_BATCH_ROWS = 256           # trajectories the batched herald windows carry at once
 
 
 class StepSizeError(RuntimeError):
@@ -131,6 +141,33 @@ class TrajectoryRecord:
         return tuple(self.first.events) + tuple(self.second.events if self.second else ())
 
 
+class WindowBatch(NamedTuple):
+    """The herald windows of a block's streams.  channel, time and jumps
+    have a row per stream: the index into StageEngine.tags of the recorded
+    channel that ended the window (-1 after a timeout), the click time (nan
+    after a timeout) and the number of collapses.  state has a row per click,
+    in stream order: the state the click left."""
+
+    channel: np.ndarray
+    time: np.ndarray
+    jumps: np.ndarray
+    state: np.ndarray
+
+
+def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i|b_i> for each row i of two stacks of states."""
+    return np.einsum("ij,ij->i", a.conj(), b).real
+
+
+def _rows(states: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """mat applied to each row of states, each row rounded the same whatever
+    stack it sits in: numpy hands a one-row product to gemv, whose last bits
+    differ from gemm's, so a lone row goes as two."""
+    if states.shape[0] == 1:
+        return (np.concatenate((states, states)) @ mat.T)[:1]
+    return states @ mat.T
+
+
 class _FixedCurve(NamedTuple):
     states: np.ndarray   # (n_steps+1, D) unnormalized, states[k] at t = k*dt
     n2: np.ndarray       # squared norms of states
@@ -183,9 +220,7 @@ class StageEngine:
 
     def _pvals(self, states: np.ndarray, n2: np.ndarray) -> np.ndarray:
         """Per-step jump probabilities dt*<L^dag L> for a run of states."""
-        mpsi = states @ self.total_op.T
-        mexp = np.einsum("ij,ij->i", states.conj(), mpsi).real
-        p = self.dt * mexp / n2
+        p = self.dt * _vdots(states, states @ self.total_op.T) / n2
         if p.size and p.max() >= P_STEP_MAX:
             raise StepSizeError(
                 f"per-step jump probability {p.max():.3g} exceeds {P_STEP_MAX}; reduce dt"
@@ -199,7 +234,7 @@ class StageEngine:
         u = self.propagator
         for k in range(n_steps):
             states[k + 1] = u @ states[k]
-        n2 = np.einsum("ij,ij->i", states.conj(), states).real
+        n2 = _vdots(states, states)
         return _FixedCurve(states, n2, self._pvals(states[:n_steps], n2[:n_steps]))
 
     def fixed_curve(self, psi_n: np.ndarray, n_steps: int) -> _FixedCurve:
@@ -241,7 +276,7 @@ class StageEngine:
     def _collapse(self, psi_hat: np.ndarray, rng: RngStream):
         """Pick a channel proportionally to its weight and apply it."""
         amps = self._op_stack @ psi_hat
-        weights = np.einsum("ij,ij->i", amps.conj(), amps).real
+        weights = _vdots(amps, amps)
         total = weights.sum()
         if total <= 0.0:
             raise RuntimeError("jump triggered with zero total channel weight")
@@ -312,7 +347,7 @@ class StageEngine:
             states[0] = coeffs
             for k in range(1, _TABLE_POINTS):
                 states[k] = u @ states[k - 1]
-        return np.einsum("ij,ij->i", states.conj(), states).real
+        return _vdots(states, states)
 
     def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
         """Where Newton starts: interpolated in a shared segment's norm table,
@@ -382,6 +417,96 @@ class StageEngine:
             if tag.recorded:
                 return StageResult(tag, t_offset + t_seg, self._wrap(psi), events)
 
+    # -- the fast sampler over a stack of trajectories -------------------------
+    # Each *_rows method does for every row of a stack what its namesake does
+    # for one trajectory; a row's result never depends on the other rows.
+
+    def _evolve_rows(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """_evolve of row i of coeffs (or of its one shared row) to time t[i]."""
+        if self.spectral:
+            phases = np.multiply.outer(-1j * t, self._w)
+            np.exp(phases, out=phases)
+            phases *= coeffs
+            return _rows(phases, self._v)
+        coeffs = np.broadcast_to(coeffs, (t.size, coeffs.shape[1]))
+        out = np.empty(coeffs.shape, dtype=complex)
+        for i, (ti, ci) in enumerate(zip(t, coeffs)):
+            out[i] = _scipy_expm(-1j * ti * self.h_eff) @ ci
+        return out
+
+    def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
+        """_segment of each row: its coefficients and its end state's squared norm."""
+        coeffs = _rows(psi, self._v_inv) if self.spectral else psi
+        end = self._evolve_rows(coeffs, span)
+        return coeffs, _vdots(end, end)
+
+    def _first_guess_rows(self, table, n2_end, r, span) -> np.ndarray:
+        """_first_guess of each row, from the shared segment's norm table if
+        table is given, otherwise from each row's n2_end."""
+        if table is None:
+            return span * np.log(r) / np.log(np.maximum(n2_end, _TINY))
+        k = np.clip(np.searchsorted(table, -r), 1, table.size - 1)
+        above, below = -table[k - 1], -table[k]
+        falls = above > below
+        frac = np.clip((above - r) / np.where(falls, above - below, 1.0), 0.0, 1.0)
+        return span * (k - 1 + np.where(falls, frac, 0.5)) / (table.size - 1)
+
+    def _crossing_rows(self, coeffs, r, span, t) -> tuple[np.ndarray, np.ndarray]:
+        """_crossing of each row from the first guesses t: the crossing times
+        and the unnormalized states there.  Every row iterates with the scalar
+        safeguards and stop; a row leaves the iteration when it stops."""
+        t_out = np.empty(r.size)
+        psi_out = np.empty((r.size, self.h_eff.shape[0]), dtype=complex)
+        live = np.arange(r.size)
+        r_live, lo, hi = r, np.zeros(r.size), span
+        last = before = span   # sizes of the last two steps
+        for _ in range(_NEWTON_MAX):
+            psi = self._evolve_rows(coeffs if coeffs.shape[0] == 1 else coeffs[live], t)
+            f = _vdots(psi, psi) - r_live
+            lo = np.where(f > 0.0, t, lo)
+            hi = np.where(f > 0.0, hi, t)
+            slope = -_vdots(psi, _rows(psi, self.total_op))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope < 0.0, -f / slope, np.nan)
+            newton = (lo <= t + step) & (t + step <= hi) & (np.abs(step) <= 0.5 * before)
+            step = np.where(newton, step, 0.5 * (lo + hi) - t)
+            before, last = last, np.abs(step)
+            t = t + step
+            done = last <= _XTOL + _RTOL * t
+            if done.any():
+                # one first-order step carries each state to its returned time
+                hit = psi[done]
+                t_out[live[done]] = t[done]
+                psi_out[live[done]] = hit - (1j * step[done])[:, None] * _rows(hit, self.h_eff)
+                go = ~done
+                if not go.any():
+                    return t_out, psi_out
+                live, r_live, t, lo, hi, last, before = (
+                    a[go] for a in (live, r_live, t, lo, hi, last, before)
+                )
+        raise RuntimeError(
+            f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} iterations "
+            f"on [0, {span[live[0]]!r}]"
+        )
+
+    def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
+        """_collapse of each normalized row with its channel draw u: the
+        channel indices and the normalized post-jump states."""
+        weights = np.empty((psi_hat.shape[0], len(self.ops)))
+        for k, op in enumerate(self.ops):
+            amps = _rows(psi_hat, op)
+            weights[:, k] = _vdots(amps, amps)
+        total = weights.sum(axis=1)
+        if np.any(total <= 0.0):
+            raise RuntimeError("jump triggered with zero total channel weight")
+        below = np.cumsum(weights, axis=1) <= (u * total)[:, None]
+        idx = np.minimum(below.sum(axis=1), len(self.ops) - 1)
+        post = np.empty_like(psi_hat)
+        for k in np.unique(idx):
+            chosen = idx == k
+            post[chosen] = _rows(psi_hat[chosen], self.ops[k])
+        return idx, post / np.sqrt(_vdots(post, post))[:, None]
+
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
 
@@ -447,7 +572,8 @@ def run_until_click(
     deterministic no-jump evolution for this initial state, which changes
     nothing about the sampled statistics.
     """
-    psi_n = _as_unit_array(psi0)
+    # the engine's own start state is normalized already
+    psi_n = engine.psi0.amplitudes if psi0 is engine.psi0 else _as_unit_array(psi0)
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if t_max == 0.0:
@@ -457,6 +583,61 @@ def run_until_click(
     if sampler == "fast":
         return engine._run_fast(psi_n, rng, t_max, share_curve, t_offset)
     raise ValueError(f"unknown sampler {sampler!r}")
+
+
+def run_herald_windows(engine: StageEngine, block: StreamBlock, t_max: float) -> WindowBatch:
+    """The herald window of every stream in block (stage 0), from the
+    engine's start state, by the fast sampler run over many of them at once.
+
+    Row i draws the numbers run_until_click(engine.psi0, engine,
+    block.stream(i), t_max, sampler="fast", share_curve=True) draws and
+    decides from them as it does; that scalar window is the reference the
+    batch is tested against.  One comparison of every row's first step draw
+    with the shared segment's end norm finds the timeouts.  The other rows
+    go through their windows _BATCH_ROWS at a time, in rounds: round k
+    crosses every waiting row in one masked Newton iteration and collapses
+    them together with their draw k of the channel substream; the rows whose
+    collapse was not recorded go on, each from its own segment, against
+    their step draw k + 1.
+    """
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    keys, head = block.stage_tables(0)
+    n = keys.shape[0]
+    channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
+    click_rows = [np.zeros(0, dtype=int)]
+    click_states = [np.zeros((0, engine.psi0.dim), dtype=complex)]
+    recorded = np.array([tag.recorded for tag in engine.tags])
+    crossing = np.zeros(0, dtype=int)
+    if t_max > 0.0:
+        seg = engine.coarse_curve(engine.psi0.amplitudes, t_max)
+        crossing = np.flatnonzero(head[:, 0, 0] > seg.n2_end)   # the other rows time out
+    for lo in range(0, crossing.size, _BATCH_ROWS):
+        rows = crossing[lo : lo + _BATCH_ROWS]
+        coeffs, n2_end, table = seg.coeffs[None], np.full(rows.size, seg.n2_end), seg.table
+        r, t_seg, k = head[rows, 0, 0], np.zeros(rows.size), 0
+        while rows.size:
+            span = t_max - t_seg
+            wait, psi = engine._crossing_rows(
+                coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
+            )
+            t_seg = t_seg + wait
+            u = nth_uniforms(keys[rows, 1], head[rows, 1], k)
+            chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
+            jumps[rows] += 1
+            hit = recorded[chan]
+            channel[rows[hit]], time[rows[hit]] = chan[hit], t_seg[hit]
+            click_rows.append(rows[hit])
+            click_states.append(post[hit])
+            rows, t_seg, post = rows[~hit], t_seg[~hit], post[~hit]
+            k += 1
+            coeffs, n2_end = engine._segment_rows(post, t_max - t_seg)
+            table = None
+            r = nth_uniforms(keys[rows, 0], head[rows, 0], k)
+            cross = r > n2_end   # the other rows time out
+            rows, r, n2_end, t_seg, coeffs = (a[cross] for a in (rows, r, n2_end, t_seg, coeffs))
+    order = np.argsort(np.concatenate(click_rows))
+    return WindowBatch(channel, time, jumps, np.concatenate(click_states)[order])
 
 
 def run_protocol(

@@ -265,6 +265,11 @@ def test_config_error_exit_code(tmp_path, capsys):
                  ["redistribute", "--grid", ","]):
         assert _run(argv + ["--n_traj", "10", "--out", str(out)]) == EXIT_CONFIG
         assert "key 'grid'" in capsys.readouterr().err
+    # the spectrum keys are checked before anything is written
+    for argv, key in ((["--time", "-1"], "time"), (["--rate", "0"], "rate"),
+                      (["--nu_points", "0"], "nu_points")):
+        assert _run(["spectrum", *argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"value out of range for key '{key}'" in capsys.readouterr().err
     # the subcommand is the command line's to name, not the config file's
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "spectrum"}))

@@ -18,7 +18,8 @@ from homsim.hilbert import BasisIndex, StateVector
 from homsim.lindblad import ensemble_compare
 from homsim.model import ChannelTag, SystemParams
 from homsim.oracles import ensemble_observables
-from homsim.trajectory import Outcome, RngStream, StageEngine, run_protocol
+from homsim.rng import StreamBlock
+from homsim.trajectory import Outcome, RngStream, StageEngine, run_protocol, run_until_click
 
 DIMS = (3, 3, 2, 2)
 
@@ -97,17 +98,37 @@ def brentq_crossing(self, seg, r, span):
     return t, self._evolve(seg.coeffs, t)
 
 
-@pytest.mark.parametrize("worker, params", [
-    (_stage1_chunk, SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5)),
-    (_protocol_chunk, SystemParams(adiabatic=True, phi=1.0)),
+def scalar_stage1_chunk(task):
+    """_stage1_chunk's columns from one scalar fast window per trajectory,
+    the reference for its batched herald windows."""
+    params, seed, start, stop, _ = task
+    engine = StageEngine(params)
+    block = StreamBlock(seed, start, stop)
+    clicked = np.zeros(stop - start, dtype=bool)
+    is_d1 = np.zeros(stop - start, dtype=bool)
+    fid = np.full(stop - start, np.nan)
+    for j, i in enumerate(range(start, stop)):
+        res = run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
+                              sampler="fast", share_curve=True)
+        if res.clicked:
+            clicked[j], is_d1[j] = True, res.tag is ChannelTag.D1
+            fid[j] = fidelity_to_target(res.state, res.tag)
+    return clicked, is_d1, fid
+
+
+@pytest.mark.parametrize("worker, reference_worker, params", [
+    (_stage1_chunk, scalar_stage1_chunk,
+     SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5)),
+    (_protocol_chunk, _protocol_chunk, SystemParams(adiabatic=True, phi=1.0)),
 ], ids=["stage1-gamma0.5", "protocol-phi1"])
-def test_newton_crossing_keeps_brentq_decisions(monkeypatch, worker, params):
+def test_newton_crossing_keeps_brentq_decisions(monkeypatch, worker, reference_worker, params):
     # identical streams: the crossing root-finder may move click times within
-    # its tolerance, never a decision
+    # its tolerance, never a decision; the reference is the scalar window
+    # with brentq's crossing
     task = (params, 4242, 0, 2000, "fast")
     newton = worker(task)
     monkeypatch.setattr(StageEngine, "_crossing", brentq_crossing)
-    reference = worker(task)
+    reference = reference_worker(task)
     for got, want in zip(newton[:2], reference[:2]):
         assert np.array_equal(got, want)
     assert reference[0].sum() > 100

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import homsim.experiments as experiments
 from homsim.model import SystemParams
-from homsim.rng import HEAD, RngStream, StreamBlock, first_uniforms, stream_keys
+from homsim.rng import (
+    HEAD, SUBSTREAMS, RngStream, StreamBlock, block_uniforms, nth_uniforms, stream_keys,
+)
 from homsim.trajectory import StageEngine, run_until_click
 
 SEEDS = st.integers(0, 2**160 - 1)
@@ -26,7 +28,7 @@ def numpy_stream(seed, index, stage, sub):
 @given(SEEDS, st.lists(INDICES, min_size=1, max_size=6), PARTS, PARTS)
 def test_keys_and_first_block_match_numpy(seed, indices, stage, sub):
     keys = stream_keys(seed, np.array(indices, dtype=np.uint64), stage, sub)
-    head = first_uniforms(keys)
+    head = block_uniforms(keys)
     for row, i in enumerate(indices):
         ss = numpy_stream(seed, i, stage, sub)
         assert keys[row].tolist() == ss.generate_state(2, np.uint64).tolist()
@@ -35,6 +37,59 @@ def test_keys_and_first_block_match_numpy(seed, indices, stage, sub):
         # the continuation rule: the next block is counter 2
         more = np.random.Generator(np.random.Philox(key=keys[row], counter=1)).random(HEAD)
         assert more.tolist() == draws[HEAD:].tolist()
+
+
+KEYS = st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=5)
+# room for the 7 blocks a test draws below 2**256, where the counter ends
+COUNTERS = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from([2**64 - 2, 2**64 - 1, 2**128 - 1, 2**192 - 2, 2**256 - 8]),
+    st.integers(0, 2**256 - 8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KEYS, COUNTERS, st.integers(3 * HEAD, 6 * HEAD + 3))
+def test_blocks_at_any_counter_match_numpy(key_rows, counter, n):
+    # numpy's Philox at counter c draws the blocks at c + 1, c + 2, ... first
+    keys = np.array(key_rows, dtype=np.uint64)
+    n_blocks = -(-n // HEAD)
+    ours = np.concatenate(
+        [block_uniforms(keys, counter + 1 + b) for b in range(n_blocks)], axis=1
+    )[:, :n]
+    for row, key in enumerate(keys):
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        assert ours[row].tolist() == gen.random(n).tolist()
+    if counter == 0:
+        assert block_uniforms(keys).tolist() == ours[:, :HEAD].tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.integers(0, 2**40), PARTS, st.integers(0, 3 * HEAD))
+def test_nth_uniforms_follow_the_stream(seed, start, stage, k):
+    block = StreamBlock(seed, start, start + 3)
+    keys, head = block.stage_tables(stage)
+    for sub in range(SUBSTREAMS):
+        got = nth_uniforms(keys[:, sub], head[:, sub], k)
+        for row in range(3):
+            ss = numpy_stream(seed, start + row, stage, sub)
+            assert got[row] == np.random.Generator(np.random.Philox(ss)).random(k + 1)[k]
+
+
+def test_block_uniforms_rejects_a_bad_counter():
+    keys = np.zeros((1, 2), dtype=np.uint64)
+    for counter in (-1, 2**256):
+        with pytest.raises(ValueError, match="counter"):
+            block_uniforms(keys, counter)
+
+
+def test_block_derives_a_stage_on_first_use():
+    block = StreamBlock(7, 0, 4)
+    block.stream(2).step_uniform()
+    assert set(block._tables) == {0}
+    block.stream(2).for_stage(1).channel_uniform()
+    assert set(block._tables) == {0, 1}
 
 
 DRAWS = st.lists(
@@ -107,13 +162,23 @@ CHUNK_CASES = [
 
 
 class _StandaloneStreams:
-    """Stands in for StreamBlock: hands out streams made on their own."""
+    """Stands in for StreamBlock: hands out streams made on their own, and
+    takes the keys and first blocks the batched herald windows read from
+    numpy's SeedSequence and Philox."""
 
     def __init__(self, seed, start, stop):
-        self.seed = seed
+        self.seed, self.start, self.stop = seed, start, stop
 
     def stream(self, index):
         return RngStream(self.seed, index)
+
+    def stage_tables(self, stage):
+        seqs = [[numpy_stream(self.seed, i, stage, sub) for sub in range(SUBSTREAMS)]
+                for i in range(self.start, self.stop)]
+        keys = np.array([[ss.generate_state(2, np.uint64) for ss in row] for row in seqs])
+        head = np.array([[np.random.Generator(np.random.Philox(ss)).random(HEAD) for ss in row]
+                         for row in seqs])
+        return keys, head
 
 
 def test_spontaneous_decay_windows_draw_more_than_once():

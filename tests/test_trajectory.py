@@ -7,14 +7,18 @@ from scipy import stats
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from homsim.hilbert import BasisIndex, OperatorMatrix, basis_state, identity, matrix_exp
+from homsim.hilbert import (
+    BasisIndex, OperatorMatrix, StateVector, basis_state, identity, matrix_exp,
+)
 from homsim.model import ChannelTag, SystemParams, initial_state, stage_hamiltonian
+from homsim.rng import HEAD, StreamBlock
 from homsim.trajectory import (
     EIG_COND_MAX,
     Outcome,
     RngStream,
     StageEngine,
     StepSizeError,
+    run_herald_windows,
     run_protocol,
     run_unconditioned,
     run_until_click,
@@ -208,6 +212,89 @@ def test_crossing_near_the_exceptional_point(rel, shared, u):
     r = seg.n2_end + u * (1.0 - seg.n2_end)
     assume(seg.n2_end < r <= 1.0 - 1e-8)
     assert_exact_crossing(eng, seg, r, p.t_wait)
+
+
+# -- batched herald windows ---------------------------------------------------------
+
+CROSSING_TOL = 1e-9   # per crossing: the bar the crossing tests above hold it to
+
+
+def assert_batch_matches_scalar_windows(p, seed, n):
+    """run_herald_windows against one scalar run_until_click per stream of
+    the same block: equal decisions, click times within the crossing
+    tolerance and fidelities within 1e-12."""
+    eng = StageEngine(p)
+    block = StreamBlock(seed, 0, n)
+    batch = run_herald_windows(eng, block, p.t_wait)
+    assert batch.state.shape == ((batch.channel >= 0).sum(), eng.psi0.dim)
+    states = dict(zip(np.flatnonzero(batch.channel >= 0), batch.state))
+    for i in range(n):
+        res = run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
+                              share_curve=True)
+        assert batch.jumps[i] == len(res.events)
+        if not res.clicked:
+            assert batch.channel[i] == -1 and math.isnan(batch.time[i])
+            continue
+        assert eng.tags[batch.channel[i]] is res.tag
+        assert abs(batch.time[i] - res.time) <= CROSSING_TOL * len(res.events)
+        fid = fidelity_to_target(StateVector(states[i], p.dims), res.tag)
+        assert abs(fid - fidelity_to_target(res.state, res.tag)) <= 1e-12
+    return batch
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    eta=st.floats(0.0, 1.0),
+    lam=st.floats(0.2, 5.0),
+    # 0, the usual range, and within 2e-3 of the reduced generator's
+    # exceptional point, where both evaluators are drawn
+    kappa=st.one_of(st.just(0.0), st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
+    t_wait=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+    seed=st.integers(0, 2**64),
+)
+@example(adiabatic=True, gamma=0.0, eta=0.7, lam=0.5, kappa=0.1, t_wait=20.0, seed=1)
+@example(adiabatic=False, gamma=0.5, eta=0.3, lam=2.0, kappa=10.0, t_wait=0.0, seed=2)
+@example(adiabatic=False, gamma=0.4, eta=1.0, lam=1.0, kappa=0.0, t_wait=100.0, seed=3)
+def test_herald_batch_matches_scalar_windows(adiabatic, gamma, eta, lam, kappa, t_wait, seed):
+    # the reduced generator has no |c> level to decay from
+    gamma = 0.0 if adiabatic else gamma
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, lam=lam,
+                     kappa=kappa, t_wait=t_wait)
+    if kappa == 0.1 and adiabatic:
+        assert not StageEngine(p).spectral
+    assert_batch_matches_scalar_windows(p, seed, 40)
+
+
+def test_herald_batch_draws_past_the_first_block():
+    # long windows with frequent spontaneous decays: some rows take more than
+    # two Philox blocks of step and channel draws
+    p = SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5, eta=0.5, t_wait=1000.0)
+    batch = assert_batch_matches_scalar_windows(p, 3, 60)
+    assert batch.jumps.max() > 2 * HEAD
+    assert (batch.channel >= 0).sum() > 0
+
+
+@pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5),
+                               EXCEPTIONAL.with_(eta=0.6)], ids=["spectral", "expm"])
+def test_herald_batch_rows_do_not_depend_on_the_block(p):
+    eng = StageEngine(p)
+    whole = run_herald_windows(eng, StreamBlock(77, 0, 60), p.t_wait)
+    assert (whole.jumps > 1).sum() > 0
+    clicked = np.flatnonzero(whole.channel >= 0)
+    # a lone stream that jumps goes through numpy's one-row (gemv) products
+    lone = [(i, i + 1) for i in np.flatnonzero(whole.jumps > 0)[:4]]
+    for lo, hi in [(0, 60), (13, 41), (58, 60)] + lone:
+        part = run_herald_windows(eng, StreamBlock(77, lo, hi), p.t_wait)
+        for got, want in zip(part[:3], whole[:3]):
+            assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+        assert part.state.tobytes() == whole.state[(lo <= clicked) & (clicked < hi)].tobytes()
+
+
+def test_herald_batch_rejects_a_negative_window():
+    with pytest.raises(ValueError, match="t_max"):
+        run_herald_windows(StageEngine(IDEAL), StreamBlock(0, 0, 3), -1.0)
 
 
 # -- single step ------------------------------------------------------------------
