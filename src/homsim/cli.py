@@ -10,7 +10,9 @@ winning.  All inputs are dimensionless in units of the ion-cavity coupling g.
 The physics keys are the `SystemParams` fields except g, read from the
 dataclass, with `lambda`, `T` and `T2` standing for lam, t_wait and t_wait2,
 plus the shorthand `gamma` for gamma_ca = gamma_cb.  SystemParams owns their
-defaults and ranges; a config error names the key to fix (exit code 2).
+defaults and ranges.  The run keys are the `RunConfig` fields after params,
+which own their types and defaults.  A config error, a NaN or infinite value
+included, names the key to fix (exit code 2).
 Every command is a pure function of (config, seed): reruns produce
 byte-identical data files, for any worker-thread count.
 """
@@ -24,7 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, get_type_hints
+from typing import Literal, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,30 +48,6 @@ DEFAULT_GRIDS = {
     "phi": tuple(k * math.pi / 6.0 for k in range(13)),
 }
 
-# SystemParams field -> CLI key, where the two differ; g is the unit
-_ALIASES = {"lam": "lambda", "t_wait": "T", "t_wait2": "T2"}
-_FIELDS = get_type_hints(SystemParams)
-_PARAM_TYPES = {_ALIASES.get(f, f): typ for f, typ in _FIELDS.items() if f != "g"}
-_PARAM_TYPES["gamma"] = float   # shorthand: gamma_ca = gamma_cb = gamma
-_RUN_KEYS = {
-    "n_traj": int,
-    "seed": int,
-    "threads": int,
-    "param": str,
-    "grid": tuple,
-    "out": str,
-    "format": str,
-    "engine": str,
-    # spectrum-only
-    "rate": float,
-    "center": float,
-    "time": float,
-    "nu_min": float,
-    "nu_max": float,
-    "nu_points": int,
-}
-_ALL_KEYS = {**_PARAM_TYPES, **_RUN_KEYS}
-
 
 class ConfigError(Exception):
     pass
@@ -77,22 +55,60 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run.  Every field after params is a run key, declared here
+    once with its type and default; n_traj, grid and out follow the command,
+    so they are None until parse_config derives them."""
+
     command: str
     params: SystemParams
-    n_traj: int
-    seed: int
-    threads: int
-    param: str
-    grid: tuple[float, ...]
-    out: str
-    format: str
-    engine: str
-    rate: float
-    center: float
-    time: float
-    nu_min: Optional[float]
-    nu_max: Optional[float]
-    nu_points: int
+    n_traj: Optional[int] = None
+    seed: int = 0
+    threads: int = 1
+    param: str = "eta"
+    grid: Optional[tuple[float, ...]] = None
+    out: Optional[str] = None
+    format: Literal["csv", "json"] = "csv"
+    engine: Literal["fast", "fixed"] = "fast"
+    # spectrum-only
+    rate: float = 1.0
+    center: float = 0.0
+    time: float = 50.0
+    nu_min: Optional[float] = None
+    nu_max: Optional[float] = None
+    nu_points: int = 201
+
+
+def _value_type(typ):
+    """The type a key's raw value is coerced to: X for Optional[X], str for
+    a Literal of strings, tuple for tuple[float, ...]."""
+    if get_origin(typ) is Literal:
+        return str
+    if get_origin(typ) is Union:
+        typ = get_args(typ)[0]
+    return get_origin(typ) or typ
+
+
+# SystemParams field -> CLI key, where the two differ; g is the unit
+_ALIASES = {"lam": "lambda", "t_wait": "T", "t_wait2": "T2"}
+_FIELDS = get_type_hints(SystemParams)
+_PARAM_TYPES = {_ALIASES.get(f, f): typ for f, typ in _FIELDS.items() if f != "g"}
+_PARAM_TYPES["gamma"] = float   # shorthand: gamma_ca = gamma_cb = gamma
+_RUN_TYPES = {k: typ for k, typ in get_type_hints(RunConfig).items()
+              if k not in ("command", "params")}
+_ALL_KEYS = {**_PARAM_TYPES, **{k: _value_type(typ) for k, typ in _RUN_TYPES.items()}}
+_CHOICES = {k: get_args(typ) for k, typ in _RUN_TYPES.items() if get_origin(typ) is Literal}
+# what a given run key's value must satisfy beyond its type
+_RUN_RANGES = {
+    "n_traj": lambda n: n >= 1,
+    "seed": lambda n: n >= 0,
+    "threads": lambda n: n >= 1,
+    "rate": lambda x: math.isfinite(x) and x > 0.0,
+    "center": math.isfinite,
+    "time": lambda x: math.isfinite(x) and x >= 0.0,
+    "nu_min": math.isfinite,
+    "nu_max": math.isfinite,
+    "nu_points": lambda n: n >= 1,
+}
 
 
 def _coerce(key: str, value):
@@ -123,9 +139,10 @@ def parse_config(
     """Merge file values and flag overrides into a validated RunConfig.
 
     Unknown keys are rejected; flags take precedence over file values.  A
-    physics key left out takes its SystemParams default, except that T2
-    follows a given T as 100 T and adiabatic defaults to "no decay".  Every
-    config error names the offending key.
+    key left out takes its SystemParams or RunConfig default, except that
+    T2 follows a given T as 100 T, adiabatic defaults to "no decay", and
+    n_traj, grid and out follow the command.  Every config error names the
+    offending key.
     """
     merged: dict = {}
     if path is not None:
@@ -156,68 +173,35 @@ def parse_config(
     if "t_wait" in given:
         given.setdefault("t_wait2", 100.0 * given["t_wait"])
     given.setdefault("adiabatic", not (given.get("gamma_ca") or given.get("gamma_cb")))
+    run = {key: vals[key] for key in _RUN_TYPES if key in vals}
+    run.setdefault("n_traj", 10000 if command == "redistribute" else 100000)
+    swept = "phi" if command == "redistribute" else run.get("param", RunConfig.param)
+    run.setdefault("grid", DEFAULT_GRIDS.get(swept, ()))
+    fmt = run.get("format", RunConfig.format)
+    run.setdefault("out", f"homsim_{command.replace('-', '_')}.{fmt}")
     try:
         params = SystemParams(**given)
     except ParamError as exc:
         key = _ALIASES.get(exc.field, exc.field)
         raise ConfigError(f"value out of range for key '{key}': {exc}") from None
 
-    fmt = vals.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"invalid value for key 'format': {fmt!r} (want csv or json)")
-    engine = vals.get("engine", "fast")
-    if engine not in ("fast", "fixed"):
-        raise ConfigError(f"invalid value for key 'engine': {engine!r} (want fast or fixed)")
-    param = vals.get("param", "eta")
-    if command == "entangle-sweep" and param not in SWEEPABLE:
-        raise ConfigError(f"invalid value for key 'param': {param!r}")
-    threads = vals.get("threads", 1)
-    if threads < 1:
-        raise ConfigError(f"value out of range for key 'threads': {threads}")
-    default_n = 10000 if command == "redistribute" else 100000
-    n_traj = vals.get("n_traj", default_n)
-    if n_traj < 1:
-        raise ConfigError(f"value out of range for key 'n_traj': {n_traj}")
-    seed = vals.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"value out of range for key 'seed': {seed}")
-    rate = vals.get("rate", 1.0)
-    time = vals.get("time", 50.0)
-    nu_points = vals.get("nu_points", 201)
-    for key, value, ok in (("rate", rate, rate > 0.0), ("time", time, time >= 0.0),
-                           ("nu_points", nu_points, nu_points >= 1)):
-        if not ok:
+    for key, value in run.items():
+        if key in _CHOICES and value not in _CHOICES[key]:
+            want = " or ".join(_CHOICES[key])
+            raise ConfigError(f"invalid value for key '{key}': {value!r} (want {want})")
+        if key in _RUN_RANGES and not _RUN_RANGES[key](value):
             raise ConfigError(f"value out of range for key '{key}': {value}")
-
-    swept = "phi" if command == "redistribute" else param
-    grid = vals.get("grid", DEFAULT_GRIDS.get(swept, ()))
+    if command == "entangle-sweep" and swept not in SWEEPABLE:
+        raise ConfigError(f"invalid value for key 'param': {swept!r}")
     if command in ("entangle-sweep", "redistribute"):
-        if not grid:
+        if not run["grid"]:
             raise ConfigError("invalid value for key 'grid': no values")
-        for v in grid:
+        for v in run["grid"]:
             try:
                 _apply_sweep_value(params, swept, v)
             except ValueError as exc:
                 raise ConfigError(f"value out of range for key 'grid' at {v!r}: {exc}") from None
-
-    return RunConfig(
-        command=command,
-        params=params,
-        n_traj=n_traj,
-        seed=seed,
-        threads=threads,
-        param=param,
-        grid=tuple(grid),
-        out=vals.get("out", f"homsim_{command.replace('-', '_')}.{fmt}"),
-        format=fmt,
-        engine=engine,
-        rate=rate,
-        center=vals.get("center", 0.0),
-        time=time,
-        nu_min=vals.get("nu_min"),
-        nu_max=vals.get("nu_max"),
-        nu_points=nu_points,
-    )
+    return RunConfig(command, params, **run)
 
 
 def _fmt(x) -> str:

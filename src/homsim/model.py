@@ -105,6 +105,9 @@ class SystemParams:
             )
         if self.adiabatic and self.delta == 0:
             raise ParamError("delta", "must be nonzero: the adiabatic Hamiltonian divides by it")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParamError(name, "must be finite")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

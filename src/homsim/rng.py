@@ -46,7 +46,6 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 HEAD = 4        # uniforms in one Philox4x64 output block
-STAGES = 2      # stages a block covers: the protocol's two windows
 SUBSTREAMS = 2  # 0: jump decisions, 1: channel choice
 
 _NO_HEAD = np.empty((SUBSTREAMS, 0))
@@ -239,7 +238,7 @@ class RngStream:
         self._head = _NO_HEAD
         self._keys = None
         if block is not None:
-            if (block.master_seed != self.master_seed or self.stage >= STAGES
+            if (block.master_seed != self.master_seed
                     or not block.start <= self.stream_index < block.stop):
                 raise ValueError(
                     f"stream ({self.master_seed}, {self.stream_index}, stage {self.stage}) "

@@ -1,16 +1,20 @@
 import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homsim.cli import (
+    DEFAULT_GRIDS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_ORACLE,
     ConfigError,
+    RunConfig,
+    _build_parser,
     main,
     parse_config,
 )
@@ -24,15 +28,35 @@ CLI_KEY = {
 }
 NON_NEGATIVE = ("g", "omega", "kappa", "gamma_ca", "gamma_cb", "t_wait", "t_wait2")
 NEGATIVE = st.floats(max_value=-5e-324)
+FLOAT_FIELDS = tuple(f for f, t in typing.get_type_hints(SystemParams).items() if t is float)
 
 
 def _flag(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
     return str(value).lower()
+
+
+@st.composite
+def non_finite(draw):
+    """A NaN or infinite float field; a range check that already rejects the
+    value keeps its message."""
+    field = draw(st.sampled_from(FLOAT_FIELDS))
+    value = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    if field == "eta":
+        return field, {field: value}, "eta must lie in [0, 1]"
+    if value < 0 and field in NON_NEGATIVE:
+        return field, {field: value}, f"{field} must be >= 0"
+    if value < 0 and field in ("lam", "dt"):
+        return field, {field: value}, f"{field} must be > 0"
+    return field, {field: value}, f"{field} must be finite"
 
 
 @st.composite
 def out_of_range(draw):
     """One setting SystemParams rejects: (field, constructor kwargs, message)."""
+    if draw(st.booleans()):
+        return draw(non_finite())
     field = draw(st.sampled_from(NON_NEGATIVE + ("eta", "lam", "dt", "n_max", "adiabatic",
                                                  "delta")))
     if field in NON_NEGATIVE:
@@ -96,6 +120,44 @@ def test_physics_key_lands_in_its_field(field):
     if key != field:
         with pytest.raises(ConfigError, match=f"unknown config key: '{field}'"):
             parse_config("entangle-sweep", overrides={field: _flag(value)})
+
+
+# a valid value for every run key, none of them the key's default
+RUN_GIVEN = {
+    "n_traj": 7, "seed": 3, "threads": 2, "param": "gamma", "grid": (0.25, 0.5),
+    "out": "x.dat", "format": "json", "engine": "fixed", "rate": 2.5, "center": -1.5,
+    "time": 20.0, "nu_min": -3.0, "nu_max": 4.0, "nu_points": 9,
+}
+
+
+@pytest.mark.parametrize("key", sorted(RUN_GIVEN))
+def test_run_key_lands_in_its_field(key):
+    # the CLI keys: every SystemParams field but g under its CLI name, the
+    # gamma shorthand, and every RunConfig field but command and params
+    assert set(RUN_GIVEN) == {f.name for f in dataclasses.fields(RunConfig)} - {
+        "command", "params"}
+    keys = set(CLI_KEY.values()) | {"gamma"} | set(RUN_GIVEN)
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    for sub in subparsers.values():
+        flags = [s for a in sub._actions for s in a.option_strings
+                 if s not in ("-h", "--help", "--config")]
+        assert sorted(flags) == sorted(f"--{k}" for k in keys)
+    value = RUN_GIVEN[key]
+    cfg = parse_config("entangle-sweep", overrides={key: _flag(value)})
+    assert getattr(cfg, key) == value
+    # every omitted key keeps its RunConfig default, up to the three that
+    # follow the command: n_traj, the swept parameter's grid and out
+    if key != "n_traj":
+        assert cfg.n_traj == 100000
+    if key != "grid":
+        assert cfg.grid == DEFAULT_GRIDS[cfg.param]
+    if key != "out":
+        assert cfg.out == f"homsim_entangle_sweep.{cfg.format}"
+    want = RunConfig("entangle-sweep", SystemParams(adiabatic=True), **{key: value})
+    assert cfg == dataclasses.replace(want, n_traj=cfg.n_traj, grid=cfg.grid, out=cfg.out)
+    red = parse_config("redistribute")
+    assert (red.n_traj, red.grid, red.out) == (10000, DEFAULT_GRIDS["phi"],
+                                               "homsim_redistribute.csv")
 
 
 def test_defaults():
@@ -260,6 +322,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     for argv in (["entangle-sweep", "--param", "eta", "--grid", "1.5"],
                  ["entangle-sweep", "--param", "gamma", "--grid", "-0.1"],
                  ["entangle-sweep", "--param", "lambda", "--grid", "1.0,0"],
+                 ["entangle-sweep", "--param", "lambda", "--grid", "nan"],
                  ["entangle-sweep", "--grid", ","],
                  ["redistribute", "--grid", "7"],
                  ["redistribute", "--grid", ","]):
@@ -267,9 +330,23 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert "key 'grid'" in capsys.readouterr().err
     # the spectrum keys are checked before anything is written
     for argv, key in ((["--time", "-1"], "time"), (["--rate", "0"], "rate"),
-                      (["--nu_points", "0"], "nu_points")):
+                      (["--nu_points", "0"], "nu_points"), (["--center", "nan"], "center"),
+                      (["--nu_min", "nan"], "nu_min"), (["--nu_max", "inf"], "nu_max"),
+                      (["--rate", "inf"], "rate"), (["--time", "inf"], "time")):
         assert _run(["spectrum", *argv, "--out", str(out)]) == EXIT_CONFIG
         assert f"value out of range for key '{key}'" in capsys.readouterr().err
+    # so is every NaN or infinite physics value
+    for argv, key, field in ((["--omega", "nan"], "omega", "omega"),
+                             (["--kappa", "nan"], "kappa", "kappa"),
+                             (["--lambda", "nan"], "lambda", "lam"),
+                             (["--T", "nan"], "T", "t_wait"),
+                             (["--delta", "inf"], "delta", "delta")):
+        assert _run(["entangle-sweep", *argv, "--n_traj", "10", "--grid", "1.0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert (f"value out of range for key '{key}': {field} must be finite"
+                in capsys.readouterr().err)
+    assert _run(["redistribute", "--T2", "nan", "--n_traj", "10", "--out", str(out)]) == EXIT_CONFIG
+    assert "key 'T2': t_wait2 must be finite" in capsys.readouterr().err
     # the subcommand is the command line's to name, not the config file's
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "spectrum"}))

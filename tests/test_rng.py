@@ -118,17 +118,19 @@ def test_block_stream_draws_what_a_standalone_stream_draws(seed, index, stage, p
 
 
 def test_block_streams_cross_the_first_block_in_every_substream():
+    # a block derives any stage, not only the protocol's two windows
     block = StreamBlock(2**62 + 9, 40, 43)
+    plan = ["step", 3, "channel"] * 3 + [9, "channel"] * 2
     for i in range(40, 43):
-        for stage in (0, 1):
-            a, b = block.stream(i).for_stage(stage), RngStream(2**62 + 9, i, stage)
-            plan = ["step", 3, "channel"] * 3 + [9, "channel"] * 2
-            assert draw_all(a, plan) == draw_all(b, plan)
+        for stage in (0, 1, 2):
+            want = draw_all(RngStream(2**62 + 9, i, stage), plan)
+            assert draw_all(block.stream(i).for_stage(stage), plan) == want
+            assert draw_all(RngStream(2**62 + 9, i, stage, block=block), plan) == want
 
 
 def test_block_rejects_foreign_streams():
     block = StreamBlock(5, 10, 20)
-    for seed, index, stage in ((6, 10, 0), (5, 9, 0), (5, 20, 0), (5, 10, 2)):
+    for seed, index, stage in ((6, 10, 0), (5, 9, 0), (5, 20, 0)):
         with pytest.raises(ValueError, match="not in the block"):
             RngStream(seed, index, stage, block=block)
 
