@@ -337,8 +337,31 @@ _COMMANDS = {
 }
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each `--key -1e3` written `--key=-1e3`.  Every key flag
+    takes a value, but argparse takes a negative value that is not a plain
+    decimal, such as -1e3 or -inf, for an option."""
+    flags = {f"--{key}" for key in _ALL_KEYS}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-") and _is_float(tok.split(",")[0]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     overrides = {key: getattr(args, key) for key in _ALL_KEYS}
     try:
         cfg = parse_config(args.command, args.config, overrides)

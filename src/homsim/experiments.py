@@ -134,7 +134,7 @@ def _protocol_chunk(args):
     same_tag = np.zeros(n, dtype=bool)
     fid = np.full(n, np.nan)
     for i in range(start, stop):
-        rec = run_protocol(params, block.stream(i), sampler=sampler, engine=engine)
+        rec = run_protocol(engine, block.stream(i), sampler=sampler)
         j = i - start
         first, second = rec.first, rec.second
         if second is not None:   # the first window heralded
@@ -144,49 +144,38 @@ def _protocol_chunk(args):
     return n_clicks, same_tag, fid
 
 
-def _run_chunked(worker, params, n_traj, seed, sampler, threads):
+def _run_chunked(worker, grid_params, n_traj, seed, sampler, threads):
+    """Run every (grid point, chunk) task of a scan, through one pool when
+    threads > 1 and there is more than one task; return each grid point's
+    concatenated columns, in grid order."""
     check_seed(seed)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    tasks = [
-        (params, seed, lo, min(lo + _CHUNK, n_traj), sampler) for lo in range(0, n_traj, _CHUNK)
-    ]
+    if not grid_params:
+        raise ValueError("grid must be nonempty")
+    bounds = [(lo, min(lo + _CHUNK, n_traj)) for lo in range(0, n_traj, _CHUNK)]
+    tasks = [(params, seed, lo, hi, sampler) for params in grid_params for lo, hi in bounds]
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, tasks))
     else:
         parts = [worker(t) for t in tasks]
-    return [np.concatenate(cols) for cols in zip(*parts)]
+    return [
+        [np.concatenate(cols) for cols in zip(*parts[k : k + len(bounds)])]
+        for k in range(0, len(parts), len(bounds))
+    ]
 
 
 # -- experiment entry points ---------------------------------------------------
 
 
 def run_entanglement_generation(
-    params: SystemParams,
-    n_traj: int,
-    seed: int,
-    *,
-    sampler: str = "fast",
-    threads: int = 1,
-    param: str = "",
-    value: float = float("nan"),
+    params: SystemParams, n_traj: int, seed: int, *, sampler: str = "fast", threads: int = 1
 ) -> SweepPoint:
     """Stage-1 only: herald fraction and mean fidelity of the heralded state,
     with binomial / sample standard errors."""
-    clicked, _, fid = _run_chunked(_stage1_chunk, params, n_traj, seed, sampler, threads)
-    p_hat = float(clicked.mean())
-    f_vals = fid[clicked]
-    f_hat = float(f_vals.mean()) if f_vals.size else float("nan")
-    return SweepPoint(
-        param=param,
-        value=value,
-        n_traj=n_traj,
-        p_hat=p_hat,
-        p_stderr=_binomial_stderr(p_hat, n_traj),
-        f_hat=f_hat,
-        f_stderr=_sample_stderr(f_vals),
-    )
+    (cols,) = _run_chunked(_stage1_chunk, [params], n_traj, seed, sampler, threads)
+    return _stage1_point("", math.nan, *cols)
 
 
 _SWEEP_FIELDS = {"eta": "eta", "lambda": "lam", "phi": "phi"}
@@ -217,18 +206,12 @@ def sweep(
 ) -> SweepResult:
     """One stage-1 experiment per grid value.  Grid points share the same
     per-trajectory random streams (common random numbers)."""
-    if not grid:
-        raise ValueError("grid must be nonempty")
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {SWEEPABLE}")
-    points = []
-    for v in grid:
-        p_v = _apply_sweep_value(params, param, float(v))
-        points.append(
-            run_entanglement_generation(
-                p_v, n_traj, seed, sampler=sampler, threads=threads, param=param, value=float(v)
-            )
-        )
+    values = [float(v) for v in grid]
+    grid_params = [_apply_sweep_value(params, param, v) for v in values]
+    per_point = _run_chunked(_stage1_chunk, grid_params, n_traj, seed, sampler, threads)
+    points = [_stage1_point(param, v, *cols) for v, cols in zip(values, per_point)]
     return SweepResult(params, param, tuple(points), seed)
 
 
@@ -244,15 +227,30 @@ def run_redistribution(
     """Full two-stage protocol per phase value.  Reports the same-detector
     fraction among double detections and the double-detection fraction among
     heralded runs."""
-    if not phi_grid:
-        raise ValueError("phi grid must be nonempty")
-    points = []
-    for phi in phi_grid:
-        phi = float(phi)
-        p_phi = _apply_sweep_value(params, "phi", phi)
-        cols = _run_chunked(_protocol_chunk, p_phi, n_traj, seed, sampler, threads)
-        points.append(_protocol_point("phi", phi, *cols))
+    values = [float(phi) for phi in phi_grid]
+    grid_params = [_apply_sweep_value(params, "phi", phi) for phi in values]
+    per_point = _run_chunked(_protocol_chunk, grid_params, n_traj, seed, sampler, threads)
+    points = [_protocol_point("phi", phi, *cols) for phi, cols in zip(values, per_point)]
     return SweepResult(params, "phi", tuple(points), seed)
+
+
+def _stage1_point(
+    param: str, value: float, clicked: np.ndarray, is_d1: np.ndarray, fid: np.ndarray
+) -> SweepPoint:
+    """Reduce per-trajectory stage-1 columns (heralded, on D1, herald
+    fidelity) to a SweepPoint; the D1 column is not reduced."""
+    n = clicked.size
+    p_hat = float(clicked.mean())
+    f_vals = fid[clicked]
+    return SweepPoint(
+        param=param,
+        value=value,
+        n_traj=n,
+        p_hat=p_hat,
+        p_stderr=_binomial_stderr(p_hat, n),
+        f_hat=float(f_vals.mean()) if f_vals.size else float("nan"),
+        f_stderr=_sample_stderr(f_vals),
+    )
 
 
 def _protocol_point(

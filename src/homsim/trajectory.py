@@ -574,8 +574,8 @@ def run_until_click(
     """
     # the engine's own start state is normalized already
     psi_n = engine.psi0.amplitudes if psi0 is engine.psi0 else _as_unit_array(psi0)
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if t_max == 0.0:
         return StageResult(None, None, engine._wrap(psi_n), [])
     if sampler == "fixed":
@@ -600,8 +600,8 @@ def run_herald_windows(engine: StageEngine, block: StreamBlock, t_max: float) ->
     collapse was not recorded go on, each from its own segment, against
     their step draw k + 1.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     keys, head = block.stage_tables(0)
     n = keys.shape[0]
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
@@ -640,35 +640,29 @@ def run_herald_windows(engine: StageEngine, block: StreamBlock, t_max: float) ->
     return WindowBatch(channel, time, jumps, np.concatenate(click_states)[order])
 
 
-def run_protocol(
-    params: SystemParams,
-    rng: RngStream,
-    *,
-    sampler: str = "fast",
-    engine: Optional[StageEngine] = None,
-) -> TrajectoryRecord:
+def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") -> TrajectoryRecord:
     """Full two-stage run: wait for the first photon, capture the heralded
     state, apply the phase manipulation, then wait for the second photon.
 
-    The drive is identical in both stages, so one engine serves both.  Event
-    times are absolute; the second window opens at the first click.
+    The drive is identical in both stages, so one engine serves both, and
+    the windows' lengths are its params' t_wait and t_wait2.  Event times
+    are absolute; the second window opens at the first click.
     """
-    eng = engine if engine is not None else StageEngine(params)
     first = run_until_click(
-        eng.psi0,
-        eng,
+        engine.psi0,
+        engine,
         rng if rng.stage == 0 else rng.for_stage(0),
-        params.t_wait,
+        engine.params.t_wait,
         sampler=sampler,
         share_curve=True,
     )
     second = None
     if first.clicked:
         second = run_until_click(
-            eng.phase_diag * first.state.amplitudes,
-            eng,
+            engine.phase_diag * first.state.amplitudes,
+            engine,
             rng.for_stage(1),
-            params.t_wait2,
+            engine.params.t_wait2,
             sampler=sampler,
             t_offset=first.time,
         )

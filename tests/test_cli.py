@@ -365,6 +365,21 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_exponent_form_is_a_flag_value(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert _run(["spectrum", "--center", "-1e3", "--nu_points", "3", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().split("\n")[1].startswith("-1010,")
+    assert _run(["spectrum", "--nu_min", "-1e3", "--nu_max", "-5e2", "--nu_points", "3",
+                 "--out", str(out)]) == EXIT_OK
+    assert [row.split(",")[0] for row in out.read_text().split("\n")[1:4]] == [
+        "-1000", "-750", "-500"]
+    # a non-finite one is still a config error that names its key
+    out.unlink()
+    assert _run(["spectrum", "--center", "-inf", "--out", str(out)]) == EXIT_CONFIG
+    assert "value out of range for key 'center'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = _run(["entangle-sweep", "--param", "eta", "--grid", "1.0",

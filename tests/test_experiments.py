@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,9 +156,35 @@ def test_protocol_chunk_builds_one_stream_per_window(monkeypatch):
 def test_single_point_sweep_matches_direct_run():
     p = SystemParams(adiabatic=True)
     res = sweep(p, "eta", [1.0], 400, seed=5)
-    direct = run_entanglement_generation(p.with_(eta=1.0), 400, seed=5,
-                                         param="eta", value=1.0)
-    assert res.points[0] == direct
+    direct = run_entanglement_generation(p.with_(eta=1.0), 400, seed=5)
+    assert res.points[0] == dataclasses.replace(direct, param="eta", value=1.0)
+
+
+@pytest.mark.parametrize("scan, chunk", [
+    (lambda p, threads: sweep(p, "eta", [0.5, 1.0], 600, seed=31, threads=threads), None),
+    (lambda p, threads: run_redistribution(p, [0.0, 1.0, 2.0], 400, seed=32, threads=threads),
+     200),
+], ids=["sweep", "redistribution"])
+def test_a_scan_starts_one_pool(monkeypatch, scan, chunk):
+    # a pool per grid point started none for the sweep (one chunk per point)
+    # and three for the redistribution (two chunks per phase)
+    import homsim.experiments as ex
+
+    starts = []
+
+    class CountingPool(ex.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    if chunk is not None:
+        monkeypatch.setattr(ex, "_CHUNK", chunk)
+    p = SystemParams(adiabatic=True)
+    serial = scan(p, 1)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    parallel = scan(p, 2)
+    assert len(starts) == 1
+    assert parallel == serial
 
 
 def test_sweep_validation():
@@ -254,7 +281,7 @@ def test_conditioned_second_click_split():
     eng = StageEngine(p)
     d1_then_d1 = d1_total = 0
     for i in range(2000):
-        rec = run_protocol(p, RngStream(230, i), sampler="fast", engine=eng)
+        rec = run_protocol(eng, RngStream(230, i))
         if rec.outcome is Outcome.TWO_CLICKS and rec.first.tag is ChannelTag.D1:
             d1_total += 1
             d1_then_d1 += rec.second.tag is ChannelTag.D1

@@ -202,7 +202,7 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch, worker, params, sam
         for threads in (1, 2):
             with monkeypatch.context() as m:
                 m.setattr(experiments, "_CHUNK", chunk)
-                got = experiments._run_chunked(worker, params, n, 404, sampler, threads)
+                (got,) = experiments._run_chunked(worker, [params], n, 404, sampler, threads)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes(), (chunk, threads)

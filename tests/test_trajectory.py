@@ -297,6 +297,16 @@ def test_herald_batch_rejects_a_negative_window():
         run_herald_windows(StageEngine(IDEAL), StreamBlock(0, 0, 3), -1.0)
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
+def test_windows_reject_a_non_finite_t_max(t_max):
+    eng = StageEngine(SystemParams(adiabatic=True))
+    for sampler in ("fast", "fixed"):
+        with pytest.raises(ValueError, match="t_max"):
+            run_until_click(eng.psi0, eng, RngStream(0, 0), t_max, sampler=sampler)
+    with pytest.raises(ValueError, match="t_max"):
+        run_herald_windows(eng, StreamBlock(1, 0, 1000), t_max)
+
+
 # -- single step ------------------------------------------------------------------
 
 
@@ -498,7 +508,7 @@ def test_protocol_same_detector_at_zero_phase():
     eng = StageEngine(p)
     two = 0
     for i in range(600):
-        rec = run_protocol(p, RngStream(120, i), sampler="fast", engine=eng)
+        rec = run_protocol(eng, RngStream(120, i))
         if rec.outcome is Outcome.TWO_CLICKS:
             two += 1
             assert rec.second.tag is rec.first.tag
@@ -510,7 +520,7 @@ def test_protocol_opposite_detector_at_pi():
     eng = StageEngine(p)
     two = 0
     for i in range(600):
-        rec = run_protocol(p, RngStream(130, i), sampler="fast", engine=eng)
+        rec = run_protocol(eng, RngStream(130, i))
         if rec.outcome is Outcome.TWO_CLICKS:
             two += 1
             assert rec.second.tag is not rec.first.tag
@@ -522,7 +532,7 @@ def test_protocol_second_photon_nearly_certain():
     eng = StageEngine(p)
     heralds = two = 0
     for i in range(800):
-        rec = run_protocol(p, RngStream(140, i), sampler="fast", engine=eng)
+        rec = run_protocol(eng, RngStream(140, i))
         heralds += rec.first.clicked
         two += rec.outcome is Outcome.TWO_CLICKS
     assert heralds > 30
@@ -534,7 +544,7 @@ def test_protocol_event_bookkeeping():
     eng = StageEngine(p)
     seen_two = False
     for i in range(300):
-        rec = run_protocol(p, RngStream(150, i), sampler="fast", engine=eng)
+        rec = run_protocol(eng, RngStream(150, i))
         times = [e.time for e in rec.events]
         assert all(0 <= t <= p.t_wait + p.t_wait2 for t in times)
         assert times == sorted(times)
@@ -551,9 +561,9 @@ def test_protocol_reproducible_bitwise():
     for sampler in ("fast", "fixed"):
         t_wait2 = 200.0 if sampler == "fixed" else p.t_wait2
         pp = p.with_(t_wait2=t_wait2)
-        a = [run_protocol(pp, RngStream(160, i), sampler=sampler, engine=StageEngine(pp))
+        a = [run_protocol(StageEngine(pp), RngStream(160, i), sampler=sampler)
              for i in range(12)]
-        b = [run_protocol(pp, RngStream(160, i), sampler=sampler, engine=StageEngine(pp))
+        b = [run_protocol(StageEngine(pp), RngStream(160, i), sampler=sampler)
              for i in range(12)]
         for ra, rb in zip(a, b):
             assert ra.outcome is rb.outcome
