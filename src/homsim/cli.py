@@ -56,8 +56,8 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run.  Every field after params is a run key, declared here
-    once with its type and default; n_traj, grid and out follow the command,
-    so they are None until parse_config derives them."""
+    once with its type and default; n_traj, grid, out (and spectrum's nu_min,
+    nu_max) follow the command, so they are None until parse_config derives them."""
 
     command: str
     params: SystemParams
@@ -141,8 +141,8 @@ def parse_config(
     Unknown keys are rejected; flags take precedence over file values.  A
     key left out takes its SystemParams or RunConfig default, except that
     T2 follows a given T as 100 T, adiabatic defaults to "no decay", and
-    n_traj, grid and out follow the command.  Every config error names the
-    offending key.
+    n_traj, grid, out, nu_min and nu_max (center -/+ 10 rate) follow the
+    command.  Every config error names the offending key.
     """
     merged: dict = {}
     if path is not None:
@@ -179,6 +179,10 @@ def parse_config(
     run.setdefault("grid", DEFAULT_GRIDS.get(swept, ()))
     fmt = run.get("format", RunConfig.format)
     run.setdefault("out", f"homsim_{command.replace('-', '_')}.{fmt}")
+    if command == "spectrum":
+        center, rate = run.get("center", RunConfig.center), run.get("rate", RunConfig.rate)
+        run.setdefault("nu_min", center - 10.0 * rate)
+        run.setdefault("nu_max", center + 10.0 * rate)
     try:
         params = SystemParams(**given)
     except ParamError as exc:
@@ -191,6 +195,9 @@ def parse_config(
             raise ConfigError(f"invalid value for key '{key}': {value!r} (want {want})")
         if key in _RUN_RANGES and not _RUN_RANGES[key](value):
             raise ConfigError(f"value out of range for key '{key}': {value}")
+    if command == "spectrum" and not run["nu_min"] < run["nu_max"]:
+        key = "nu_min" if "nu_max" not in vals else "nu_max"
+        raise ConfigError(f"value out of range for key '{key}': {run[key]} (need nu_min < nu_max)")
     if command == "entangle-sweep" and swept not in SWEEPABLE:
         raise ConfigError(f"invalid value for key 'param': {swept!r}")
     if command in ("entangle-sweep", "redistribute"):
@@ -281,9 +288,7 @@ def _cmd_redistribute(cfg: RunConfig) -> int:
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     p = EmitterParams(cfg.rate, cfg.center)
-    lo = cfg.nu_min if cfg.nu_min is not None else cfg.center - 10.0 * cfg.rate
-    hi = cfg.nu_max if cfg.nu_max is not None else cfg.center + 10.0 * cfg.rate
-    nus = np.linspace(lo, hi, cfg.nu_points)
+    nus = np.linspace(cfg.nu_min, cfg.nu_max, cfg.nu_points)
     rows = []
     for nu in nus:
         amp = emission_amplitude(float(nu), cfg.time, p)
@@ -293,7 +298,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
                  emission_norm=norm, footer=f"emission_norm = {norm:.17g}")
     meta.pop("n_traj")
     _write_table(cfg, ["nu", "amp_re", "amp_im", "spectral_density"], rows, meta)
-    print(f"spectrum over [{lo:g}, {hi:g}], emission norm {norm:.6f}")
+    print(f"spectrum over [{cfg.nu_min:g}, {cfg.nu_max:g}], emission norm {norm:.6f}")
     return EXIT_OK
 
 

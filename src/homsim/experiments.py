@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import heralded_states
-from .hilbert import BasisIndex, StateVector
+from .hilbert import StateVector
 from .model import ChannelTag, SystemParams
 from .rng import StreamBlock, check_seed
 from .trajectory import StageEngine, run_herald_windows, run_protocol, run_until_click
@@ -63,16 +63,11 @@ class SweepResult:
 
 def _target_vectors(dims: tuple[int, ...]) -> dict[ChannelTag, np.ndarray]:
     """Heralded-state targets tensored with both cavities in vacuum."""
-    plus, minus = heralded_states()
     out = {}
-    for tag, ion in ((ChannelTag.D1, plus), (ChannelTag.D2, minus)):
-        vec = np.zeros(int(np.prod(dims)), dtype=complex)
-        for i1, lev1 in enumerate("abc"):
-            for i2, lev2 in enumerate("abc"):
-                amp = ion.amplitudes[i1 * 3 + i2]
-                if amp != 0:
-                    vec[BasisIndex(lev1, lev2, 0, 0).flatten(dims)] = amp
-        out[tag] = vec
+    for tag, ion in zip((ChannelTag.D1, ChannelTag.D2), heralded_states()):
+        vec = np.zeros(dims, dtype=complex)
+        vec[:, :, 0, 0] = ion.amplitudes.reshape(3, 3)
+        out[tag] = vec.ravel()
     return out
 
 
@@ -115,13 +110,11 @@ def _stage1_chunk(args):
                 clicks.append((j, res.tag, res.state.amplitudes))
     targets = _target_vectors(params.dims)
     clicked = np.zeros(stop - start, dtype=bool)
-    is_d1 = np.zeros(stop - start, dtype=bool)
     fid = np.full(stop - start, np.nan)
     for j, tag, state in clicks:
         clicked[j] = True
-        is_d1[j] = tag is ChannelTag.D1
         fid[j] = abs(np.vdot(targets[tag], state)) ** 2
-    return clicked, is_d1, fid
+    return clicked, fid
 
 
 def _protocol_chunk(args):
@@ -234,11 +227,8 @@ def run_redistribution(
     return SweepResult(params, "phi", tuple(points), seed)
 
 
-def _stage1_point(
-    param: str, value: float, clicked: np.ndarray, is_d1: np.ndarray, fid: np.ndarray
-) -> SweepPoint:
-    """Reduce per-trajectory stage-1 columns (heralded, on D1, herald
-    fidelity) to a SweepPoint; the D1 column is not reduced."""
+def _stage1_point(param: str, value: float, clicked: np.ndarray, fid: np.ndarray) -> SweepPoint:
+    """Reduce per-trajectory stage-1 columns (heralded, herald fidelity) to a SweepPoint."""
     n = clicked.size
     p_hat = float(clicked.mean())
     f_vals = fid[clicked]

@@ -8,6 +8,11 @@ cavity mode couples b<->c with strength g, and both transitions share the
 detuning delta.  Completing a->c->b deposits one photon in the cavity, which
 then leaks (total rate 2*kappa) toward the detectors.
 
+The two nodes meet only at the (unitary) beam splitter, so every two-node
+operator is derived from one node, an (ion, cavity) pair of 3 (n_max + 1)
+levels, through the permutation P to the composite order (node_order):
+H_eff = P (h (x) 1 + 1 (x) h) P^T with the node's no-jump generator h.
+
 Everything is expressed in units of g (time in 1/g).
 """
 
@@ -19,14 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import (
-    BasisIndex,
-    OperatorMatrix,
-    StateVector,
-    embed,
-    fock_destroy,
-    level_transfer,
-)
+from .hilbert import OperatorMatrix, StateVector, fock_destroy, level_transfer
 
 
 class ChannelTag(enum.Enum):
@@ -134,12 +132,65 @@ class JumpChannel:
     tag: ChannelTag
 
 
-def _ion_op(mat: np.ndarray, which: int, p: SystemParams) -> OperatorMatrix:
-    return embed(mat, which, p.dims)
+def node_order(n_max: int) -> np.ndarray:
+    """The permutation P from the two-node order (ion1, cav1, ion2, cav2) to
+    the composite one (ion1, ion2, cav1, cav2): composite state k is P[k]."""
+    n = n_max + 1
+    return np.arange(9 * n * n).reshape(3, n, 3, n).transpose(0, 2, 1, 3).ravel()
 
 
-def _cavity_destroy(which: int, p: SystemParams) -> OperatorMatrix:
-    return embed(fock_destroy(p.n_max + 1), 2 + which, p.dims)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two square matrices, without its overhead."""
+    ab = np.multiply.outer(a, b)
+    return ab.ravel() if ab.ndim == 2 else ab.transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
+
+
+def two_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a on node 1 and b on node 2, operators or states, in the composite order."""
+    ab, perm = _kron(a, b), node_order(a.shape[0] // 3 - 1)
+    return ab[np.ix_(perm, perm)] if ab.ndim == 2 else ab[perm]
+
+
+def both_nodes(x: np.ndarray) -> np.ndarray:
+    """x on node 1 plus x on node 2, in the composite order."""
+    one = np.eye(x.shape[0])
+    return two_nodes(x, one) + two_nodes(one, x)
+
+
+def node_cavity(p: SystemParams) -> np.ndarray:
+    """The node's cavity annihilator."""
+    return _kron(np.eye(3), fock_destroy(p.n_max + 1))
+
+
+def node_level(to_level: str, from_level: str, p: SystemParams) -> np.ndarray:
+    """|to><from| on the node's ion."""
+    return _kron(level_transfer(to_level, from_level), np.eye(p.n_max + 1))
+
+
+def _node_hamiltonian(p: SystemParams) -> np.ndarray:
+    """delta |c><c| + g (|c><b| c + h.c.) + omega (|c><a| + h.c.) on one node."""
+    hop = p.g * node_level("c", "b", p) @ node_cavity(p) + p.omega * node_level("c", "a", p)
+    return p.delta * node_level("c", "c", p) + hop + hop.conj().T
+
+
+def node_jump_rate(p: SystemParams) -> np.ndarray:
+    """The node's share of sum L^dag L: 2 kappa c^dag c (the beam splitter
+    only mixes the two nodes' leaks) plus 2 (gamma_ca + gamma_cb) |c><c|."""
+    c, spont = node_cavity(p), 2.0 * (p.gamma_ca + p.gamma_cb)
+    return 2.0 * p.kappa * (c.conj().T @ c) + spont * node_level("c", "c", p)
+
+
+def _node_adiabatic(p: SystemParams) -> np.ndarray:
+    """The reduced generator of one node (see build_h_eff_adiabatic)."""
+    c = node_cavity(p)
+    hop = p.g * p.omega / p.delta * node_level("a", "b", p) @ c
+    return (hop + hop.conj().T + p.g**2 / p.delta * node_level("b", "b", p)
+            + p.omega**2 / p.delta * node_level("a", "a", p) - 1j * p.kappa * (c.conj().T @ c))
+
+
+def node_generator(p: SystemParams) -> np.ndarray:
+    """The no-jump generator h of one node, selected by p.adiabatic."""
+    return _node_adiabatic(p) if p.adiabatic else _node_hamiltonian(p) - 0.5j * node_jump_rate(p)
 
 
 def build_hamiltonian(p: SystemParams) -> OperatorMatrix:
@@ -147,31 +198,14 @@ def build_hamiltonian(p: SystemParams) -> OperatorMatrix:
 
     Per ion i: delta |c><c| + g (|c><b| c_i + h.c.) + omega (|c><a| + h.c.).
     """
-    dims = p.dims
-    h = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    for i in (0, 1):
-        c = _cavity_destroy(i, p).entries
-        pcc = _ion_op(level_transfer("c", "c"), i, p).entries
-        pcb = _ion_op(level_transfer("c", "b"), i, p).entries
-        pca = _ion_op(level_transfer("c", "a"), i, p).entries
-        h += p.delta * pcc
-        h += p.g * (pcb @ c + c.conj().T @ pcb.conj().T)
-        h += p.omega * (pca + pca.conj().T)
-    return OperatorMatrix(h, dims)
+    return OperatorMatrix(both_nodes(_node_hamiltonian(p)), p.dims)
 
 
 def build_h_eff(p: SystemParams) -> OperatorMatrix:
     """Non-Hermitian no-jump generator: H minus i*kappa*sum c_i^dag c_i minus
     i*(gamma_ca+gamma_cb)*sum |c><c|.  Its anti-Hermitian part matches the
     jump-channel set exactly (see build_jump_channels)."""
-    dims = p.dims
-    h = build_hamiltonian(p).entries.copy()
-    for i in (0, 1):
-        c = _cavity_destroy(i, p).entries
-        pcc = _ion_op(level_transfer("c", "c"), i, p).entries
-        h -= 1j * p.kappa * (c.conj().T @ c)
-        h -= 1j * (p.gamma_ca + p.gamma_cb) * pcc
-    return OperatorMatrix(h, dims)
+    return OperatorMatrix(both_nodes(_node_hamiltonian(p) - 0.5j * node_jump_rate(p)), p.dims)
 
 
 def build_h_eff_adiabatic(p: SystemParams) -> OperatorMatrix:
@@ -181,24 +215,12 @@ def build_h_eff_adiabatic(p: SystemParams) -> OperatorMatrix:
              + (g^2/delta)|b><b| + (omega^2/delta)|a><a| - i*kappa c_i^dag c_i.
     The |c> level is left completely decoupled.
     """
-    dims = p.dims
-    h = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    j = p.g * p.omega / p.delta
-    for i in (0, 1):
-        c = _cavity_destroy(i, p).entries
-        pab = _ion_op(level_transfer("a", "b"), i, p).entries
-        pbb = _ion_op(level_transfer("b", "b"), i, p).entries
-        paa = _ion_op(level_transfer("a", "a"), i, p).entries
-        h += j * (pab @ c + c.conj().T @ pab.conj().T)
-        h += (p.g**2 / p.delta) * pbb
-        h += (p.omega**2 / p.delta) * paa
-        h -= 1j * p.kappa * (c.conj().T @ c)
-    return OperatorMatrix(h, dims)
+    return OperatorMatrix(both_nodes(_node_adiabatic(p)), p.dims)
 
 
 def stage_hamiltonian(p: SystemParams) -> OperatorMatrix:
     """The no-jump generator selected by p.adiabatic."""
-    return build_h_eff_adiabatic(p) if p.adiabatic else build_h_eff(p)
+    return OperatorMatrix(both_nodes(node_generator(p)), p.dims)
 
 
 def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
@@ -210,51 +232,39 @@ def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
     Spontaneous decay |c> -> |a>, |b> at 2*gamma_ca, 2*gamma_cb per ion is
     never recorded.  Channels with zero rate are omitted.
     """
-    c1 = _cavity_destroy(0, p).entries
-    c2 = _cavity_destroy(1, p).entries
+    c, one = node_cavity(p), np.eye(3 * (p.n_max + 1))
+    c1, c2 = two_nodes(c, one), two_nodes(one, c)
     sr, st = math.sqrt(p.reflectance), math.sqrt(p.transmittance)
-    d1 = sr * c1 + st * c2
-    d2 = st * c1 - sr * c2
-
-    channels: list[JumpChannel] = []
-    amp_rec = math.sqrt(2.0 * p.kappa * p.eta)
-    amp_lost = math.sqrt(2.0 * p.kappa * (1.0 - p.eta))
-    if p.eta > 0:
-        channels.append(JumpChannel(OperatorMatrix(amp_rec * d1, p.dims), ChannelTag.D1))
-        channels.append(JumpChannel(OperatorMatrix(amp_rec * d2, p.dims), ChannelTag.D2))
-    if p.eta < 1:
-        channels.append(JumpChannel(OperatorMatrix(amp_lost * d1, p.dims), ChannelTag.LOST_D1))
-        channels.append(JumpChannel(OperatorMatrix(amp_lost * d2, p.dims), ChannelTag.LOST_D2))
-    spont = [
+    d1, d2 = sr * c1 + st * c2, st * c1 - sr * c2
+    found = []   # (tag, operator)
+    for share, tag1, tag2 in ((p.eta, ChannelTag.D1, ChannelTag.D2),
+                              (1.0 - p.eta, ChannelTag.LOST_D1, ChannelTag.LOST_D2)):
+        if share > 0:
+            amp = math.sqrt(2.0 * p.kappa * share)
+            found += [(tag1, amp * d1), (tag2, amp * d2)]
+    for rate, target, tag1, tag2 in (
         (p.gamma_ca, "a", ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2),
         (p.gamma_cb, "b", ChannelTag.SPONT_B_ION1, ChannelTag.SPONT_B_ION2),
-    ]
-    for rate, target, tag1, tag2 in spont:
+    ):
         if rate > 0:
-            amp = math.sqrt(2.0 * rate)
-            for i, tag in ((0, tag1), (1, tag2)):
-                op = amp * _ion_op(level_transfer(target, "c"), i, p).entries
-                channels.append(JumpChannel(OperatorMatrix(op, p.dims), tag))
-    return channels
+            op = math.sqrt(2.0 * rate) * node_level(target, "c", p)
+            found += [(tag1, two_nodes(op, one)), (tag2, two_nodes(one, op))]
+    return [JumpChannel(OperatorMatrix(op, p.dims), tag) for tag, op in found]
 
 
 def phase_gate(phi: float, n_max: int = 1) -> OperatorMatrix:
     """Instantaneous light-shift gate: multiplies every basis state with ion 1
     in |a> by exp(i*phi).  Only the relative phase between the two branches of
     the heralded state matters, so acting on ion 1 is a fixed convention."""
-    dims = (3, 3, n_max + 1, n_max + 1)
-    diag = np.ones(math.prod(dims), dtype=complex)
-    for flat in range(diag.size):
-        if BasisIndex.unflatten(flat, dims).ion1 == "a":
-            diag[flat] = np.exp(1j * phi)
-    return OperatorMatrix(np.diag(diag), dims)
+    n = n_max + 1
+    node = np.where(np.arange(3 * n) < n, np.exp(1j * phi), 1.0)   # the ion's |a> states
+    return OperatorMatrix(np.diag(two_nodes(node, np.ones(3 * n))), (3, 3, n, n))
 
 
 def initial_state(p: SystemParams) -> StateVector:
     """Both ions in |a>, both cavities empty."""
-    from .hilbert import basis_state
-
-    return basis_state(BasisIndex("a", "a", 0, 0), p.dims)
+    node = np.eye(3 * (p.n_max + 1), dtype=complex)[0]   # |a, 0>
+    return StateVector(two_nodes(node, node), p.dims)
 
 
 def total_jump_operator(channels: list[JumpChannel]) -> np.ndarray:

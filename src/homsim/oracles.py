@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .hilbert import BasisIndex, OperatorMatrix, basis_state, embed, fock_destroy
+from .hilbert import BasisIndex, OperatorMatrix, basis_state
 from .lindblad import ensemble_compare
 from .model import (
     JumpChannel,
@@ -25,7 +25,10 @@ from .model import (
     build_h_eff,
     build_hamiltonian,
     build_jump_channels,
+    node_cavity,
+    node_level,
     total_jump_operator,
+    two_nodes,
 )
 from .rng import StreamBlock
 from .trajectory import StageEngine, run_until_click
@@ -122,15 +125,9 @@ def fast_vs_fixed(params: SystemParams, n: int, seed_fixed: int, seed_fast: int)
 
 def ensemble_observables(params: SystemParams) -> list[tuple[str, OperatorMatrix]]:
     """Photon number in cavity 1 and the population with both ions in |a>."""
-    dims = params.dims
-    c1 = embed(fock_destroy(params.n_max + 1), 2, dims)
-    n_c1 = OperatorMatrix(c1.entries.conj().T @ c1.entries, dims)
-    proj = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    for n1 in range(params.n_max + 1):
-        for n2 in range(params.n_max + 1):
-            k = BasisIndex("a", "a", n1, n2).flatten(dims)
-            proj[k, k] = 1.0
-    return [("n_c1", n_c1), ("pop_aa", OperatorMatrix(proj, dims))]
+    c, aa = node_cavity(params), node_level("a", "a", params)
+    return [("n_c1", OperatorMatrix(two_nodes(c.conj().T @ c, np.eye(c.shape[0])), params.dims)),
+            ("pop_aa", OperatorMatrix(two_nodes(aa, aa), params.dims))]
 
 
 def lindblad_ensemble(params: SystemParams, n: int, seed: int) -> dict:

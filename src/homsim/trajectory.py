@@ -20,16 +20,16 @@ Two statistically equivalent samplers over the same jump-channel set:
   unique: safeguarded Newton with the analytic slope -<psi| sum L^dag L |psi>
   finds it (StageEngine._crossing), starting from a norm table on the
   window segment every stage-1 trajectory shares.  The no-jump state at any
-  time comes from one eigendecomposition of H_eff,
-  psi(t) = V exp(-i w t) V^-1 psi, or from expm when V is too
-  ill-conditioned (near an exceptional point).  A stage-1 sweep runs the
-  herald windows of a whole chunk of streams as one batch
-  (run_herald_windows): one comparison finds the timeouts, the crossings
-  run as one masked Newton iteration over a stack of states, channels come
-  from a per-row weight matrix, and windows that go on after an unrecorded
-  jump form a shrinking stack.  Its StageEngine *_rows methods repeat the
-  scalar ones row by row, and the scalar window is the reference it is
-  tested against, as step is for the fixed-step replay.
+  time comes from one eigendecomposition of the node, h = v diag(w) v^-1:
+  psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
+  or from the node's expm when v is too ill-conditioned (near an
+  exceptional point).  A stage-1 sweep runs the herald windows of a chunk
+  of streams as one batch (run_herald_windows): one comparison finds the
+  timeouts, the crossings run as one masked Newton iteration over a stack
+  of states, channels come from a per-row weight matrix, and windows that
+  go on after an unrecorded jump form a shrinking stack.  The StageEngine
+  *_rows methods repeat the scalar ones row by row and are tested against
+  the scalar window, as the fixed-step replay is against step.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -65,11 +65,15 @@ from .model import (
     ChannelTag,
     JumpChannel,
     SystemParams,
+    both_nodes,
     build_jump_channels,
     initial_state,
+    node_generator,
+    node_jump_rate,
+    node_order,
     phase_gate,
-    stage_hamiltonian,
     total_jump_operator,
+    two_nodes,
 )
 from .rng import RngStream, StreamBlock, nth_uniforms
 
@@ -190,29 +194,35 @@ class StageEngine:
     """Precomputed machinery for one parameter set.
 
     Holds the initial state, the jump channels, the summed jump operator,
-    the fine fixed-step propagator and the eigendecomposition of H_eff that
-    the fast sampler propagates with.  Immutable after construction apart
+    the fine fixed-step propagator and the eigendecomposition of the node
+    that the fast sampler propagates with.  Immutable after construction apart
     from internal caches; safe to share read-only across worker trajectories.
     """
 
     def __init__(self, params: SystemParams):
         self.params = params
         self.dt = params.dt
-        self.h_eff = stage_hamiltonian(params).entries
         self.dims = params.dims
+        self._h = node_generator(params)
+        self.h_eff = both_nodes(self._h)
         self.channels: list[JumpChannel] = build_jump_channels(params)
         self.ops = [ch.operator.entries for ch in self.channels]
         self._op_stack = np.stack(self.ops)
         self.tags = [ch.tag for ch in self.channels]
-        self.total_op = total_jump_operator(self.channels)
-        self.propagator = _scipy_expm(-1j * self.dt * self.h_eff)
+        self.total_op = both_nodes(node_jump_rate(params))
+        u = _scipy_expm(-1j * self.dt * self._h)
+        self.propagator = two_nodes(u, u)
         self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
         self.psi0 = initial_state(params)
-        self._w, self._v = np.linalg.eig(self.h_eff)
-        # near an exceptional point V is close to singular and V^-1 loses
-        # the digits the spectral propagator needs; expm is used instead
-        self.spectral = bool(np.linalg.cond(self._v) <= EIG_COND_MAX)
-        self._v_inv = np.linalg.inv(self._v) if self.spectral else None
+        w, v = np.linalg.eig(self._h)
+        # cond(V) = cond(v)^2; near an exceptional point V^-1 loses the digits
+        # the spectral propagator needs, and the node's expm is used, with V = P
+        self.spectral = bool(np.linalg.cond(v) ** 2 <= EIG_COND_MAX)
+        v = v if self.spectral else np.eye(v.shape[0])
+        self._w, self._w_pairs = w, (w[:, None] + w).ravel()   # W = w_i + w_j
+        perm, v_inv = node_order(params.n_max), np.linalg.inv(v)
+        self._v = np.kron(v, v)[perm]                         # V = P (v (x) v)
+        self._v_inv = np.kron(v_inv, v_inv)[:, perm].copy()   # (v^-1 (x) v^-1) P^T, C order
         self._fixed_cache: dict = {}
         self._coarse_cache: dict = {}
 
@@ -310,15 +320,14 @@ class StageEngine:
     # -- fast-sampler machinery -----------------------------------------------
 
     def _evolve(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Unnormalized no-jump state a time t into a segment whose start
-        state has coefficients coeffs: eigenbasis components when spectral,
-        otherwise the state itself."""
+        """Unnormalized no-jump state a time t into a segment with coeffs = V^-1 psi_start."""
         if self.spectral:
-            return self._v @ (np.exp(-1j * t * self._w) * coeffs)
-        return _scipy_expm(-1j * t * self.h_eff) @ coeffs
+            # one row: 36 exponentials cost less than the outer product's call
+            return self._v @ (np.exp(-1j * t * self._w_pairs) * coeffs)
+        return self._evolve_rows(coeffs[None], np.array([t]))[0]
 
     def _segment(self, psi_n: np.ndarray, span: float) -> _Segment:
-        coeffs = self._v_inv @ psi_n if self.spectral else psi_n
+        coeffs = self._v_inv @ psi_n
         end = self._evolve(coeffs, span)
         return _Segment(coeffs, end, float(np.vdot(end, end).real))
 
@@ -330,24 +339,12 @@ class StageEngine:
         seg = self._coarse_cache.get(key)
         if seg is None:
             seg = self._segment(psi_n, t_max)
-            seg.table = -np.minimum.accumulate(self._norm_grid(seg.coeffs, t_max))
+            grid = self._evolve_rows(seg.coeffs[None], np.linspace(0.0, t_max, _TABLE_POINTS))
+            seg.table = -np.minimum.accumulate(_vdots(grid, grid))
             if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
                 self._coarse_cache.pop(next(iter(self._coarse_cache)))
             self._coarse_cache[key] = seg
         return seg
-
-    def _norm_grid(self, coeffs: np.ndarray, span: float) -> np.ndarray:
-        """Squared norms of the no-jump states at linspace(0, span, _TABLE_POINTS)."""
-        if self.spectral:
-            times = np.linspace(0.0, span, _TABLE_POINTS)
-            states = (np.exp(np.outer(times, -1j * self._w)) * coeffs) @ self._v.T
-        else:
-            u = _scipy_expm(-1j * (span / (_TABLE_POINTS - 1)) * self.h_eff)
-            states = np.empty((_TABLE_POINTS, coeffs.size), dtype=complex)
-            states[0] = coeffs
-            for k in range(1, _TABLE_POINTS):
-                states[k] = u @ states[k - 1]
-        return _vdots(states, states)
 
     def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
         """Where Newton starts: interpolated in a shared segment's norm table,
@@ -422,21 +419,22 @@ class StageEngine:
     # for one trajectory; a row's result never depends on the other rows.
 
     def _evolve_rows(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """_evolve of row i of coeffs (or of its one shared row) to time t[i]."""
+        """_evolve of row i of coeffs (or of its one shared row) to time t[i]: V times
+        the phases exp(-i w_j t) exp(-i w_k t), or u (x) u with u = expm(-i t h)."""
+        d = self._h.shape[0]
         if self.spectral:
-            phases = np.multiply.outer(-1j * t, self._w)
-            np.exp(phases, out=phases)
-            phases *= coeffs
-            return _rows(phases, self._v)
-        coeffs = np.broadcast_to(coeffs, (t.size, coeffs.shape[1]))
-        out = np.empty(coeffs.shape, dtype=complex)
-        for i, (ti, ci) in enumerate(zip(t, coeffs)):
-            out[i] = _scipy_expm(-1j * ti * self.h_eff) @ ci
-        return out
+            e = np.exp(np.multiply.outer(-1j * t, self._w))
+            x = (e[:, :, None] * e[:, None, :]).reshape(t.size, d * d)
+            x *= coeffs
+        else:
+            u = _scipy_expm(np.multiply.outer(-1j * t, self._h))
+            c = np.broadcast_to(coeffs, (t.size, d * d)).reshape(t.size, d, d)
+            x = (u @ c @ u.transpose(0, 2, 1)).reshape(t.size, d * d)
+        return _rows(x, self._v)
 
     def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
         """_segment of each row: its coefficients and its end state's squared norm."""
-        coeffs = _rows(psi, self._v_inv) if self.spectral else psi
+        coeffs = _rows(psi, self._v_inv)
         end = self._evolve_rows(coeffs, span)
         return coeffs, _vdots(end, end)
 

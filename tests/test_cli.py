@@ -335,6 +335,14 @@ def test_config_error_exit_code(tmp_path, capsys):
                       (["--rate", "inf"], "rate"), (["--time", "inf"], "time")):
         assert _run(["spectrum", *argv, "--out", str(out)]) == EXIT_CONFIG
         assert f"value out of range for key '{key}'" in capsys.readouterr().err
+    # and the grid they resolve to must run upward: a bound given alone is
+    # held against the other's default (center +- 10 rate = +-10)
+    for argv, key in ((["--nu_min", "-1e3", "--nu_max", "-5e5"], "nu_max"),
+                      (["--nu_min", "1", "--nu_max", "1"], "nu_max"),
+                      (["--nu_max", "-20"], "nu_max"), (["--nu_min", "10"], "nu_min")):
+        assert _run(["spectrum", *argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"value out of range for key '{key}'" in err and "nu_min < nu_max" in err
     # so is every NaN or infinite physics value
     for argv, key, field in ((["--omega", "nan"], "omega", "omega"),
                              (["--kappa", "nan"], "kappa", "kappa"),

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from homsim.experiments import fidelity_to_target
-from homsim.hilbert import BasisIndex, StateVector, basis_state, matrix_exp
+from homsim.hilbert import (
+    BasisIndex, StateVector, basis_state, embed, fock_destroy, level_transfer, matrix_exp,
+)
 from homsim.model import (
     ChannelTag,
     SystemParams,
@@ -16,6 +20,7 @@ from homsim.model import (
     phase_gate,
     total_jump_operator,
 )
+from homsim.trajectory import StageEngine
 
 RNG = np.random.default_rng(77)
 
@@ -277,3 +282,120 @@ def test_initial_state():
         embed(level_transfer("a", "a"), i, p.dims).entries for i in (0, 1)
     )
     assert np.vdot(amp, paa @ amp) == pytest.approx(2.0)
+
+
+# -- the node builder against the embedded operators ---------------------------
+
+EXCEPTIONAL_KAPPA = 0.1   # 2 g omega / delta: the reduced node generator is defective
+
+
+def embedded_operators(p):
+    """The two-node operators built as before the node builder: every
+    single-subsystem operator embedded in (ion1, ion2, cav1, cav2) by
+    hilbert.embed, then summed per ion.  The reference the derived
+    operators are held to."""
+    dims = p.dims
+
+    def ion(to, frm, i):
+        return embed(level_transfer(to, frm), i, dims).entries
+
+    cav = [embed(fock_destroy(p.n_max + 1), 2 + i, dims).entries for i in (0, 1)]
+    h = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    h_ad = np.zeros_like(h)
+    j = p.g * p.omega / p.delta
+    for i, c in enumerate(cav):
+        pcb, pca, pab = ion("c", "b", i), ion("c", "a", i), ion("a", "b", i)
+        h += p.delta * ion("c", "c", i)
+        h += p.g * (pcb @ c + c.conj().T @ pcb.conj().T)
+        h += p.omega * (pca + pca.conj().T)
+        h_ad += j * (pab @ c + c.conj().T @ pab.conj().T)
+        h_ad += (p.g**2 / p.delta) * ion("b", "b", i) + (p.omega**2 / p.delta) * ion("a", "a", i)
+        h_ad -= 1j * p.kappa * (c.conj().T @ c)
+    h_eff = h.copy()
+    for i, c in enumerate(cav):
+        h_eff -= 1j * p.kappa * (c.conj().T @ c)
+        h_eff -= 1j * (p.gamma_ca + p.gamma_cb) * ion("c", "c", i)
+    sr, st = math.sqrt(p.reflectance), math.sqrt(p.transmittance)
+    d1, d2 = sr * cav[0] + st * cav[1], st * cav[0] - sr * cav[1]
+    rec, lost = math.sqrt(2.0 * p.kappa * p.eta), math.sqrt(2.0 * p.kappa * (1.0 - p.eta))
+    channels = []
+    if p.eta > 0:
+        channels += [(ChannelTag.D1, rec * d1), (ChannelTag.D2, rec * d2)]
+    if p.eta < 1:
+        channels += [(ChannelTag.LOST_D1, lost * d1), (ChannelTag.LOST_D2, lost * d2)]
+    for rate, target, tags in (
+        (p.gamma_ca, "a", (ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2)),
+        (p.gamma_cb, "b", (ChannelTag.SPONT_B_ION1, ChannelTag.SPONT_B_ION2)),
+    ):
+        if rate > 0:
+            amp = math.sqrt(2.0 * rate)
+            channels += [(tag, amp * ion(target, "c", i)) for i, tag in enumerate(tags)]
+    gate = np.array([np.exp(1j * p.phi) if BasisIndex.unflatten(k, dims).ion1 == "a" else 1.0
+                     for k in range(math.prod(dims))])
+    psi0 = np.zeros(math.prod(dims), dtype=complex)
+    psi0[BasisIndex("a", "a", 0, 0).flatten(dims)] = 1.0
+    return {
+        "hamiltonian": h, "h_eff": h_eff, "h_eff_adiabatic": h_ad, "channels": channels,
+        "total": sum(op.conj().T @ op for _, op in channels), "gate": gate, "psi0": psi0,
+    }
+
+
+def assert_close(got, want, tol):
+    # relative to the operator's scale: two nodes' terms summed per entry
+    # round differently from the per-ion sums, by an ulp or two of the entry
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    eta=st.floats(0.0, 1.0),
+    lam=st.floats(0.2, 5.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    n_max=st.sampled_from([1, 2]),
+    # the usual range, and within 2e-3 of the reduced generator's
+    # exceptional point, where both evaluators are drawn
+    kappa=st.one_of(st.floats(0.5, 20.0),
+                    st.floats(EXCEPTIONAL_KAPPA * (1 - 2e-3), EXCEPTIONAL_KAPPA * (1 + 2e-3))),
+    t=st.floats(0.0, 100.0),
+)
+@example(adiabatic=True, gamma=0.0, eta=0.7, lam=0.5, phi=1.0, n_max=1,
+         kappa=EXCEPTIONAL_KAPPA, t=20.0)
+@example(adiabatic=True, gamma=0.0, eta=1.0, lam=1.0, phi=0.0, n_max=2,
+         kappa=EXCEPTIONAL_KAPPA, t=20.0)
+def test_node_builder_matches_the_embedded_operators(adiabatic, gamma, eta, lam, phi, n_max,
+                                                     kappa, t):
+    # the reduced generator has no |c> level to decay from
+    gamma = 0.0 if adiabatic else gamma
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, lam=lam,
+                     phi=phi, n_max=n_max, kappa=kappa)
+    ref = embedded_operators(p)
+    eng = StageEngine(p)
+    h_eff = ref["h_eff_adiabatic"] if adiabatic else ref["h_eff"]
+    for got, want in ((build_hamiltonian(p).entries, ref["hamiltonian"]),
+                      (build_h_eff(p).entries, ref["h_eff"]),
+                      (build_h_eff_adiabatic(p).entries, ref["h_eff_adiabatic"]),
+                      (eng.h_eff, h_eff), (eng.total_op, ref["total"]),
+                      (np.diag(phase_gate(phi, n_max).entries), ref["gate"]),
+                      (eng.phase_diag, ref["gate"]), (eng.psi0.amplitudes, ref["psi0"])):
+        assert_close(got, want, 1e-14)
+    assert eng.tags == [tag for tag, _ in ref["channels"]]
+    for op, (_, want) in zip(eng.ops, ref["channels"]):
+        assert_close(op, want, 1e-14)
+    assert_close(eng.propagator, expm(-1j * p.dt * h_eff), 1e-14)
+
+    dim = math.prod(p.dims)
+    psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    if eng.spectral:
+        assert_close(eng._v @ np.diag(eng._w_pairs) @ eng._v_inv, h_eff, 1e-12)
+    else:
+        exact = expm(-1j * t * h_eff) @ psi
+        assert np.max(np.abs(eng._segment(psi, t).end - exact)) <= 1e-12
+        # the batch form, from one shared row
+        rows = eng._evolve_rows((eng._v_inv @ psi)[None], np.array([t, t]))
+        assert np.max(np.abs(rows - exact)) <= 1e-12
+    if adiabatic and kappa == EXCEPTIONAL_KAPPA:
+        assert not eng.spectral
+    assert StageEngine(SystemParams(adiabatic=adiabatic, n_max=n_max)).spectral

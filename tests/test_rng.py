@@ -203,6 +203,6 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch, worker, params, sam
             with monkeypatch.context() as m:
                 m.setattr(experiments, "_CHUNK", chunk)
                 (got,) = experiments._run_chunked(worker, [params], n, 404, sampler, threads)
-            for a, b in zip(got, want):
+            for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes(), (chunk, threads)

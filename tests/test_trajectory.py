@@ -10,7 +10,9 @@ from scipy.optimize import brentq
 from homsim.hilbert import (
     BasisIndex, OperatorMatrix, StateVector, basis_state, identity, matrix_exp,
 )
-from homsim.model import ChannelTag, SystemParams, initial_state, stage_hamiltonian
+from homsim.model import (
+    ChannelTag, SystemParams, initial_state, node_generator, stage_hamiltonian,
+)
 from homsim.rng import HEAD, StreamBlock
 from homsim.trajectory import (
     EIG_COND_MAX,
@@ -205,7 +207,9 @@ def test_crossing_near_the_exceptional_point(rel, shared, u):
     # 2.5e10, so both evaluators are drawn
     p = EXCEPTIONAL.with_(kappa=EXCEPTIONAL.kappa * (1.0 + rel))
     eng = StageEngine(p)
-    assert eng.spectral == (np.linalg.cond(eng._v) <= EIG_COND_MAX)
+    # cond(V) = cond(v)^2 for the node's eigenvectors v
+    v = np.linalg.eig(node_generator(p))[1]
+    assert eng.spectral == (np.linalg.cond(v) ** 2 <= EIG_COND_MAX)
     psi0 = eng.psi0.amplitudes
     seg = crossing_segment(eng, psi0, p.t_wait, shared)
     assert np.max(np.abs(seg.end - expm(-1j * p.t_wait * eng.h_eff) @ psi0)) <= 1e-10
