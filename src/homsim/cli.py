@@ -1,25 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: `homsim <command> (--key value | --key=value)...`.
 
-Four subcommands: `entangle-sweep` (herald probability and fidelity versus
+Four commands: `entangle-sweep` (herald probability and fidelity versus
 eta, lambda or gamma), `redistribute` (same-detector probability versus the
 manipulation phase), `oracle-check` (the self-consistency oracle suite) and
 `spectrum` (emission spectral amplitude of the free-space toy model).
 
-Configuration is a flat key/value JSON file plus `--key value` flags, flags
-winning.  All inputs are dimensionless in units of the ion-cavity coupling g.
-The physics keys are the `SystemParams` fields except g, read from the
-dataclass, with `lambda`, `T` and `T2` standing for lam, t_wait and t_wait2,
-plus the shorthand `gamma` for gamma_ca = gamma_cb.  SystemParams owns their
-defaults and ranges.  The run keys are the `RunConfig` fields after params,
-which own their types and defaults.  A config error, a NaN or infinite value
-included, names the key to fix (exit code 2).
-Every command is a pure function of (config, seed): reruns produce
+Each flag is a config key, or `config` (a flat key/value JSON file), spelled
+out in full; the token after a bare flag is its value, whatever it looks
+like.  Flags win over the file.  All inputs are dimensionless in units of the
+ion-cavity coupling g.  The physics keys are the `SystemParams` fields except
+g, read from the dataclass, with `lambda`, `T` and `T2` standing for lam,
+t_wait and t_wait2, plus the shorthand `gamma` for gamma_ca = gamma_cb.
+SystemParams owns their defaults and ranges.  The run keys are the
+`RunConfig` fields after params, which own their types and defaults.  A
+config error, a NaN or infinite value included, names the key to fix (exit
+code 2).  Every command is a pure function of (config, seed): reruns produce
 byte-identical data files, for any worker-thread count.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -35,6 +35,7 @@ from .analytic import EmitterParams, emission_amplitude, emission_norm, same_det
 from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
 from .model import ParamError, SystemParams
 from .oracles import run_suite
+from .trajectory import whole_steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,9 +157,7 @@ def parse_config(
         if not isinstance(raw, dict):
             raise ConfigError(f"malformed config file {path!r}: top level must be an object")
         merged.update(raw)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            merged[k] = v
+    merged.update(overrides or {})
 
     for key in merged:
         if key not in _ALL_KEYS:
@@ -185,6 +184,9 @@ def parse_config(
         run.setdefault("nu_max", center + 10.0 * rate)
     try:
         params = SystemParams(**given)
+        if run.get("engine") == "fixed" or command == "oracle-check":
+            for field in ("t_wait", "t_wait2"):   # the fixed sampler's windows
+                whole_steps(getattr(params, field), params.dt, field)
     except ParamError as exc:
         key = _ALIASES.get(exc.field, exc.field)
         raise ConfigError(f"value out of range for key '{key}': {exc}") from None
@@ -212,33 +214,31 @@ def parse_config(
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 
 
-def _write_table(cfg: RunConfig, header: list[str], rows: list[list], meta: dict) -> None:
+def _write(path: str, text: str) -> None:
+    """The only writer of an output file: an OSError becomes exit code 3."""
     try:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            if cfg.format == "csv":
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-                footer = meta.get("footer")
-                if footer:
-                    fh.write(f"# {footer}\n")
-            else:
-                data = [
-                    {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                     for k, v in zip(header, row)}
-                    for row in rows
-                ]
-                json.dump({"meta": meta, "data": data}, fh, indent=2)
-                fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise IOError(f"cannot write output file {cfg.out!r}: {exc}") from None
+        raise IOError(f"cannot write output file {path!r}: {exc}") from None
+
+
+def _write_table(cfg: RunConfig, header: list[str], rows: list[list], meta: dict) -> None:
+    if cfg.format == "csv":
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        if meta.get("footer"):
+            lines.append(f"# {meta['footer']}")
+        text = "\n".join(lines) + "\n"
+    else:
+        data = [{k: (None if isinstance(v, float) and math.isnan(v) else v)
+                 for k, v in zip(header, row)} for row in rows]
+        text = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
+    _write(cfg.out, text)
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -305,33 +305,11 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     checks = run_suite(cfg.params, cfg.n_traj, cfg.seed)
     ok = all(c["passed"] for c in checks)
-    report = {"passed": ok, "checks": checks}
-    out = os.path.splitext(cfg.out)[0] + ".json"
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOError(f"cannot write output file {out!r}: {exc}") from None
+    report = json.dumps({"passed": ok, "checks": checks}, indent=2) + "\n"
+    _write(os.path.splitext(cfg.out)[0] + ".json", report)
     for c in checks:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
     return EXIT_OK if ok else EXIT_ORACLE
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="homsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("entangle-sweep", "redistribute", "oracle-check", "spectrum"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key/value JSON file")
-        for key, typ in _ALL_KEYS.items():
-            if typ is bool:
-                p.add_argument(f"--{key}", default=None, choices=["true", "false"])
-            elif typ is tuple:
-                p.add_argument(f"--{key}", default=None, help="comma-separated values")
-            else:
-                p.add_argument(f"--{key}", default=None, type=str)
-    return parser
 
 
 _COMMANDS = {
@@ -340,36 +318,37 @@ _COMMANDS = {
     "oracle-check": _cmd_oracle_check,
     "spectrum": _cmd_spectrum,
 }
+_USAGE = (f"usage: homsim {{{' | '.join(_COMMANDS)}}} (--key value | --key=value)... "
+          f"with key one of: config {' '.join(_ALL_KEYS)}")
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _attach_negative_values(argv: Sequence[str]) -> list[str]:
-    """argv with each `--key -1e3` written `--key=-1e3`.  Every key flag
-    takes a value, but argparse takes a negative value that is not a plain
-    decimal, such as -1e3 or -inf, for an option."""
-    flags = {f"--{key}" for key in _ALL_KEYS}
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in flags and tok.startswith("-") and _is_float(tok.split(",")[0]):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
+def _read_argv(argv: Sequence[str]) -> Optional[tuple[str, dict]]:
+    """(command, {key: value}) read from argv, or None when help is asked for."""
+    tokens, flags = iter(argv), {}
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        return None
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; {_USAGE}")
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return None
+        if not tok.startswith("--"):
+            raise ConfigError(f"expected a --key flag, got {tok!r}")
+        key, eq, value = tok[2:].partition("=")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ConfigError(f"flag --{key} has no value")
+        flags[key] = value
+    return command, flags
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_negative_values(argv))
-    overrides = {key: getattr(args, key) for key in _ALL_KEYS}
     try:
-        cfg = parse_config(args.command, args.config, overrides)
+        read = _read_argv(sys.argv[1:] if argv is None else argv)
+        if read is None:
+            print(_USAGE)
+            return EXIT_OK
+        cfg = parse_config(read[0], read[1].pop("config", None), read[1])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

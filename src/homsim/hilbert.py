@@ -20,7 +20,9 @@ LEVEL_INDEX = {name: i for i, name in enumerate(ION_LEVELS)}
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    """A read-only complex copy of arr: the value and its caller never share
+    a writable array."""
+    arr = np.array(arr, dtype=np.complex128, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -33,7 +35,7 @@ class StateVector:
     basis_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _freeze(np.asarray(self.amplitudes).ravel()))
+        object.__setattr__(self, "amplitudes", _freeze(self.amplitudes).ravel())
         object.__setattr__(self, "basis_dims", tuple(int(d) for d in self.basis_dims))
         if self.amplitudes.shape[0] != math.prod(self.basis_dims):
             raise ValueError(

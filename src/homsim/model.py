@@ -46,8 +46,8 @@ class ChannelTag(enum.Enum):
 
 
 class ParamError(ValueError):
-    """A SystemParams value out of range.  `field` names the offending field,
-    and the message starts with it."""
+    """A parameter value out of range, such as a SystemParams field.  `field`
+    names the offending one, and the message starts with it."""
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field} {reason}")

@@ -64,6 +64,7 @@ from .hilbert import OperatorMatrix, StateVector
 from .model import (
     ChannelTag,
     JumpChannel,
+    ParamError,
     SystemParams,
     both_nodes,
     build_jump_channels,
@@ -298,7 +299,7 @@ class StageEngine:
         return self.tags[idx], post
 
     def _run_fixed(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
-        n_steps = int(round(t_max / self.dt))
+        n_steps = int(whole_steps(t_max, self.dt, "t_max"))
         events: list[Event] = []
         r = rng.step_uniforms(n_steps)
         k0 = 0
@@ -509,6 +510,15 @@ class StageEngine:
         return StateVector(arr, self.dims)
 
 
+def whole_steps(t, dt: float, name: str) -> np.ndarray:
+    """The number of dt steps in each time of t; a ParamError naming `name`
+    unless every time is a whole number of steps, to 1e-9."""
+    n = np.rint(np.asarray(t, dtype=float) / dt).astype(int)
+    if np.any(np.abs(n * dt - t) > 1e-9):
+        raise ParamError(name, f"must be a whole number of dt = {dt} steps, got {t}")
+    return n
+
+
 def _as_unit_array(psi: StateVector | np.ndarray) -> np.ndarray:
     arr = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
     n2 = np.vdot(arr, arr).real
@@ -687,9 +697,7 @@ def run_unconditioned(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or not np.all(t_grid >= 0.0):
         raise ValueError(f"t_grid must be a non-empty set of times >= 0, got {t_grid}")
-    grid_idx = np.rint(t_grid / dt).astype(int)
-    if np.max(np.abs(grid_idx * dt - t_grid)) > 1e-9:
-        raise ValueError("t_grid times must sit on the dt grid")
+    grid_idx = whole_steps(t_grid, dt, "t_grid")
     obs = [o.entries for o in observables]
     vals = np.empty((len(obs), t_grid.size))
     psi = _as_unit_array(psi0)

@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homsim
 from homsim.cli import (
     DEFAULT_GRIDS,
     EXIT_CONFIG,
@@ -14,7 +18,8 @@ from homsim.cli import (
     EXIT_ORACLE,
     ConfigError,
     RunConfig,
-    _build_parser,
+    _ALL_KEYS,
+    _COMMANDS,
     main,
     parse_config,
 )
@@ -130,18 +135,27 @@ RUN_GIVEN = {
 }
 
 
+def _main_config(monkeypatch, argv):
+    """The RunConfig main builds from argv, the command stubbed out."""
+    seen = []
+    monkeypatch.setitem(_COMMANDS, argv[0], lambda cfg: seen.append(cfg) or EXIT_OK)
+    assert main(argv) == EXIT_OK
+    return seen[0]
+
+
 @pytest.mark.parametrize("key", sorted(RUN_GIVEN))
-def test_run_key_lands_in_its_field(key):
+def test_run_key_lands_in_its_field(key, monkeypatch):
     # the CLI keys: every SystemParams field but g under its CLI name, the
     # gamma shorthand, and every RunConfig field but command and params
     assert set(RUN_GIVEN) == {f.name for f in dataclasses.fields(RunConfig)} - {
         "command", "params"}
-    keys = set(CLI_KEY.values()) | {"gamma"} | set(RUN_GIVEN)
-    subparsers = _build_parser()._subparsers._group_actions[0].choices
-    for sub in subparsers.values():
-        flags = [s for a in sub._actions for s in a.option_strings
-                 if s not in ("-h", "--help", "--config")]
-        assert sorted(flags) == sorted(f"--{k}" for k in keys)
+    given = {**GIVEN, "gamma": 0.3, **RUN_GIVEN}
+    assert set(given) == set(CLI_KEY.values()) | {"gamma"} | set(RUN_GIVEN) == set(_ALL_KEYS)
+    # main takes each one as --key v and as --key=v, spelled out in full
+    for k, v in given.items():
+        want = parse_config("entangle-sweep", overrides={k: _flag(v)})
+        for argv in ([f"--{k}", _flag(v)], [f"--{k}={_flag(v)}"]):
+            assert _main_config(monkeypatch, ["entangle-sweep", *argv]) == want
     value = RUN_GIVEN[key]
     cfg = parse_config("entangle-sweep", overrides={key: _flag(value)})
     assert getattr(cfg, key) == value
@@ -158,6 +172,45 @@ def test_run_key_lands_in_its_field(key):
     red = parse_config("redistribute")
     assert (red.n_traj, red.grid, red.out) == (10000, DEFAULT_GRIDS["phi"],
                                                "homsim_redistribute.csv")
+
+
+def test_flags_follow_the_config_grammar(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # a flag is a key spelled out in full, not a prefix of one
+    for flag, key in (("--lam", "lam"), ("--n_tr", "n_tr"), ("--adiab", "adiab")):
+        assert main(["entangle-sweep", flag, "0.5", "--n_traj", "10"]) == EXIT_CONFIG
+        assert f"unknown config key: '{key}'" in capsys.readouterr().err
+    # a boolean flag takes what the config file takes
+    for value in ("1", "0"):
+        (tmp_path / "c.json").write_text(json.dumps({"adiabatic": value}))
+        from_file = parse_config("entangle-sweep", "c.json")
+        assert from_file.params.adiabatic is (value == "1")
+        assert _main_config(monkeypatch, ["entangle-sweep", "--adiabatic", value]) == from_file
+    # the token after a bare flag is its value, whatever it looks like
+    assert _main_config(monkeypatch, ["spectrum", "--out", "-h", "--center", "-1e3"]) == (
+        parse_config("spectrum", overrides={"out": "-h", "center": "-1e3"}))
+    # a flag with no value, a stray positional and an unknown command
+    for argv, message in ((["spectrum", "--rate"], "flag --rate has no value"),
+                          (["spectrum", "--rate", "2", "3"], "expected a --key flag, got '3'"),
+                          (["spectrum", "-rate", "2"], "expected a --key flag, got '-rate'"),
+                          (["spectra", "--rate", "2"], "unknown command 'spectra'"),
+                          ([], "unknown command None")):
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("homsim_*"))
+
+
+def test_help_lists_every_command_and_key():
+    # the argv=None path, as the homsim console script runs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for flag in ("--help", "-h"):
+        done = subprocess.run([sys.executable, "-m", "homsim.cli", flag], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK
+        assert len(done.stdout.strip().split("\n")) == 1
+        words = done.stdout.replace("{", " ").replace("}", " ").split()
+        assert set(_COMMANDS) | set(_ALL_KEYS) | {"config"} <= set(words)
 
 
 def test_defaults():
@@ -388,11 +441,35 @@ def test_negative_exponent_form_is_a_flag_value(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_io_error_exit_code(tmp_path):
+def test_fixed_sampler_windows_are_whole_steps(tmp_path, capsys):
+    # at dt = 0.01, a window of 0.004 would run no step at all and one of
+    # 0.015 would run two; the fast sampler needs no grid
+    out = tmp_path / "x.csv"
+    for argv, key in ((["entangle-sweep", "--engine", "fixed", "--T", "0.004"], "T"),
+                      (["entangle-sweep", "--engine", "fixed", "--T", "0.015"], "T"),
+                      (["redistribute", "--engine", "fixed", "--T2", "0.015"], "T2"),
+                      (["oracle-check", "--T", "0.015"], "T")):
+        assert _run(argv + ["--n_traj", "10", "--out", str(out)]) == EXIT_CONFIG
+        field = {"T": "t_wait", "T2": "t_wait2"}[key]
+        assert (f"value out of range for key '{key}': {field} must be a whole number of dt"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    assert _run(["entangle-sweep", "--T", "0.004", "--omega", "20", "--delta", "1",
+                 "--grid", "1.0", "--n_traj", "10", "--out", str(out)]) == EXIT_OK
+
+
+def test_io_error_exit_code(tmp_path, monkeypatch, capsys):
+    import homsim.cli as cli
+
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = _run(["entangle-sweep", "--param", "eta", "--grid", "1.0",
                  "--n_traj", "50", "--out", str(out)])
     assert code == EXIT_IO
+    monkeypatch.setattr(
+        cli, "run_suite", lambda params, n_traj, seed: [{"name": "stub", "passed": True}]
+    )
+    assert _run(["oracle-check", "--out", str(out)]) == EXIT_IO
+    assert f"cannot write output file {str(out.with_suffix('.json'))!r}" in capsys.readouterr().err
 
 
 def test_oracle_check_passes(tmp_path):

@@ -163,3 +163,18 @@ def test_basis_index_round_trip():
     dims = (3, 3, 2, 2)
     for flat in range(36):
         assert BasisIndex.unflatten(flat, dims).flatten(dims) == flat
+
+
+def test_values_own_their_arrays():
+    # a value neither follows later writes to the caller's array nor locks it
+    a = np.zeros(4, dtype=complex)
+    sv = StateVector(a, (2, 2))
+    a[0] = 1.0
+    assert sv.amplitudes[0] == 0.0
+    h = np.zeros((4, 4), dtype=complex)
+    op = OperatorMatrix(h, (2, 2))
+    h[0, 0] = 1.0
+    assert op.entries[0, 0] == 0.0
+    for arr in (sv.amplitudes, op.entries):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0

@@ -311,6 +311,21 @@ def test_windows_reject_a_non_finite_t_max(t_max):
         run_herald_windows(eng, StreamBlock(1, 0, 1000), t_max)
 
 
+def test_fixed_window_is_a_whole_number_of_steps():
+    # at dt = 0.01, 0.004 used to run zero steps and 0.015 two
+    eng = StageEngine(SystemParams(adiabatic=True))
+    for t_max in (0.004, 0.015, 1.0 + 1e-6):
+        with pytest.raises(ValueError, match="t_max must be a whole number of dt"):
+            run_until_click(eng.psi0, eng, RngStream(0, 0), t_max, sampler="fixed")
+        run_until_click(eng.psi0, eng, RngStream(0, 0), t_max, sampler="fast")
+    # rounding error in t_max is no fault
+    res = run_until_click(eng.psi0, eng, RngStream(0, 0), 0.1 + 0.2, sampler="fixed")
+    assert not res.clicked
+    with pytest.raises(ValueError, match="t_grid"):
+        run_unconditioned(eng.psi0, eng, RngStream(0, 0), (0.5, 0.015),
+                          [identity(eng.params.dims)])
+
+
 # -- single step ------------------------------------------------------------------
 
 
