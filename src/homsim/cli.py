@@ -116,11 +116,13 @@ def _coerce(key: str, value):
     want = _ALL_KEYS[key]
     try:
         if want is bool:
-            if isinstance(value, bool):
-                return value
+            if isinstance(value, int) and value in (0, 1):   # JSON true, false, 1 or 0
+                return bool(value)
             if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
                 return value.lower() in ("true", "1")
             raise ValueError
+        if isinstance(value, bool) or (isinstance(value, list) and bool in map(type, value)):
+            raise ValueError   # a JSON true or false fits a boolean key only
         if want is tuple:
             if isinstance(value, (list, tuple)):
                 return tuple(float(v) for v in value)

@@ -261,9 +261,14 @@ def phase_gate(phi: float, n_max: int = 1) -> OperatorMatrix:
     return OperatorMatrix(np.diag(two_nodes(node, np.ones(3 * n))), (3, 3, n, n))
 
 
+def node_initial_state(p: SystemParams) -> np.ndarray:
+    """The node's start state |a, 0>: ion in |a>, cavity empty."""
+    return np.eye(3 * (p.n_max + 1), dtype=complex)[0]
+
+
 def initial_state(p: SystemParams) -> StateVector:
-    """Both ions in |a>, both cavities empty."""
-    node = np.eye(3 * (p.n_max + 1), dtype=complex)[0]   # |a, 0>
+    """Both ions in |a>, both cavities empty: two_nodes of the node's start state."""
+    node = node_initial_state(p)
     return StateVector(two_nodes(node, node), p.dims)
 
 

@@ -23,13 +23,13 @@ Two statistically equivalent samplers over the same jump-channel set:
   time comes from one eigendecomposition of the node, h = v diag(w) v^-1:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
-  exceptional point).  A stage-1 sweep runs the herald windows of a chunk
-  of streams as one batch (run_herald_windows): one comparison finds the
-  timeouts, the crossings run as one masked Newton iteration over a stack
-  of states, channels come from a per-row weight matrix, and windows that
-  go on after an unrecorded jump form a shrinking stack.  The StageEngine
-  *_rows methods repeat the scalar ones row by row and are tested against
-  the scalar window, as the fixed-step replay is against step.
+  exceptional point); from psi0 = two_nodes(a0, a0) it stays two_nodes(phi,
+  phi), phi = u(t) a0, evaluated on the node alone.  A stage-1 sweep runs a
+  chunk's herald windows as one stack (run_herald_windows): one comparison
+  finds the timeouts, one masked Newton iteration the crossings, a per-row
+  weight matrix the channels; windows going on after an unrecorded jump form
+  a shrinking stack.  The *_rows methods repeat the scalar ones row by row
+  and are tested against the scalar window, as the replay is against step.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -70,6 +70,7 @@ from .model import (
     build_jump_channels,
     initial_state,
     node_generator,
+    node_initial_state,
     node_jump_rate,
     node_order,
     phase_gate,
@@ -88,7 +89,6 @@ _NEWTON_MAX = 100           # crossing iterations before the root-find gives up
 _XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
 _RTOL = 4 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-_BATCH_ROWS = 256           # trajectories the batched herald windows carry at once
 
 
 class StepSizeError(RuntimeError):
@@ -189,6 +189,7 @@ class _Segment:
     table: Optional[np.ndarray] = None
     # the normalized end state, built at the segment's first timeout
     final: Optional[StateVector] = None
+    node: Optional[np.ndarray] = None   # v^-1 a0 if the start state is two_nodes(a0, a0)
 
 
 class StageEngine:
@@ -210,7 +211,8 @@ class StageEngine:
         self.ops = [ch.operator.entries for ch in self.channels]
         self._op_stack = np.stack(self.ops)
         self.tags = [ch.tag for ch in self.channels]
-        self.total_op = both_nodes(node_jump_rate(params))
+        self._j = node_jump_rate(params)
+        self.total_op = both_nodes(self._j)
         u = _scipy_expm(-1j * self.dt * self._h)
         self.propagator = two_nodes(u, u)
         self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
@@ -221,9 +223,10 @@ class StageEngine:
         self.spectral = bool(np.linalg.cond(v) ** 2 <= EIG_COND_MAX)
         v = v if self.spectral else np.eye(v.shape[0])
         self._w, self._w_pairs = w, (w[:, None] + w).ravel()   # W = w_i + w_j
-        perm, v_inv = node_order(params.n_max), np.linalg.inv(v)
-        self._v = np.kron(v, v)[perm]                         # V = P (v (x) v)
-        self._v_inv = np.kron(v_inv, v_inv)[:, perm].copy()   # (v^-1 (x) v^-1) P^T, C order
+        self._perm, self._nv, v_inv = node_order(params.n_max), v, np.linalg.inv(v)
+        self._v = np.kron(v, v)[self._perm]                         # V = P (v (x) v)
+        self._v_inv = np.kron(v_inv, v_inv)[:, self._perm].copy()   # (v^-1 (x) v^-1) P^T, C order
+        self._node0 = v_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
         self._fixed_cache: dict = {}
         self._coarse_cache: dict = {}
 
@@ -327,6 +330,26 @@ class StageEngine:
             return self._v @ (np.exp(-1j * t * self._w_pairs) * coeffs)
         return self._evolve_rows(coeffs[None], np.array([t]))[0]
 
+    def _pair_at(self, coeffs: np.ndarray, t: float):
+        """_evolve, the state's squared norm and its slope -<psi| sum L^dag L |psi>."""
+        psi = self._evolve(coeffs, t)
+        return psi, np.vdot(psi, psi).real, -np.vdot(psi, self.total_op @ psi).real
+
+    def _node_at(self, c: np.ndarray, t: float):
+        """_pair_at of two_nodes(phi, phi) from phi = u(t) a0 alone (c = v^-1 a0):
+        phi, the squared norm (phi^dag phi)^2 and -2 (phi^dag phi)(phi^dag j phi)."""
+        phi = (self._nv @ (np.exp(-1j * t * self._w) * c) if self.spectral
+               else _scipy_expm(-1j * t * self._h) @ c)
+        s = np.vdot(phi, phi).real
+        return phi, s * s, -2.0 * s * np.vdot(phi, self._j @ phi).real
+
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        """two_nodes(phi, phi) of a node state phi, or of each row of a stack of
+        them; a state of the pair as it is."""
+        d = self._h.shape[0]
+        return x if x.shape[-1] != d else (
+            (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], d * d)[..., self._perm])
+
     def _segment(self, psi_n: np.ndarray, span: float) -> _Segment:
         coeffs = self._v_inv @ psi_n
         end = self._evolve(coeffs, span)
@@ -339,9 +362,14 @@ class StageEngine:
         key = (psi_n.tobytes(), round(float(t_max), 12))
         seg = self._coarse_cache.get(key)
         if seg is None:
-            seg = self._segment(psi_n, t_max)
-            grid = self._evolve_rows(seg.coeffs[None], np.linspace(0.0, t_max, _TABLE_POINTS))
-            seg.table = -np.minimum.accumulate(_vdots(grid, grid))
+            times = np.linspace(0.0, t_max, _TABLE_POINTS)
+            if key[0] == self.psi0.amplitudes.tobytes():   # evaluated on the node
+                phi, n2, _ = self._node_rows(self._node0[None], times)
+                seg = _Segment(self._v_inv @ psi_n, self._lift(phi[-1]), n2[-1], node=self._node0)
+            else:
+                seg = self._segment(psi_n, t_max)
+                n2 = self._pair_rows(seg.coeffs[None], times)[1]
+            seg.table = -np.minimum.accumulate(n2)
             if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
                 self._coarse_cache.pop(next(iter(self._coarse_cache)))
             self._coarse_cache[key] = seg
@@ -362,24 +390,25 @@ class StageEngine:
         r (seg.n2_end < r < 1), and the unnormalized state there.
 
         Safeguarded Newton on f(t) = ||psi(t)||^2 - r with the analytic slope
-        f' = -<psi| sum L^dag L |psi>, as in Numerical Recipes' rtsafe.  f
-        never grows along a no-jump segment, so the sign of each evaluation
-        tightens a bracket [lo, hi] around the root.  A Newton step that
-        leaves the bracket, or that fails to halve the step before last (as
-        it does where rounding makes a flat f wander), bisects the bracket
-        instead.  Stops at brentq's tolerance.
+        f' = -<psi| sum L^dag L |psi>, as in Numerical Recipes' rtsafe.  f never
+        grows along a no-jump segment, so the sign of each evaluation tightens
+        a bracket [lo, hi] around the root.  A Newton step that leaves the
+        bracket, or that fails to halve the step before last (as it does where
+        rounding makes a flat f wander), bisects the bracket instead.  Stops at
+        brentq's tolerance.  The evaluator is _node_at on the segment from
+        two_nodes(a0, a0), _pair_at on any other.
         """
+        at, coeffs = (self._pair_at, seg.coeffs) if seg.node is None else (self._node_at, seg.node)
         lo, hi = 0.0, span
         t = self._first_guess(seg, r, span)
         last = before = span   # sizes of the last two steps
         for _ in range(_NEWTON_MAX):
-            psi = self._evolve(seg.coeffs, t)
-            f = np.vdot(psi, psi).real - r
+            x, n2, slope = at(coeffs, t)
+            f = n2 - r
             if f > 0.0:
                 lo = t
             else:
                 hi = t
-            slope = -np.vdot(psi, self.total_op @ psi).real
             step = -f / slope if slope < 0.0 else math.nan
             if not (lo <= t + step <= hi and abs(step) <= 0.5 * before):
                 step = 0.5 * (lo + hi) - t
@@ -387,11 +416,11 @@ class StageEngine:
             nxt = t + step
             if last <= _XTOL + _RTOL * nxt:
                 # one first-order step carries the state to the returned time
+                psi = self._lift(x)
                 return nxt, psi - 1j * step * (self.h_eff @ psi)
             t = nxt
-        raise RuntimeError(
-            f"no norm crossing of r = {r!r} found in {_NEWTON_MAX} iterations on [0, {span!r}]"
-        )
+        raise RuntimeError(f"no norm crossing of r = {r!r} found in {_NEWTON_MAX} "
+                           f"iterations on [0, {span!r}]")
 
     def _run_fast(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
         events: list[Event] = []
@@ -433,6 +462,18 @@ class StageEngine:
             x = (u @ c @ u.transpose(0, 2, 1)).reshape(t.size, d * d)
         return _rows(x, self._v)
 
+    def _pair_rows(self, coeffs: np.ndarray, t: np.ndarray):
+        """_pair_at of each row."""
+        psi = self._evolve_rows(coeffs, t)
+        return psi, _vdots(psi, psi), -_vdots(psi, _rows(psi, self.total_op))
+
+    def _node_rows(self, c: np.ndarray, t: np.ndarray):
+        """_node_at of each row of c (or of its one shared row) at time t[i]."""
+        phi = (_rows(np.exp(np.multiply.outer(-1j * t, self._w)) * c, self._nv) if self.spectral
+               else (_scipy_expm(np.multiply.outer(-1j * t, self._h)) @ c[..., None])[..., 0])
+        s = _vdots(phi, phi)
+        return phi, s * s, -2.0 * s * _vdots(phi, _rows(phi, self._j))
+
     def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
         """_segment of each row: its coefficients and its end state's squared norm."""
         coeffs = _rows(psi, self._v_inv)
@@ -450,21 +491,20 @@ class StageEngine:
         frac = np.clip((above - r) / np.where(falls, above - below, 1.0), 0.0, 1.0)
         return span * (k - 1 + np.where(falls, frac, 0.5)) / (table.size - 1)
 
-    def _crossing_rows(self, coeffs, r, span, t) -> tuple[np.ndarray, np.ndarray]:
-        """_crossing of each row from the first guesses t: the crossing times
-        and the unnormalized states there.  Every row iterates with the scalar
-        safeguards and stop; a row leaves the iteration when it stops."""
+    def _crossing_rows(self, at, coeffs, r, span, t) -> tuple[np.ndarray, np.ndarray]:
+        """_crossing of each row from the first guesses t, evaluated by at
+        (_node_rows or _pair_rows): the crossing times and the states there.
+        Each row iterates with the scalar safeguards and leaves at their stop."""
         t_out = np.empty(r.size)
         psi_out = np.empty((r.size, self.h_eff.shape[0]), dtype=complex)
         live = np.arange(r.size)
         r_live, lo, hi = r, np.zeros(r.size), span
         last = before = span   # sizes of the last two steps
         for _ in range(_NEWTON_MAX):
-            psi = self._evolve_rows(coeffs if coeffs.shape[0] == 1 else coeffs[live], t)
-            f = _vdots(psi, psi) - r_live
+            x, n2, slope = at(coeffs if coeffs.shape[0] == 1 else coeffs[live], t)
+            f = n2 - r_live
             lo = np.where(f > 0.0, t, lo)
             hi = np.where(f > 0.0, hi, t)
-            slope = -_vdots(psi, _rows(psi, self.total_op))
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(slope < 0.0, -f / slope, np.nan)
             newton = (lo <= t + step) & (t + step <= hi) & (np.abs(step) <= 0.5 * before)
@@ -474,7 +514,7 @@ class StageEngine:
             done = last <= _XTOL + _RTOL * t
             if done.any():
                 # one first-order step carries each state to its returned time
-                hit = psi[done]
+                hit = self._lift(x[done])
                 t_out[live[done]] = t[done]
                 psi_out[live[done]] = hit - (1j * step[done])[:, None] * _rows(hit, self.h_eff)
                 go = ~done
@@ -483,10 +523,8 @@ class StageEngine:
                 live, r_live, t, lo, hi, last, before = (
                     a[go] for a in (live, r_live, t, lo, hi, last, before)
                 )
-        raise RuntimeError(
-            f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} iterations "
-            f"on [0, {span[live[0]]!r}]"
-        )
+        raise RuntimeError(f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} "
+                           f"iterations on [0, {span[live[0]]!r}]")
 
     def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
         """_collapse of each normalized row with its channel draw u: the
@@ -602,50 +640,45 @@ def run_herald_windows(engine: StageEngine, block: StreamBlock, t_max: float) ->
     decides from them as it does; that scalar window is the reference the
     batch is tested against.  One comparison of every row's first step draw
     with the shared segment's end norm finds the timeouts.  The other rows
-    go through their windows _BATCH_ROWS at a time, in rounds: round k
-    crosses every waiting row in one masked Newton iteration and collapses
-    them together with their draw k of the channel substream; the rows whose
-    collapse was not recorded go on, each from its own segment, against
-    their step draw k + 1.
+    go through their windows as one stack, in rounds: round k crosses every
+    waiting row in one masked Newton iteration (round 0 on the node, see
+    _node_rows) and collapses them with their draw k of the channel
+    substream; the rows whose collapse was not recorded go on, each from its
+    own segment, against their step draw k + 1.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     keys, head = block.stage_tables(0)
     n = keys.shape[0]
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
-    click_rows = [np.zeros(0, dtype=int)]
-    click_states = [np.zeros((0, engine.psi0.dim), dtype=complex)]
+    states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: stream i's click
     recorded = np.array([tag.recorded for tag in engine.tags])
-    crossing = np.zeros(0, dtype=int)
+    rows = np.zeros(0, dtype=int)
     if t_max > 0.0:
         seg = engine.coarse_curve(engine.psi0.amplitudes, t_max)
-        crossing = np.flatnonzero(head[:, 0, 0] > seg.n2_end)   # the other rows time out
-    for lo in range(0, crossing.size, _BATCH_ROWS):
-        rows = crossing[lo : lo + _BATCH_ROWS]
-        coeffs, n2_end, table = seg.coeffs[None], np.full(rows.size, seg.n2_end), seg.table
-        r, t_seg, k = head[rows, 0, 0], np.zeros(rows.size), 0
-        while rows.size:
-            span = t_max - t_seg
-            wait, psi = engine._crossing_rows(
-                coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
-            )
-            t_seg = t_seg + wait
-            u = nth_uniforms(keys[rows, 1], head[rows, 1], k)
-            chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
-            jumps[rows] += 1
-            hit = recorded[chan]
-            channel[rows[hit]], time[rows[hit]] = chan[hit], t_seg[hit]
-            click_rows.append(rows[hit])
-            click_states.append(post[hit])
-            rows, t_seg, post = rows[~hit], t_seg[~hit], post[~hit]
-            k += 1
-            coeffs, n2_end = engine._segment_rows(post, t_max - t_seg)
-            table = None
-            r = nth_uniforms(keys[rows, 0], head[rows, 0], k)
-            cross = r > n2_end   # the other rows time out
-            rows, r, n2_end, t_seg, coeffs = (a[cross] for a in (rows, r, n2_end, t_seg, coeffs))
-    order = np.argsort(np.concatenate(click_rows))
-    return WindowBatch(channel, time, jumps, np.concatenate(click_states)[order])
+        rows = np.flatnonzero(head[:, 0, 0] > seg.n2_end)   # the other rows time out
+        at, coeffs, n2_end, table = engine._node_rows, seg.node[None], None, seg.table
+    r, t_seg, k = head[rows, 0, 0], np.zeros(rows.size), 0
+    while rows.size:
+        span = t_max - t_seg
+        wait, psi = engine._crossing_rows(
+            at, coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
+        )
+        t_seg = t_seg + wait
+        u = nth_uniforms(keys[rows, 1], head[rows, 1], k)
+        chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
+        jumps[rows] += 1
+        hit = recorded[chan]
+        channel[rows[hit]], time[rows[hit]] = chan[hit], t_seg[hit]
+        states[rows[hit]] = post[hit]
+        rows, t_seg, post = rows[~hit], t_seg[~hit], post[~hit]
+        k += 1
+        at, table = engine._pair_rows, None
+        coeffs, n2_end = engine._segment_rows(post, t_max - t_seg)
+        r = nth_uniforms(keys[rows, 0], head[rows, 0], k)
+        cross = r > n2_end   # the other rows time out
+        rows, r, n2_end, t_seg, coeffs = (a[cross] for a in (rows, r, n2_end, t_seg, coeffs))
+    return WindowBatch(channel, time, jumps, states[channel >= 0])
 
 
 def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") -> TrajectoryRecord:

@@ -417,6 +417,31 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_json_values_match_their_key_types(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    # the JSON numbers 1 and 0 are booleans as the strings "1" and "0" are
+    for value in (1, 0, True, False, "1", "0"):
+        cfg.write_text(json.dumps({"adiabatic": value}))
+        assert parse_config("entangle-sweep", str(cfg)).params.adiabatic is bool(int(value))
+    for value in (2, -1, 0.5, 1.0, "yes"):
+        cfg.write_text(json.dumps({"adiabatic": value}))
+        with pytest.raises(ConfigError, match="invalid value for key 'adiabatic'"):
+            parse_config("entangle-sweep", str(cfg))
+    # a JSON true or false is no value for any other key
+    for key, value in (("eta", True), ("n_traj", True), ("seed", False), ("T", True),
+                       ("n_max", True), ("nu_points", True), ("grid", [True, 0.5]),
+                       ("grid", True), ("out", True), ("param", False)):
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"invalid value for key '{key}'"):
+            parse_config("entangle-sweep", str(cfg))
+    out = tmp_path / "x.csv"
+    for key in ("eta", "n_traj"):
+        cfg.write_text(json.dumps({key: True, "grid": [1.0], "out": str(out)}))
+        assert _run(["entangle-sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"invalid value for key '{key}': True" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for command in ("entangle-sweep", "redistribute", "oracle-check"):

@@ -218,6 +218,76 @@ def test_crossing_near_the_exceptional_point(rel, shared, u):
     assert_exact_crossing(eng, seg, r, p.t_wait)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    eta=st.floats(0.05, 1.0),
+    n_max=st.sampled_from([1, 2]),
+    # the usual range, and within 2e-3 of the reduced generator's exceptional
+    # point, where both evaluators are drawn
+    kappa=st.one_of(st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
+    t_wait=st.floats(1.0, 300.0),
+    u=st.floats(0.0, 1.0),
+)
+@example(adiabatic=True, gamma=0.0, eta=0.6, n_max=1, kappa=0.1, t_wait=20.0, u=0.5)
+@example(adiabatic=False, gamma=0.5, eta=1.0, n_max=2, kappa=10.0, t_wait=100.0, u=0.5)
+def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max, kappa,
+                                                   t_wait, u):
+    # psi0 = two_nodes(a0, a0): its end norm, norm table and crossings come
+    # from the node, and must agree with the pair-space evaluator
+    gamma = 0.0 if adiabatic else gamma
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta,
+                     n_max=n_max, kappa=kappa, t_wait=t_wait)
+    eng = StageEngine(p)
+    psi0 = eng.psi0.amplitudes
+    seg, pair = eng.coarse_curve(psi0, t_wait), eng._segment(psi0, t_wait)
+    assert seg.node is not None and pair.node is None
+    assert abs(seg.n2_end - pair.n2_end) <= 1e-12
+    assert np.max(np.abs(seg.end - pair.end)) <= 1e-12
+    times = np.linspace(0.0, t_wait, seg.table.size)
+    grid, n2, slope = eng._pair_rows(pair.coeffs[None], times)
+    assert np.max(np.abs(seg.table + np.minimum.accumulate(n2))) <= 1e-12
+    # the Newton slope too: -2 (phi^dag phi)(phi^dag j phi) = -<psi| sum L^dag L |psi>
+    phi, node_n2, node_slope = eng._node_rows(seg.node[None], times)
+    assert np.max(np.abs(node_n2 - n2)) <= 1e-12
+    assert np.max(np.abs(node_slope - slope)) <= 1e-12 * max(1.0, np.max(np.abs(slope)))
+    assert np.max(np.abs(eng._lift(phi) - grid)) <= 1e-12
+    r = seg.n2_end + np.array([u, 0.5, 1e-3]) * (1.0 - seg.n2_end)
+    r = r[(seg.n2_end < r) & (r <= 1.0 - 1e-8)]
+    assume(r.size)
+    span = np.full(r.size, t_wait)
+    guess = eng._first_guess_rows(seg.table, None, r, span)
+    ts, states = eng._crossing_rows(eng._node_rows, seg.node[None], r, span, guess)
+    for i, ri in enumerate(r):
+        assert_exact_crossing(eng, seg, ri, t_wait)   # the scalar crossing
+        at_t = eng._evolve(seg.coeffs, ts[i])
+        assert abs(np.vdot(at_t, at_t).real - ri) <= 1e-12
+        assert abs(ts[i] - brentq_crossing(eng, seg, ri, t_wait)) <= 1e-9
+        assert np.max(np.abs(states[i] - at_t)) <= 1e-12
+        # a row crosses alone as it does in the stack, to the last bit
+        t, psi = eng._crossing_rows(eng._node_rows, seg.node[None], r[i:i + 1], span[:1],
+                                    guess[i:i + 1])
+        assert t.tobytes() == ts[i:i + 1].tobytes() and psi.tobytes() == states[i:i + 1].tobytes()
+
+
+def test_psi0_crossings_evaluate_the_node_alone(monkeypatch):
+    # without unrecorded jumps every crossing starts from psi0, and none of
+    # them may evaluate a state of the pair
+    p = SystemParams(adiabatic=True)
+    eng = StageEngine(p)
+
+    def pair(*args):
+        raise AssertionError("a psi0 crossing evaluated a state of the pair")
+
+    monkeypatch.setattr(eng, "_pair_at", pair)
+    monkeypatch.setattr(eng, "_pair_rows", pair)
+    block = StreamBlock(5, 0, 1000)
+    assert (run_herald_windows(eng, block, p.t_wait).channel >= 0).sum() > 50
+    assert sum(run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
+                               share_curve=True).clicked for i in range(200)) > 5
+
+
 # -- batched herald windows ---------------------------------------------------------
 
 CROSSING_TOL = 1e-9   # per crossing: the bar the crossing tests above hold it to
@@ -284,12 +354,14 @@ def test_herald_batch_draws_past_the_first_block():
                                EXCEPTIONAL.with_(eta=0.6)], ids=["spectral", "expm"])
 def test_herald_batch_rows_do_not_depend_on_the_block(p):
     eng = StageEngine(p)
-    whole = run_herald_windows(eng, StreamBlock(77, 0, 60), p.t_wait)
-    assert (whole.jumps > 1).sum() > 0
+    whole = run_herald_windows(eng, StreamBlock(77, 0, 2000), p.t_wait)
+    # the whole block crosses as one stack of hundreds of rows, and some go on
+    # after an unrecorded jump
+    assert (whole.jumps > 0).sum() > 300 and (whole.jumps > 1).sum() > 0
     clicked = np.flatnonzero(whole.channel >= 0)
     # a lone stream that jumps goes through numpy's one-row (gemv) products
     lone = [(i, i + 1) for i in np.flatnonzero(whole.jumps > 0)[:4]]
-    for lo, hi in [(0, 60), (13, 41), (58, 60)] + lone:
+    for lo, hi in [(0, 60), (13, 41), (58, 60), (250, 1777), (1999, 2000)] + lone:
         part = run_herald_windows(eng, StreamBlock(77, lo, hi), p.t_wait)
         for got, want in zip(part[:3], whole[:3]):
             assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
