@@ -23,7 +23,7 @@ from .analytic import heralded_states
 from .hilbert import StateVector
 from .model import ChannelTag, SystemParams
 from .rng import StreamBlock, check_seed
-from .trajectory import StageEngine, run_herald_windows, run_protocol, run_until_click
+from .trajectory import StageEngine, run_protocol, run_until_click, run_windows
 
 _CHUNK = 5000   # trajectories per worker task; fixed so results never depend on thread count
 
@@ -98,7 +98,7 @@ def _stage1_chunk(args):
     engine = StageEngine(params)
     block = StreamBlock(seed, start, stop)
     if sampler == "fast":
-        res = run_herald_windows(engine, block, params.t_wait)
+        res = run_windows(engine, block, params.t_wait)
         rows = np.flatnonzero(res.channel >= 0)
         clicks = [(j, engine.tags[res.channel[j]], state) for j, state in zip(rows, res.state)]
     else:
@@ -121,19 +121,35 @@ def _protocol_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
     block = StreamBlock(seed, start, stop)
+    # heralded: (row, first window) of each stream whose first window clicked;
+    # ends: the tag that ended its second window, None after a timeout
+    if sampler == "fast":
+        # the first windows one stream at a time, the second ones from the
+        # phase-gated herald states as one stack
+        firsts = (run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
+                                  sampler=sampler, share_curve=True) for i in range(start, stop))
+        heralded = [(j, first) for j, first in enumerate(firsts) if first.clicked]
+        gated = [engine.phase_diag * first.state.amplitudes for _, first in heralded]
+        second = run_windows(engine, block, params.t_wait2, stage=1,
+                             rows=np.array([j for j, _ in heralded], dtype=int),
+                             start=np.reshape(gated, (len(heralded), engine.psi0.dim)))
+        ends = [engine.tags[c] if c >= 0 else None for c in second.channel]
+    else:
+        recs = (run_protocol(engine, block.stream(i), sampler=sampler) for i in range(start, stop))
+        heralded, ends = [], []
+        for j, rec in enumerate(recs):
+            if rec.second is not None:
+                heralded.append((j, rec.first))
+                ends.append(rec.second.tag)
     targets = _target_vectors(params.dims)
     n = stop - start
     n_clicks = np.zeros(n, dtype=np.int8)
     same_tag = np.zeros(n, dtype=bool)
     fid = np.full(n, np.nan)
-    for i in range(start, stop):
-        rec = run_protocol(engine, block.stream(i), sampler=sampler)
-        j = i - start
-        first, second = rec.first, rec.second
-        if second is not None:   # the first window heralded
-            n_clicks[j] = 1 + second.clicked
-            fid[j] = abs(np.vdot(targets[first.tag], first.state.amplitudes)) ** 2
-            same_tag[j] = second.tag is first.tag   # tag None after a stage-2 timeout
+    for (j, first), end in zip(heralded, ends):
+        n_clicks[j] = 1 + (end is not None)
+        fid[j] = abs(np.vdot(targets[first.tag], first.state.amplitudes)) ** 2
+        same_tag[j] = end is first.tag
     return n_clicks, same_tag, fid
 
 

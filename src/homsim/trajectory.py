@@ -24,12 +24,16 @@ Two statistically equivalent samplers over the same jump-channel set:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
   exceptional point); from psi0 = two_nodes(a0, a0) it stays two_nodes(phi,
-  phi), phi = u(t) a0, evaluated on the node alone.  A stage-1 sweep runs a
-  chunk's herald windows as one stack (run_herald_windows): one comparison
-  finds the timeouts, one masked Newton iteration the crossings, a per-row
-  weight matrix the channels; windows going on after an unrecorded jump form
-  a shrinking stack.  The *_rows methods repeat the scalar ones row by row
-  and are tested against the scalar window, as the replay is against step.
+  phi), phi = u(t) a0, evaluated on the node alone.  run_windows runs the
+  windows of many streams as one stack: one comparison finds the timeouts,
+  one masked Newton iteration the crossings, a per-row weight matrix the
+  channels; windows going on after an unrecorded jump form a shrinking
+  stack.  Its windows start either from psi0, whose shared segment is
+  crossed on the node from its norm table (a stage-1 sweep chunk's herald
+  windows), or from a state per row, crossed in the pair space (a protocol
+  chunk's stage-2 windows, from the phase-gated herald states).  The *_rows
+  methods repeat the scalar ones row by row and are tested against the
+  scalar window, as the replay is against step.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -147,11 +151,12 @@ class TrajectoryRecord:
 
 
 class WindowBatch(NamedTuple):
-    """The herald windows of a block's streams.  channel, time and jumps
-    have a row per stream: the index into StageEngine.tags of the recorded
-    channel that ended the window (-1 after a timeout), the click time (nan
-    after a timeout) and the number of collapses.  state has a row per click,
-    in stream order: the state the click left."""
+    """The windows of some of a block's streams (run_windows).  channel,
+    time and jumps have a row per window: the index into StageEngine.tags of
+    the recorded channel that ended it (-1 after a timeout), the click time
+    from the window's opening (nan after a timeout) and the number of
+    collapses.  state has a row per click, in window order: the state the
+    click left."""
 
     channel: np.ndarray
     time: np.ndarray
@@ -631,54 +636,77 @@ def run_until_click(
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def run_herald_windows(engine: StageEngine, block: StreamBlock, t_max: float) -> WindowBatch:
-    """The herald window of every stream in block (stage 0), from the
-    engine's start state, by the fast sampler run over many of them at once.
+def run_windows(
+    engine: StageEngine,
+    block: StreamBlock,
+    t_max: float,
+    *,
+    stage: int = 0,
+    rows: Optional[np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+) -> WindowBatch:
+    """The stage `stage` windows of block's streams (those in rows, all by
+    default), by the fast sampler run over many of them at once: from
+    engine.psi0, or row i from start[i], normalized as run_until_click
+    normalizes it.  Times count from the window's opening.
 
-    Row i draws the numbers run_until_click(engine.psi0, engine,
-    block.stream(i), t_max, sampler="fast", share_curve=True) draws and
-    decides from them as it does; that scalar window is the reference the
-    batch is tested against.  One comparison of every row's first step draw
-    with the shared segment's end norm finds the timeouts.  The other rows
-    go through their windows as one stack, in rounds: round k crosses every
-    waiting row in one masked Newton iteration (round 0 on the node, see
-    _node_rows) and collapses them with their draw k of the channel
-    substream; the rows whose collapse was not recorded go on, each from its
-    own segment, against their step draw k + 1.
+    Row i draws the numbers run_until_click draws on the same stream and
+    start state (with share_curve=True from psi0) and decides from them as
+    it does; that scalar window is the reference the batch is tested
+    against.  The windows go through in rounds, as one stack: round k
+    compares each waiting row's step draw k with its segment's end norm,
+    which times out the rows at or below it, crosses the rest in one masked
+    Newton iteration and collapses them with their draw k of the channel
+    substream; the rows whose collapse was not recorded go on into round
+    k + 1, each from its own segment.  The shared psi0 segment is crossed
+    on the node from its norm table (_node_rows), any other in the pair
+    space (_pair_rows) from the log-linear guess.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    keys, head = block.stage_tables(0)
+    keys, head = block.stage_tables(stage)
+    if rows is not None:
+        keys, head = keys[rows], head[rows]
     n = keys.shape[0]
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
-    states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: stream i's click
+    states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: window i's click
+    if start is not None and len(start) != n:
+        raise ValueError(f"{len(start)} start states for {n} windows")
+    if t_max == 0.0 or n == 0:
+        return WindowBatch(channel, time, jumps, states[:0])
     recorded = np.array([tag.recorded for tag in engine.tags])
-    rows = np.zeros(0, dtype=int)
-    if t_max > 0.0:
+    if start is None:
         seg = engine.coarse_curve(engine.psi0.amplitudes, t_max)
-        rows = np.flatnonzero(head[:, 0, 0] > seg.n2_end)   # the other rows time out
-        at, coeffs, n2_end, table = engine._node_rows, seg.node[None], None, seg.table
-    r, t_seg, k = head[rows, 0, 0], np.zeros(rows.size), 0
-    while rows.size:
+        at, table = engine._node_rows, seg.table
+        coeffs, n2_end = seg.node[None], np.full(n, seg.n2_end)
+    else:
+        at, table = engine._pair_rows, None
+        psi = np.array([_as_unit_array(s) for s in start])
+        coeffs, n2_end = engine._segment_rows(psi, np.full(n, t_max))
+    live, t_seg, k = np.arange(n), np.zeros(n), 0
+    while True:
+        r = nth_uniforms(keys[live, 0], head[live, 0], k)
+        cross = r > n2_end   # the other rows time out
+        live, r, n2_end, t_seg = (a[cross] for a in (live, r, n2_end, t_seg))
+        # one row of coeffs is psi0's, which every row shares, or a lone row's
+        coeffs = coeffs if len(coeffs) == 1 else coeffs[cross]
+        if not live.size:
+            return WindowBatch(channel, time, jumps, states[channel >= 0])
         span = t_max - t_seg
         wait, psi = engine._crossing_rows(
             at, coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
         )
         t_seg = t_seg + wait
-        u = nth_uniforms(keys[rows, 1], head[rows, 1], k)
+        u = nth_uniforms(keys[live, 1], head[live, 1], k)
         chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
-        jumps[rows] += 1
+        jumps[live] += 1
         hit = recorded[chan]
-        channel[rows[hit]], time[rows[hit]] = chan[hit], t_seg[hit]
-        states[rows[hit]] = post[hit]
-        rows, t_seg, post = rows[~hit], t_seg[~hit], post[~hit]
+        channel[live[hit]], time[live[hit]] = chan[hit], t_seg[hit]
+        states[live[hit]] = post[hit]
+        live, t_seg, post = live[~hit], t_seg[~hit], post[~hit]
         k += 1
         at, table = engine._pair_rows, None
         coeffs, n2_end = engine._segment_rows(post, t_max - t_seg)
-        r = nth_uniforms(keys[rows, 0], head[rows, 0], k)
-        cross = r > n2_end   # the other rows time out
-        rows, r, n2_end, t_seg, coeffs = (a[cross] for a in (rows, r, n2_end, t_seg, coeffs))
-    return WindowBatch(channel, time, jumps, states[channel >= 0])
 
 
 def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") -> TrajectoryRecord:

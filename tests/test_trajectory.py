@@ -20,10 +20,10 @@ from homsim.trajectory import (
     RngStream,
     StageEngine,
     StepSizeError,
-    run_herald_windows,
     run_protocol,
     run_unconditioned,
     run_until_click,
+    run_windows,
     step,
 )
 from homsim.experiments import fidelity_to_target
@@ -116,7 +116,14 @@ def test_exceptional_point_click_fraction_matches_survival_oracle():
 
 
 def brentq_crossing(eng, seg, r, span):
+    """brentq's root of the squared norm minus r, on the evaluator that gave
+    the segment its end norm n2_end: the stacked node evaluator for the
+    shared psi0 segment (see coarse_curve), the pair space for any other.
+    Any other evaluator may differ from n2_end in the last bits, and an r
+    within those of n2_end then has no sign change on [0, span]."""
     def excess(t):
+        if seg.node is not None:
+            return eng._node_rows(seg.node[None], np.array([t]))[1][0] - r
         psi = eng._evolve(seg.coeffs, t)
         return np.vdot(psi, psi).real - r
 
@@ -163,6 +170,12 @@ def crossing_segment(eng, psi, span, shared):
 )
 @example(adiabatic=False, gamma=5e-324, eta=1.0, phi=0.0, kind="spont", t_prep=1.0,
          shared=False, u=0.5)
+# r within rounding of the node's end norm: the pair-space norm need not
+# change sign on [0, span] there
+@example(adiabatic=False, gamma=0.3, eta=1.0, phi=0.0, kind="psi0", t_prep=1.0,
+         shared=True, u=1e-16)
+@example(adiabatic=False, gamma=0.3, eta=0.3, phi=0.0, kind="psi0", t_prep=1.0,
+         shared=True, u=1e-16)
 def test_crossing_is_the_exact_root(adiabatic, gamma, eta, phi, kind, t_prep, shared, u):
     # the reduced generator has no |c> level to decay from
     gamma = 0.0 if adiabatic else gamma
@@ -232,6 +245,9 @@ def test_crossing_near_the_exceptional_point(rel, shared, u):
 )
 @example(adiabatic=True, gamma=0.0, eta=0.6, n_max=1, kappa=0.1, t_wait=20.0, u=0.5)
 @example(adiabatic=False, gamma=0.5, eta=1.0, n_max=2, kappa=10.0, t_wait=100.0, u=0.5)
+# r within rounding of the node's end norm (see brentq_crossing)
+@example(adiabatic=True, gamma=0.0, eta=1.0, n_max=1, kappa=0.0998, t_wait=1.0, u=2e-12)
+@example(adiabatic=False, gamma=0.0, eta=1.0, n_max=1, kappa=0.0998, t_wait=1.0, u=2e-12)
 def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max, kappa,
                                                    t_wait, u):
     # psi0 = two_nodes(a0, a0): its end norm, norm table and crossings come
@@ -283,28 +299,43 @@ def test_psi0_crossings_evaluate_the_node_alone(monkeypatch):
     monkeypatch.setattr(eng, "_pair_at", pair)
     monkeypatch.setattr(eng, "_pair_rows", pair)
     block = StreamBlock(5, 0, 1000)
-    assert (run_herald_windows(eng, block, p.t_wait).channel >= 0).sum() > 50
+    assert (run_windows(eng, block, p.t_wait).channel >= 0).sum() > 50
     assert sum(run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
                                share_curve=True).clicked for i in range(200)) > 5
 
 
-# -- batched herald windows ---------------------------------------------------------
+# -- batched windows ----------------------------------------------------------------
 
 CROSSING_TOL = 1e-9   # per crossing: the bar the crossing tests above hold it to
 
 
-def assert_batch_matches_scalar_windows(p, seed, n):
-    """run_herald_windows against one scalar run_until_click per stream of
-    the same block: equal decisions, click times within the crossing
-    tolerance and fidelities within 1e-12."""
+def stage2_windows(eng, block):
+    """The stage-2 stack of a protocol chunk: the heralded rows of block's
+    herald windows and their phase-gated herald states, as start states."""
+    first = run_windows(eng, block, eng.params.t_wait)
+    return np.flatnonzero(first.channel >= 0), eng.phase_diag * first.state
+
+
+def assert_batch_matches_scalar_windows(p, seed, n, stage=0):
+    """run_windows against one scalar run_until_click per window on the same
+    streams: equal decisions, click times within the crossing tolerance and
+    fidelities within 1e-12.  Stage 0 is every stream's herald window from
+    psi0, stage 1 the second window of every heralded stream from its
+    phase-gated herald state."""
     eng = StageEngine(p)
     block = StreamBlock(seed, 0, n)
-    batch = run_herald_windows(eng, block, p.t_wait)
+    if stage == 0:
+        rows, start, t_max = np.arange(n), None, p.t_wait
+    else:
+        (rows, start), t_max = stage2_windows(eng, block), p.t_wait2
+    batch = run_windows(eng, block, t_max, stage=stage, rows=rows, start=start)
+    assert batch.channel.shape == rows.shape
     assert batch.state.shape == ((batch.channel >= 0).sum(), eng.psi0.dim)
     states = dict(zip(np.flatnonzero(batch.channel >= 0), batch.state))
-    for i in range(n):
-        res = run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
-                              share_curve=True)
+    for i, row in enumerate(rows):
+        psi = eng.psi0 if start is None else start[i]
+        res = run_until_click(psi, eng, block.stream(row).for_stage(stage), t_max,
+                              sampler="fast", share_curve=start is None)
         assert batch.jumps[i] == len(res.events)
         if not res.clicked:
             assert batch.channel[i] == -1 and math.isnan(batch.time[i])
@@ -354,7 +385,7 @@ def test_herald_batch_draws_past_the_first_block():
                                EXCEPTIONAL.with_(eta=0.6)], ids=["spectral", "expm"])
 def test_herald_batch_rows_do_not_depend_on_the_block(p):
     eng = StageEngine(p)
-    whole = run_herald_windows(eng, StreamBlock(77, 0, 2000), p.t_wait)
+    whole = run_windows(eng, StreamBlock(77, 0, 2000), p.t_wait)
     # the whole block crosses as one stack of hundreds of rows, and some go on
     # after an unrecorded jump
     assert (whole.jumps > 0).sum() > 300 and (whole.jumps > 1).sum() > 0
@@ -362,15 +393,92 @@ def test_herald_batch_rows_do_not_depend_on_the_block(p):
     # a lone stream that jumps goes through numpy's one-row (gemv) products
     lone = [(i, i + 1) for i in np.flatnonzero(whole.jumps > 0)[:4]]
     for lo, hi in [(0, 60), (13, 41), (58, 60), (250, 1777), (1999, 2000)] + lone:
-        part = run_herald_windows(eng, StreamBlock(77, lo, hi), p.t_wait)
+        part = run_windows(eng, StreamBlock(77, lo, hi), p.t_wait)
         for got, want in zip(part[:3], whole[:3]):
             assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
         assert part.state.tobytes() == whole.state[(lo <= clicked) & (clicked < hi)].tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    eta=st.floats(0.0, 1.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    # the usual range, and within 2e-3 of the reduced generator's
+    # exceptional point, where both evaluators are drawn
+    kappa=st.one_of(st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
+    t_wait2=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+    seed=st.integers(0, 2**64),
+)
+# the exceptional point, where the pair space is evaluated by the node's expm
+@example(adiabatic=True, gamma=0.0, eta=0.7, phi=math.pi, kappa=0.1, t_wait2=20.0, seed=3)
+# every window times out at once, and none is heralded
+@example(adiabatic=False, gamma=0.3, eta=0.6, phi=0.0, kappa=1.0, t_wait2=0.0, seed=4)
+@example(adiabatic=False, gamma=0.3, eta=0.0, phi=0.0, kappa=1.0, t_wait2=100.0, seed=5)
+def test_stage2_batch_matches_scalar_windows(adiabatic, gamma, eta, phi, kappa, t_wait2, seed):
+    # the reduced generator has no |c> level to decay from
+    gamma = 0.0 if adiabatic else gamma
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, phi=phi,
+                     kappa=kappa, t_wait2=t_wait2)
+    if kappa == 0.1 and adiabatic:
+        assert not StageEngine(p).spectral
+    batch = assert_batch_matches_scalar_windows(p, seed, 200, stage=1)
+    if eta == 0.0:
+        assert batch.channel.size == 0
+    if t_wait2 == 0.0:
+        assert not batch.jumps.any() and (batch.channel == -1).all()
+
+
+def went_on(batch):
+    """How many windows went on after an unrecorded jump: those with more
+    jumps than recorded clicks."""
+    return int((batch.jumps > (batch.channel >= 0)).sum())
+
+
+@pytest.mark.parametrize("adiabatic, gamma", [(False, 0.5), (True, 0.0)])
+def test_stage2_batch_goes_on_after_unrecorded_jumps(adiabatic, gamma):
+    # enough heralded rows that many windows go on after a lost photon or a
+    # spontaneous decay, and many click
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=0.5,
+                     kappa=1.0, phi=1.0, t_wait2=100.0)
+    batch = assert_batch_matches_scalar_windows(p, 1, 1000, stage=1)
+    assert went_on(batch) > 20 and (batch.channel >= 0).sum() > 20
+    # a spontaneous decay is followed by a second jump
+    assert (batch.jumps.max() > 1) == (gamma > 0.0)
+
+
+@pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5,
+                                            eta=0.5, kappa=1.0, phi=1.0, t_wait2=100.0),
+                               EXCEPTIONAL.with_(eta=0.6, phi=1.0)], ids=["spectral", "expm"])
+def test_stage2_batch_rows_do_not_depend_on_the_stack(p):
+    eng = StageEngine(p)
+    block = StreamBlock(77, 0, 2000)
+    rows, start = stage2_windows(eng, block)
+    whole = run_windows(eng, block, p.t_wait2, stage=1, rows=rows, start=start)
+    # hundreds of rows cross as one stack, and some go on after an unrecorded jump
+    assert rows.size > 200 and went_on(whole) > 0
+    clicked = np.flatnonzero(whole.channel >= 0)
+    # a lone row that jumps goes through numpy's one-row (gemv) products
+    lone = [(i, i + 1) for i in np.flatnonzero(whole.jumps > 0)[:4]]
+    for lo, hi in [(0, 60), (13, 41), (58, 60), (rows.size - 1, rows.size)] + lone:
+        part = run_windows(eng, block, p.t_wait2, stage=1, rows=rows[lo:hi], start=start[lo:hi])
+        for got, want in zip(part[:3], whole[:3]):
+            assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+        assert part.state.tobytes() == whole.state[(lo <= clicked) & (clicked < hi)].tobytes()
+
+
+def test_stage2_batch_takes_a_start_state_per_window():
+    eng = StageEngine(SystemParams(adiabatic=True))
+    with pytest.raises(ValueError, match="2 start states for 3 windows"):
+        run_windows(eng, StreamBlock(0, 0, 3), 1.0, stage=1, start=np.ones((2, eng.psi0.dim)))
+    with pytest.raises(ValueError, match="positive norm"):
+        run_windows(eng, StreamBlock(0, 0, 1), 1.0, stage=1, start=np.zeros((1, eng.psi0.dim)))
+
+
 def test_herald_batch_rejects_a_negative_window():
     with pytest.raises(ValueError, match="t_max"):
-        run_herald_windows(StageEngine(IDEAL), StreamBlock(0, 0, 3), -1.0)
+        run_windows(StageEngine(IDEAL), StreamBlock(0, 0, 3), -1.0)
 
 
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
@@ -380,7 +488,7 @@ def test_windows_reject_a_non_finite_t_max(t_max):
         with pytest.raises(ValueError, match="t_max"):
             run_until_click(eng.psi0, eng, RngStream(0, 0), t_max, sampler=sampler)
     with pytest.raises(ValueError, match="t_max"):
-        run_herald_windows(eng, StreamBlock(1, 0, 1000), t_max)
+        run_windows(eng, StreamBlock(1, 0, 1000), t_max)
 
 
 def test_fixed_window_is_a_whole_number_of_steps():
