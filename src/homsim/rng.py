@@ -48,7 +48,7 @@ _PHILOX_ROUNDS = 10
 HEAD = 4        # uniforms in one Philox4x64 output block
 SUBSTREAMS = 2  # 0: jump decisions, 1: channel choice
 
-_NO_HEAD = np.empty((SUBSTREAMS, 0))
+_NO_HEAD = np.empty(0)
 
 
 def check_seed(seed) -> int:
@@ -183,7 +183,8 @@ class StreamBlock:
     """Keys and first output blocks of the streams [start, stop) of one
     master seed.  Each stage's are derived in one vectorized pass when the
     stage is first used (stage_tables), so a run that only waits for the
-    herald never derives the second window's."""
+    herald never derives the second window's; row_tables derives a stage
+    for some rows alone, such as the heralded ones."""
 
     def __init__(self, master_seed: int, start: int, stop: int):
         self.master_seed = check_seed(master_seed)
@@ -198,14 +199,21 @@ class StreamBlock:
         HEAD) float64 of every stream's stage: 96 bytes a stream."""
         tables = self._tables.get(stage)
         if tables is None:
-            idx = np.arange(self.start, self.stop, dtype=np.uint64)
-            keys = np.stack(
-                [stream_keys(self.master_seed, idx, stage, sub) for sub in range(SUBSTREAMS)],
-                axis=1,
-            )
-            head = np.stack([block_uniforms(keys[:, sub]) for sub in range(SUBSTREAMS)], axis=1)
-            tables = self._tables[stage] = (keys, head)
+            tables = self._tables[stage] = self.row_tables(stage, slice(None))
         return tables
+
+    def row_tables(self, stage: int, rows) -> tuple[np.ndarray, np.ndarray]:
+        """stage_tables(stage)[rows], to the same bytes: sliced from the
+        stage's tables once they exist, otherwise derived for those rows alone."""
+        tables = self._tables.get(stage)
+        if tables is not None:
+            return tables[0][rows], tables[1][rows]
+        idx = np.arange(self.start, self.stop, dtype=np.uint64)[rows]
+        keys = np.stack(
+            [stream_keys(self.master_seed, idx, stage, sub) for sub in range(SUBSTREAMS)], axis=1
+        )
+        head = np.stack([block_uniforms(keys[:, sub]) for sub in range(SUBSTREAMS)], axis=1)
+        return keys, head
 
     def stream(self, index: int) -> "RngStream":
         """The stage-0 stream of trajectory index; for_stage(1) gives its second stage."""
@@ -220,8 +228,10 @@ class RngStream:
     segment for the fast sampler), one consumed by channel selection.  Keying
     is (master_seed, stream_index, stage, substream), so identical inputs
     reproduce identical trajectories on any platform and in any scheduling
-    order.  A stream bound to a StreamBlock serves its first HEAD draws per
-    substream from the block and draws the same numbers as an unbound one.
+    order.  A stream bound to a StreamBlock keeps its row and the block's
+    stage tables, not views of its own entries: it serves its first HEAD
+    draws per substream from them and draws the same numbers as an unbound
+    one.
     """
 
     def __init__(self, master_seed: int, stream_index: int, stage: int = 0, *,
@@ -234,9 +244,7 @@ class RngStream:
                 f"seed {self.master_seed}, stream index {self.stream_index} and stage "
                 f"{self.stage} must be non-negative integers"
             )
-        self._block = block
-        self._head = _NO_HEAD
-        self._keys = None
+        self._block, self._row, self._tables = block, 0, None
         if block is not None:
             if (block.master_seed != self.master_seed
                     or not block.start <= self.stream_index < block.stop):
@@ -245,9 +253,8 @@ class RngStream:
                     f"is not in the block of seed {block.master_seed}, "
                     f"streams [{block.start}, {block.stop})"
                 )
-            keys, head = block.stage_tables(self.stage)
-            self._keys = keys[self.stream_index - block.start]
-            self._head = head[self.stream_index - block.start]
+            self._row = self.stream_index - block.start
+            self._tables = block.stage_tables(self.stage)
         self._drawn = [0, 0]
         self._gens: list[Optional[np.random.Generator]] = [None, None]
 
@@ -257,7 +264,8 @@ class RngStream:
                 self.master_seed, spawn_key=(self.stream_index, self.stage, substream)
             )
             return np.random.Generator(np.random.Philox(ss))
-        return np.random.Generator(np.random.Philox(key=self._keys[substream], counter=1))
+        key = self._tables[0][self._row, substream]
+        return np.random.Generator(np.random.Philox(key=key, counter=1))
 
     def _generator(self, substream: int) -> np.random.Generator:
         gen = self._gens[substream]
@@ -267,8 +275,8 @@ class RngStream:
 
     def _uniform(self, substream: int) -> float:
         k = self._drawn[substream]
-        if k < self._head.shape[1]:
-            value = float(self._head[substream, k])
+        if k < HEAD and self._tables is not None:
+            value = float(self._tables[1][self._row, substream, k])
         else:
             value = float(self._generator(substream).random())
         self._drawn[substream] = k + 1
@@ -282,7 +290,7 @@ class RngStream:
 
     def step_uniforms(self, n: int) -> np.ndarray:
         k = self._drawn[0]
-        head = self._head[0, k : k + n]
+        head = _NO_HEAD if self._tables is None else self._tables[1][self._row, 0, k : k + n]
         if head.size == n:
             out = head.copy()
         else:

@@ -19,8 +19,11 @@ Two statistically equivalent samplers over the same jump-channel set:
   state.  The norm never grows along a no-jump segment, so the root is
   unique: safeguarded Newton with the analytic slope -<psi| sum L^dag L |psi>
   finds it (StageEngine._crossing), starting from a norm table on the
-  window segment every stage-1 trajectory shares.  The no-jump state at any
-  time comes from one eigendecomposition of the node, h = v diag(w) v^-1:
+  window segment every stage-1 trajectory shares.  The engine finds that
+  psi0 segment by identity, and the scalar window searches its table and
+  sums its channel weights on Python lists, to numpy's bits.  The no-jump
+  state at any time comes from one eigendecomposition of the node,
+  h = v diag(w) v^-1:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
   exceptional point); from psi0 = two_nodes(a0, a0) it stays two_nodes(phi,
@@ -41,10 +44,12 @@ bit-reproducible in isolation and independent of scheduling order.  The
 streams live in homsim.rng: a chunk of trajectories derives the keys and
 first output blocks of all its streams in one vectorized pass (a
 StreamBlock), bit-exact against numpy's SeedSequence and Philox, which stay
-the reference for a stream made on its own.  A stream serves its first four
-draws per substream from the block and continues on a numpy Philox from the
-block's key at counter 1; the batch reads the block's keys and first draws
-directly and takes later draws from the vectorized Philox at counter 2, 3, ...
+the reference for a stream made on its own.  A stream bound to a block keeps
+its row, serves its first four draws per substream from the block and
+continues on a numpy Philox from the block's key at counter 1; the batch
+reads the block's keys and first draws directly (a protocol chunk's second
+windows only the heralded rows', derived for those rows alone) and takes
+later draws from the vectorized Philox at counter 2, 3, ...
 
 A waiting window returns a StageResult: the recorded click that ended it, or
 a timeout, with the state it left and every collapse on the way.  Whether a
@@ -55,6 +60,7 @@ results; the outcome and the event list are derived from them.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -192,6 +198,7 @@ class _Segment:
     # shared segments only: minus the squared norm on linspace(0, span,
     # _TABLE_POINTS), made monotone, so that it ascends for searchsorted
     table: Optional[np.ndarray] = None
+    table_list: Optional[list] = None   # the same, for the scalar window's bisect
     # the normalized end state, built at the segment's first timeout
     final: Optional[StateVector] = None
     node: Optional[np.ndarray] = None   # v^-1 a0 if the start state is two_nodes(a0, a0)
@@ -234,6 +241,7 @@ class StageEngine:
         self._node0 = v_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
         self._fixed_cache: dict = {}
         self._coarse_cache: dict = {}
+        self._psi0_seg: tuple = (None, None)   # (span, segment) of the last psi0 coarse_curve
 
     # -- fixed-step machinery -------------------------------------------------
 
@@ -299,9 +307,7 @@ class StageEngine:
         total = weights.sum()
         if total <= 0.0:
             raise RuntimeError("jump triggered with zero total channel weight")
-        u = rng.channel_uniform() * total
-        idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-        idx = min(idx, len(self.ops) - 1)
+        idx = _pick(weights, rng.channel_uniform() * total)
         post = self.ops[idx] @ psi_hat
         post = post / math.sqrt(np.vdot(post, post).real)
         return self.tags[idx], post
@@ -352,6 +358,8 @@ class StageEngine:
         """two_nodes(phi, phi) of a node state phi, or of each row of a stack of
         them; a state of the pair as it is."""
         d = self._h.shape[0]
+        if x.ndim == 1 and x.size == d:   # the same products, for less than the broadcast's call
+            return np.multiply.outer(x, x).reshape(d * d)[self._perm]
         return x if x.shape[-1] != d else (
             (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], d * d)[..., self._perm])
 
@@ -363,7 +371,11 @@ class StageEngine:
     def coarse_curve(self, psi_n: np.ndarray, t_max: float) -> _Segment:
         """The no-jump segment from psi_n over a whole window, cached by start
         state so that trajectories sharing it decompose it once.  It carries
-        a table of the squared norm on a fixed grid, where its crossings start."""
+        a table of the squared norm on a fixed grid, where its crossings start.
+        The engine's psi0 segment is found by identity, without the key."""
+        span, seg = self._psi0_seg
+        if psi_n is self.psi0.amplitudes and t_max == span:
+            return seg
         key = (psi_n.tobytes(), round(float(t_max), 12))
         seg = self._coarse_cache.get(key)
         if seg is None:
@@ -375,9 +387,12 @@ class StageEngine:
                 seg = self._segment(psi_n, t_max)
                 n2 = self._pair_rows(seg.coeffs[None], times)[1]
             seg.table = -np.minimum.accumulate(n2)
+            seg.table_list = seg.table.tolist()
             if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
                 self._coarse_cache.pop(next(iter(self._coarse_cache)))
             self._coarse_cache[key] = seg
+        if psi_n is self.psi0.amplitudes:
+            self._psi0_seg = (t_max, seg)
         return seg
 
     def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
@@ -385,10 +400,11 @@ class StageEngine:
         otherwise from n2 falling exponentially to n2_end over the span."""
         if seg.table is None:
             return span * math.log(r) / math.log(max(seg.n2_end, _TINY))
-        k = min(max(int(np.searchsorted(seg.table, -r)), 1), seg.table.size - 1)
-        above, below = -float(seg.table[k - 1]), -float(seg.table[k])
+        table = seg.table_list   # searchsorted's left side, on a list
+        k = min(max(bisect.bisect_left(table, -r), 1), len(table) - 1)
+        above, below = -table[k - 1], -table[k]
         frac = min(max((above - r) / (above - below), 0.0), 1.0) if above > below else 0.5
-        return span * (k - 1 + frac) / (seg.table.size - 1)
+        return span * (k - 1 + frac) / (len(table) - 1)
 
     def _crossing(self, seg: _Segment, r: float, span: float) -> tuple[float, np.ndarray]:
         """The time t in (0, span) at which the segment's squared norm falls to
@@ -398,14 +414,16 @@ class StageEngine:
         f' = -<psi| sum L^dag L |psi>, as in Numerical Recipes' rtsafe.  f never
         grows along a no-jump segment, so the sign of each evaluation tightens
         a bracket [lo, hi] around the root.  A Newton step that leaves the
-        bracket, or that fails to halve the step before last (as it does where
-        rounding makes a flat f wander), bisects the bracket instead.  Stops at
-        brentq's tolerance.  The evaluator is _node_at on the segment from
-        two_nodes(a0, a0), _pair_at on any other.
+        bracket, lands on span (never evaluated) or fails to halve the step
+        before last (as it does where rounding makes a flat f wander) bisects
+        the bracket instead; the guess is held below span, and a bisection
+        onto it stays at lo, so a root within rounding of span comes back as
+        the float below it.  Stops at brentq's tolerance.  The evaluator is
+        _node_at on the segment from two_nodes(a0, a0), _pair_at on any other.
         """
         at, coeffs = (self._pair_at, seg.coeffs) if seg.node is None else (self._node_at, seg.node)
         lo, hi = 0.0, span
-        t = self._first_guess(seg, r, span)
+        t = min(self._first_guess(seg, r, span), math.nextafter(span, 0.0))
         last = before = span   # sizes of the last two steps
         for _ in range(_NEWTON_MAX):
             x, n2, slope = at(coeffs, t)
@@ -415,8 +433,9 @@ class StageEngine:
             else:
                 hi = t
             step = -f / slope if slope < 0.0 else math.nan
-            if not (lo <= t + step <= hi and abs(step) <= 0.5 * before):
-                step = 0.5 * (lo + hi) - t
+            if not (lo <= t + step <= hi and t + step < span and abs(step) <= 0.5 * before):
+                mid = 0.5 * (lo + hi)
+                step = (mid if mid < span else lo) - t
             before, last = last, abs(step)
             nxt = t + step
             if last <= _XTOL + _RTOL * nxt:
@@ -500,10 +519,11 @@ class StageEngine:
         """_crossing of each row from the first guesses t, evaluated by at
         (_node_rows or _pair_rows): the crossing times and the states there.
         Each row iterates with the scalar safeguards and leaves at their stop."""
+        t = np.minimum(t, np.nextafter(span, 0.0))
         t_out = np.empty(r.size)
         psi_out = np.empty((r.size, self.h_eff.shape[0]), dtype=complex)
         live = np.arange(r.size)
-        r_live, lo, hi = r, np.zeros(r.size), span
+        r_live, lo, hi, end = r, np.zeros(r.size), span, span
         last = before = span   # sizes of the last two steps
         for _ in range(_NEWTON_MAX):
             x, n2, slope = at(coeffs if coeffs.shape[0] == 1 else coeffs[live], t)
@@ -512,8 +532,10 @@ class StageEngine:
             hi = np.where(f > 0.0, hi, t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(slope < 0.0, -f / slope, np.nan)
-            newton = (lo <= t + step) & (t + step <= hi) & (np.abs(step) <= 0.5 * before)
-            step = np.where(newton, step, 0.5 * (lo + hi) - t)
+            nxt = t + step
+            newton = (lo <= nxt) & (nxt <= hi) & (nxt < end) & (np.abs(step) <= 0.5 * before)
+            mid = 0.5 * (lo + hi)
+            step = np.where(newton, step, np.where(mid < end, mid, lo) - t)
             before, last = last, np.abs(step)
             t = t + step
             done = last <= _XTOL + _RTOL * t
@@ -525,8 +547,8 @@ class StageEngine:
                 go = ~done
                 if not go.any():
                     return t_out, psi_out
-                live, r_live, t, lo, hi, last, before = (
-                    a[go] for a in (live, r_live, t, lo, hi, last, before)
+                live, r_live, t, lo, hi, end, last, before = (
+                    a[go] for a in (live, r_live, t, lo, hi, end, last, before)
                 )
         raise RuntimeError(f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} "
                            f"iterations on [0, {span[live[0]]!r}]")
@@ -551,6 +573,13 @@ class StageEngine:
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
+
+
+def _pick(weights: np.ndarray, u: float) -> int:
+    """np.searchsorted(np.cumsum(weights), u, side="right") capped at the last
+    channel, summed in the same order on a list: cheaper for one collapse."""
+    cum = list(itertools.accumulate(weights.tolist()))
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
 def whole_steps(t, dt: float, name: str) -> np.ndarray:
@@ -664,9 +693,7 @@ def run_windows(
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    keys, head = block.stage_tables(stage)
-    if rows is not None:
-        keys, head = keys[rows], head[rows]
+    keys, head = block.stage_tables(stage) if rows is None else block.row_tables(stage, rows)
     n = keys.shape[0]
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
     states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: window i's click

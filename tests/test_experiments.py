@@ -19,7 +19,8 @@ from homsim.hilbert import BasisIndex, StateVector
 from homsim.lindblad import ensemble_compare
 from homsim.model import ChannelTag, SystemParams
 from homsim.oracles import ensemble_observables
-from homsim.rng import StreamBlock
+import homsim.rng
+from homsim.rng import SUBSTREAMS, StreamBlock
 from homsim.trajectory import Outcome, RngStream, StageEngine, run_protocol, run_until_click
 
 DIMS = (3, 3, 2, 2)
@@ -167,8 +168,25 @@ def test_protocol_chunk_builds_one_stream_per_window(monkeypatch):
     n_clicks, _, _ = _protocol_chunk((SystemParams(adiabatic=True, phi=1.0), 5, 0, n, "fast"))
     assert (n_clicks >= 1).sum() > 0
     # one stream per first window; the second windows run as one stack on
-    # the block's stage_tables(1) and build none
+    # the block's stage-1 tables and build none
     assert len(built) == n
+
+
+def test_protocol_chunk_derives_second_window_keys_for_heralded_rows_only(monkeypatch):
+    derived = []
+    keys = homsim.rng.stream_keys
+
+    def counting_keys(seed, indices, stage, substream):
+        derived.append((stage, len(indices)))
+        return keys(seed, indices, stage, substream)
+
+    monkeypatch.setattr(homsim.rng, "stream_keys", counting_keys)
+    n = 1000
+    n_clicks, _, _ = _protocol_chunk((SystemParams(adiabatic=True, phi=1.0), 5, 0, n, "fast"))
+    heralded = int((n_clicks >= 1).sum())
+    assert 0 < heralded < n / 5
+    # every stream's first window, and only the heralded rows' second one
+    assert sorted(derived) == [(0, n)] * SUBSTREAMS + [(1, heralded)] * SUBSTREAMS
 
 
 def test_single_point_sweep_matches_direct_run():

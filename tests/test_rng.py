@@ -3,7 +3,7 @@ standalone streams."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import homsim.experiments as experiments
 from homsim.model import SystemParams
@@ -135,6 +135,34 @@ def test_block_rejects_foreign_streams():
             RngStream(seed, index, stage, block=block)
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from([0, 7, 2**32 - 3, 2**64 - 7]), PARTS,
+       st.lists(st.integers(0, 5), max_size=8))
+@example(seed=3, start=0, stage=1, rows=[])
+@example(seed=3, start=0, stage=1, rows=[4])
+@example(seed=3, start=2**32 - 3, stage=0, rows=[5, 0, 3, 2, 3])
+def test_row_tables_are_the_stage_tables_at_those_rows(seed, start, stage, rows):
+    # rows come unsorted, repeated or empty; from 2**32 - 3 they cross to
+    # stream indices of two entropy words
+    rows = np.array(rows, dtype=int)
+    block = StreamBlock(seed, start, start + 6)
+    alone = block.row_tables(stage, rows)
+    assert not block._tables   # derived for those rows, not the whole stage
+    whole = block.stage_tables(stage)
+    sliced = block.row_tables(stage, rows)
+    for got in (alone, sliced):
+        for table, full in zip(got, whole, strict=True):
+            assert table.dtype == full.dtype and table.shape == full[rows].shape
+            assert table.tobytes() == full[rows].tobytes()
+
+
+def test_row_tables_reject_rows_outside_the_block():
+    block = StreamBlock(3, 10, 14)
+    for rows in ([4], [-5], [0.0]):
+        with pytest.raises(IndexError):
+            block.row_tables(0, np.array(rows))
+
+
 def test_negative_seed_or_index_is_rejected():
     with pytest.raises(ValueError, match="seed"):
         stream_keys(-1, np.arange(3), 0, 0)
@@ -165,7 +193,8 @@ CHUNK_CASES = [
 
 class _StandaloneStreams:
     """Stands in for StreamBlock: hands out streams made on their own, and
-    takes the keys and first blocks the batched herald windows read from
+    takes the keys and first blocks the batched windows read (every row's
+    for the herald windows, the heralded rows' for the second ones) from
     numpy's SeedSequence and Philox."""
 
     def __init__(self, seed, start, stop):
@@ -175,12 +204,16 @@ class _StandaloneStreams:
         return RngStream(self.seed, index)
 
     def stage_tables(self, stage):
-        seqs = [[numpy_stream(self.seed, i, stage, sub) for sub in range(SUBSTREAMS)]
-                for i in range(self.start, self.stop)]
-        keys = np.array([[ss.generate_state(2, np.uint64) for ss in row] for row in seqs])
+        return self.row_tables(stage, np.arange(self.stop - self.start))
+
+    def row_tables(self, stage, rows):
+        seqs = [[numpy_stream(self.seed, self.start + int(j), stage, sub)
+                 for sub in range(SUBSTREAMS)] for j in rows]
+        keys = np.array([[ss.generate_state(2, np.uint64) for ss in row] for row in seqs],
+                        dtype=np.uint64)
         head = np.array([[np.random.Generator(np.random.Philox(ss)).random(HEAD) for ss in row]
                          for row in seqs])
-        return keys, head
+        return keys.reshape(len(rows), SUBSTREAMS, 2), head.reshape(len(rows), SUBSTREAMS, HEAD)
 
 
 def test_spontaneous_decay_windows_draw_more_than_once():

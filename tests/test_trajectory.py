@@ -20,6 +20,8 @@ from homsim.trajectory import (
     RngStream,
     StageEngine,
     StepSizeError,
+    _pick,
+    _Segment,
     run_protocol,
     run_unconditioned,
     run_until_click,
@@ -215,6 +217,9 @@ def test_crossing_edges(adiabatic):
 @given(rel=st.floats(-2e-3, 2e-3), shared=st.booleans(), u=st.floats(0.0, 1.0))
 @example(rel=0.0, shared=True, u=0.5)
 @example(rel=0.0, shared=False, u=0.5)
+# r one rounding above n2_end: the root lies within rounding of the window's
+# end, which the crossing must not return
+@example(rel=0.001953125, shared=False, u=2.220446049250313e-16)
 def test_crossing_near_the_exceptional_point(rel, shared, u):
     # kappa within 2e-3 of 2 g omega / delta: cond(V) runs from about 1e3 to
     # 2.5e10, so both evaluators are drawn
@@ -302,6 +307,128 @@ def test_psi0_crossings_evaluate_the_node_alone(monkeypatch):
     assert (run_windows(eng, block, p.t_wait).channel >= 0).sum() > 50
     assert sum(run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
                                share_curve=True).clicked for i in range(200)) > 5
+
+
+def test_crossing_stays_below_an_end_within_rounding_of_the_root():
+    # the scalar and the stacked crossing, from the same guess, where every
+    # iterate above the float below span would be the end itself
+    p = EXCEPTIONAL.with_(kappa=EXCEPTIONAL.kappa * (1.0 + 0.001953125))
+    eng = StageEngine(p)
+    seg = eng._segment(eng.psi0.amplitudes, p.t_wait)
+    r = seg.n2_end + 2.220446049250313e-16 * (1.0 - seg.n2_end)
+    span = np.array([p.t_wait])
+    t, _ = eng._crossing(seg, r, p.t_wait)
+    for guess in (p.t_wait, eng._first_guess(seg, r, p.t_wait)):
+        ts, _ = eng._crossing_rows(eng._pair_rows, seg.coeffs[None], np.array([r]), span,
+                                   np.array([guess]))
+        assert ts[0] == t == math.nextafter(p.t_wait, 0.0)
+
+
+# -- the scalar window's list paths ---------------------------------------------------
+# the scalar window replaces numpy calls on short arrays by the same
+# arithmetic on Python lists; each must give the numpy call's bits
+
+
+def searchsorted_guess(table, r, span):
+    """_first_guess from a norm table, on numpy's searchsorted."""
+    k = min(max(int(np.searchsorted(table, -r)), 1), table.size - 1)
+    above, below = -float(table[k - 1]), -float(table[k])
+    frac = min(max((above - r) / (above - below), 0.0), 1.0) if above > below else 0.5
+    return span * (k - 1 + frac) / (table.size - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # squared norms, made monotone as coarse_curve makes them; repeats give flat runs
+    n2=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+                min_size=1, max_size=40),
+    span=st.floats(1e-3, 300.0),
+    u=st.floats(0.0, 1.0),
+    on_entry=st.booleans(),
+    data=st.data(),
+)
+def test_first_guess_bisects_as_searchsorted(n2, span, u, on_entry, data):
+    table = -np.minimum.accumulate(np.array([1.0] + n2))
+    # r on a table entry is a tie for the search
+    r = -data.draw(st.sampled_from(table.tolist())) if on_entry else u
+    seg = _Segment(None, None, float(-table[-1]), table=table, table_list=table.tolist())
+    eng = StageEngine(EXCEPTIONAL)
+    assert eng._first_guess(seg, r, span) == searchsorted_guess(table, r, span)
+
+
+def test_first_guess_on_the_psi0_table_bisects_as_searchsorted():
+    eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.3))
+    span = eng.params.t_wait
+    seg = eng.coarse_curve(eng.psi0.amplitudes, span)
+    for r in np.concatenate((-seg.table, RNG.uniform(seg.n2_end, 1.0, 200))).tolist():
+        assert eng._first_guess(seg, r, span) == searchsorted_guess(seg.table, r, span)
+
+
+def searchsorted_pick(weights, u):
+    return min(int(np.searchsorted(np.cumsum(weights), u, side="right")), weights.size - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 1e-300])),
+                     min_size=1, max_size=8),
+    frac=st.floats(0.0, 1.0),
+    on_edge=st.booleans(),
+    data=st.data(),
+)
+@example(weights=[0.0, 0.25, 0.0, 0.25], frac=0.5, on_edge=False, data=None)
+@example(weights=[0.0, 0.0, 0.5], frac=0.0, on_edge=False, data=None)
+def test_channel_pick_is_searchsorted_on_the_cumsum(weights, frac, on_edge, data):
+    w = np.array(weights)
+    assume(w.sum() > 0.0)
+    # u on a partial sum is a tie; frac = 1 puts u on the pairwise total
+    u = data.draw(st.sampled_from(np.cumsum(w).tolist())) if on_edge else frac * w.sum()
+    assert _pick(w, u) == searchsorted_pick(w, u)
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def channel_uniform(self):
+        return self.u
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_prep=st.floats(0.5, 50.0), jumped=st.booleans(),
+       u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5])))
+def test_collapse_picks_from_the_spont_set_as_searchsorted(t_prep, jumped, u):
+    eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.4, gamma_cb=0.2, eta=0.6))
+    assert len(eng.ops) == 8   # D1, D2, both LOST, four SPONT
+    # psi0 has no jump weight; the no-jump state after t_prep has
+    psi = eng._segment(eng.psi0.amplitudes, t_prep).end
+    if jumped:   # a state after one spontaneous decay
+        psi = eng.ops[eng.tags.index(ChannelTag.SPONT_A_ION1)] @ psi
+    psi = psi / np.linalg.norm(psi)
+    amps = eng._op_stack @ psi
+    weights = np.einsum("ij,ij->i", amps.conj(), amps).real
+    want = searchsorted_pick(weights, u * weights.sum())
+    tag, post = eng._collapse(psi, _FixedDraw(u))
+    assert tag is eng.tags[want]
+    ref = eng.ops[want] @ psi
+    assert post.tobytes() == (ref / math.sqrt(np.vdot(ref, ref).real)).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(t_max=st.floats(0.5, 300.0), identity_first=st.booleans())
+def test_psi0_segment_found_by_identity_is_the_keyed_one(t_max, identity_first):
+    eng = StageEngine(SystemParams(adiabatic=True))
+    psi0 = eng.psi0.amplitudes
+    if identity_first:
+        seg = eng.coarse_curve(psi0, t_max)
+        assert eng.coarse_curve(psi0.copy(), t_max) is seg
+    else:
+        seg = eng.coarse_curve(psi0.copy(), t_max)
+    assert eng.coarse_curve(psi0, t_max) is seg
+    # another span misses it, and finds it again by its key
+    other = eng.coarse_curve(psi0, 2.0 * t_max)
+    assert other is not seg and other.n2_end < seg.n2_end
+    assert eng.coarse_curve(psi0, t_max) is seg
 
 
 # -- batched windows ----------------------------------------------------------------
