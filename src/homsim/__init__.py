@@ -4,7 +4,7 @@ second emitted photon behind a beam splitter."""
 
 __version__ = "0.1.0"
 
-from .hilbert import BasisIndex, OperatorMatrix, StateVector, embed, matrix_exp
+from .hilbert import BasisIndex, OperatorMatrix, StateVector, embed
 from .model import (
     ChannelTag,
     JumpChannel,
@@ -26,7 +26,6 @@ from .trajectory import (
     TrajectoryRecord,
     run_protocol,
     run_until_click,
-    step,
 )
 from .experiments import (
     SweepPoint,
@@ -36,7 +35,7 @@ from .experiments import (
     run_redistribution,
     sweep,
 )
-from .lindblad import DensityMatrix, ensemble_compare, integrate, liouvillian_apply
+from .lindblad import DensityMatrix, ensemble_compare, integrate
 from .analytic import (
     ModePair,
     EmitterParams,

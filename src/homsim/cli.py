@@ -14,8 +14,12 @@ t_wait and t_wait2, plus the shorthand `gamma` for gamma_ca = gamma_cb.
 SystemParams owns their defaults and ranges.  The run keys are the
 `RunConfig` fields after params, which own their types and defaults.  A
 config error, a NaN or infinite value included, names the key to fix (exit
-code 2).  Every command is a pure function of (config, seed): reruns produce
-byte-identical data files, for any worker-thread count.
+code 2).  So does a value for the parameter a command sweeps (phi for
+redistribute, the chosen param for entangle-sweep), which grid alone sets,
+and a dt too coarse for the fixed sampler's first-order jump probability,
+found while the command runs.  Every command is a pure function of
+(config, seed): reruns produce byte-identical data files, for any
+worker-thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .analytic import EmitterParams, emission_amplitude, emission_norm, same_det
 from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
 from .model import ParamError, SystemParams
 from .oracles import run_suite
-from .trajectory import whole_steps
+from .trajectory import StepSizeError, whole_steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,6 +209,10 @@ def parse_config(
     if command == "entangle-sweep" and swept not in SWEEPABLE:
         raise ConfigError(f"invalid value for key 'param': {swept!r}")
     if command in ("entangle-sweep", "redistribute"):
+        for key in ("gamma", "gamma_ca", "gamma_cb") if swept == "gamma" else (swept,):
+            if key in vals:
+                raise ConfigError(f"key '{key}' is swept by this command; "
+                                  f"give its values in 'grid'")
         if not run["grid"]:
             raise ConfigError("invalid value for key 'grid': no values")
         for v in run["grid"]:
@@ -356,6 +364,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[cfg.command](cfg)
+    except StepSizeError as exc:   # raised by the fixed sampler, in a pool worker too
+        print(f"config error: value out of range for key 'dt': {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

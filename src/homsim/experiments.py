@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .analytic import heralded_states
 from .hilbert import StateVector
 from .model import ChannelTag, SystemParams
 from .rng import StreamBlock, check_seed
-from .trajectory import StageEngine, run_protocol, run_until_click, run_windows
+from .trajectory import StageEngine, run_until_click, run_windows
 
 _CHUNK = 5000   # trajectories per worker task; fixed so results never depend on thread count
 
@@ -121,26 +121,23 @@ def _protocol_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
     block = StreamBlock(seed, start, stop)
-    # heralded: (row, first window) of each stream whose first window clicked;
-    # ends: the tag that ended its second window, None after a timeout
+    # the first windows one stream at a time; heralded: (row, first window)
+    # of each stream whose first window clicked
+    firsts = (run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
+                              sampler=sampler, share_curve=True) for i in range(start, stop))
+    heralded = [(j, first) for j, first in enumerate(firsts) if first.clicked]
+    # the second windows from the phase-gated herald states, run_protocol's
+    # second stage; ends: the tag that ended each, None after a timeout
+    gated = [engine.phase_diag * first.state.amplitudes for _, first in heralded]
     if sampler == "fast":
-        # the first windows one stream at a time, the second ones from the
-        # phase-gated herald states as one stack
-        firsts = (run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
-                                  sampler=sampler, share_curve=True) for i in range(start, stop))
-        heralded = [(j, first) for j, first in enumerate(firsts) if first.clicked]
-        gated = [engine.phase_diag * first.state.amplitudes for _, first in heralded]
         second = run_windows(engine, block, params.t_wait2, stage=1,
                              rows=np.array([j for j, _ in heralded], dtype=int),
                              start=np.reshape(gated, (len(heralded), engine.psi0.dim)))
         ends = [engine.tags[c] if c >= 0 else None for c in second.channel]
     else:
-        recs = (run_protocol(engine, block.stream(i), sampler=sampler) for i in range(start, stop))
-        heralded, ends = [], []
-        for j, rec in enumerate(recs):
-            if rec.second is not None:
-                heralded.append((j, rec.first))
-                ends.append(rec.second.tag)
+        ends = [run_until_click(psi, engine, block.stream(start + j).for_stage(1),
+                                params.t_wait2, sampler=sampler).tag
+                for (j, _), psi in zip(heralded, gated)]
     targets = _target_vectors(params.dims)
     n = stop - start
     n_clicks = np.zeros(n, dtype=np.int8)
@@ -264,24 +261,15 @@ def _protocol_point(
 ) -> SweepPoint:
     """Reduce per-trajectory protocol columns (recorded clicks, second click
     on the first click's detector, herald fidelity) to a SweepPoint."""
-    n = n_clicks.size
-    if n == 0:
+    if n_clicks.size == 0:
         raise ValueError("a protocol point needs at least one trajectory")
     heralded = n_clicks >= 1
     two = n_clicks == 2
     n_her = int(heralded.sum())
     n_two = int(two.sum())
-    p_hat = n_her / n
-    f_vals = fid[heralded]
     ps_hat = float(same_tag[two].mean()) if n_two else float("nan")
-    return SweepPoint(
-        param=param,
-        value=value,
-        n_traj=n,
-        p_hat=p_hat,
-        p_stderr=_binomial_stderr(p_hat, n),
-        f_hat=float(f_vals.mean()) if f_vals.size else float("nan"),
-        f_stderr=_sample_stderr(f_vals),
+    return replace(
+        _stage1_point(param, value, heralded, fid),
         ps_hat=ps_hat,
         ps_stderr=_binomial_stderr(ps_hat, n_two) if n_two else float("nan"),
         two_click_fraction=(n_two / n_her) if n_her else float("nan"),

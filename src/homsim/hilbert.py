@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 ION_LEVELS = ("a", "b", "c")
 LEVEL_INDEX = {name: i for i, name in enumerate(ION_LEVELS)}
@@ -88,15 +87,6 @@ class BasisIndex:
                 raise ValueError(f"basis label {self} out of range for dims {dims}")
         return int(np.ravel_multi_index(idx, dims))
 
-    @staticmethod
-    def unflatten(flat: int, dims: tuple[int, ...]) -> "BasisIndex":
-        i1, i2, n1, n2 = np.unravel_index(flat, dims)
-        return BasisIndex(ION_LEVELS[i1], ION_LEVELS[i2], int(n1), int(n2))
-
-
-def identity(dims: tuple[int, ...]) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(math.prod(dims), dtype=complex), dims)
-
 
 def embed(op: np.ndarray | OperatorMatrix, subsystem: int, dims: tuple[int, ...]) -> OperatorMatrix:
     """Lift a single-subsystem operator to the full space.
@@ -113,15 +103,6 @@ def embed(op: np.ndarray | OperatorMatrix, subsystem: int, dims: tuple[int, ...]
     for k, d in enumerate(dims):
         out = np.kron(out, mat if k == subsystem else np.eye(d, dtype=complex))
     return OperatorMatrix(out, tuple(dims))
-
-
-def matrix_exp(a: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
-    """exp(scale * A) for a general (not necessarily Hermitian) operator.
-
-    Backed by scaling-and-squaring with Pade approximants; relative accuracy
-    is far below 1e-12 for the operator norms used here.
-    """
-    return OperatorMatrix(_scipy_expm(scale * a.entries), a.basis_dims)
 
 
 def basis_state(label: BasisIndex, dims: tuple[int, ...]) -> StateVector:

@@ -86,18 +86,6 @@ def _master_rhs(hamiltonian: OperatorMatrix, channels: Sequence[JumpChannel]):
     return rhs
 
 
-def liouvillian_apply(
-    rho: DensityMatrix | np.ndarray,
-    hamiltonian: OperatorMatrix,
-    channels: Sequence[JumpChannel],
-) -> np.ndarray:
-    """Right-hand side of the master equation."""
-    r = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if r.shape != hamiltonian.entries.shape:
-        raise ValueError("dimension mismatch between rho and H")
-    return _master_rhs(hamiltonian, channels)(r)
-
-
 def integrate(
     rho0: DensityMatrix,
     hamiltonian: OperatorMatrix,

@@ -14,8 +14,8 @@ al., SC'11) with each 64x64 -> 128-bit multiply split into 32-bit halves.
 streams draws past its first block in the same vectorized way
 (`nth_uniforms`).  Both match numpy bit for bit.  numpy stays the
 reference: a stream made outside a block draws from the numpy objects, and a
-block-bound stream that has used its first block continues on
-`Philox(key=..., counter=1)`, whose next block is counter 2.
+block-bound stream that has used its first block continues on a Philox at
+its key and counter 1, whose next block is counter 2 (`_KeySeed`).
 """
 
 from __future__ import annotations
@@ -49,6 +49,18 @@ HEAD = 4        # uniforms in one Philox4x64 output block
 SUBSTREAMS = 2  # 0: jump decisions, 1: channel choice
 
 _NO_HEAD = np.empty(0)
+
+
+class _KeySeed(np.random.bit_generator.ISeedSequence):
+    """A seed that hands Philox a derived key as it is.  Philox(key=...)
+    draws an unused SeedSequence from OS entropy first; seeded with this
+    and advanced by one block it is Philox(key=..., counter=1), bit for bit."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def check_seed(seed) -> int:
@@ -264,8 +276,8 @@ class RngStream:
                 self.master_seed, spawn_key=(self.stream_index, self.stage, substream)
             )
             return np.random.Generator(np.random.Philox(ss))
-        key = self._tables[0][self._row, substream]
-        return np.random.Generator(np.random.Philox(key=key, counter=1))
+        bits = np.random.Philox(_KeySeed(self._tables[0][self._row, substream]))
+        return np.random.Generator(bits.advance(1))
 
     def _generator(self, substream: int) -> np.random.Generator:
         gen = self._gens[substream]

@@ -10,7 +10,7 @@ Two statistically equivalent samplers over the same jump-channel set:
   so one replay kernel (StageEngine._fixed_scan) evaluates a no-jump segment
   blockwise against a trajectory's random numbers, replaying a cached block
   for a start state many trajectories share.  It serves the stopping windows
-  and the unconditioned walk; `step` is the literal one-step reference.
+  and the unconditioned walk; the tests hold it to a literal one-step loop.
 
 * fast: waiting-time sampling (Plenio and Knight, RMP 70, 101 (1998)).
   Draw r; if the unnormalized no-jump state still has squared norm >= r at
@@ -18,12 +18,11 @@ Two statistically equivalent samplers over the same jump-channel set:
   root-found and the channel is selected from the weights at the crossing
   state.  The norm never grows along a no-jump segment, so the root is
   unique: safeguarded Newton with the analytic slope -<psi| sum L^dag L |psi>
-  finds it (StageEngine._crossing), starting from a norm table on the
-  window segment every stage-1 trajectory shares.  The engine finds that
-  psi0 segment by identity, and the scalar window searches its table and
-  sums its channel weights on Python lists, to numpy's bits.  The no-jump
-  state at any time comes from one eigendecomposition of the node,
-  h = v diag(w) v^-1:
+  finds it (StageEngine._crossing), from the norm table of the one segment
+  windows share, psi0's (StageEngine.coarse_curve), or a log-linear guess
+  on any other.  The scalar window searches the table and sums its channel
+  weights on Python lists, to numpy's bits.  The no-jump state at any time
+  comes from one eigendecomposition of the node, h = v diag(w) v^-1:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
   exceptional point); from psi0 = two_nodes(a0, a0) it stays two_nodes(phi,
@@ -36,7 +35,7 @@ Two statistically equivalent samplers over the same jump-channel set:
   windows), or from a state per row, crossed in the pair space (a protocol
   chunk's stage-2 windows, from the phase-gated herald states).  The *_rows
   methods repeat the scalar ones row by row and are tested against the
-  scalar window, as the replay is against step.
+  scalar window, as the replay is against the one-step loop.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -52,10 +51,11 @@ windows only the heralded rows', derived for those rows alone) and takes
 later draws from the vectorized Philox at counter 2, 3, ...
 
 A waiting window returns a StageResult: the recorded click that ended it, or
-a timeout, with the state it left and every collapse on the way.  Whether a
-collapse is recorded is a property of its tag (ChannelTag.recorded).  A
-protocol run is two windows, and its TrajectoryRecord holds just those two
-results; the outcome and the event list are derived from them.
+a timeout, with the state it left and every collapse on the way, timed from
+the window's opening.  Whether a collapse is recorded is a property of its
+tag (ChannelTag.recorded).  A protocol run is two windows, and its
+TrajectoryRecord holds just those two results, at absolute times; the
+outcome and the event list are derived from them.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import bisect
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ from .model import (
     node_jump_rate,
     node_order,
     phase_gate,
-    total_jump_operator,
     two_nodes,
 )
 from .rng import RngStream, StreamBlock, nth_uniforms
@@ -92,9 +91,8 @@ from .rng import RngStream, StreamBlock, nth_uniforms
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
-_CURVE_CACHE_MAX = 4        # fast-sampler segments cached per engine
 _FIXED_CACHE_STEPS = 1 << 16   # fixed-step states cached per engine (38 MB at dim 36)
-_TABLE_POINTS = 257         # grid of the norm table a shared fast-sampler segment carries
+_TABLE_POINTS = 257         # grid of the norm table of the shared psi0 segment
 _NEWTON_MAX = 100           # crossing iterations before the root-find gives up
 _XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
 _RTOL = 4 * np.finfo(float).eps
@@ -195,13 +193,13 @@ class _Segment:
     coeffs: np.ndarray   # start state in the evaluator's basis (see StageEngine._evolve)
     end: np.ndarray      # unnormalized state at the segment end
     n2_end: float        # its squared norm
-    # shared segments only: minus the squared norm on linspace(0, span,
+    # the psi0 segment only: minus the squared norm on linspace(0, span,
     # _TABLE_POINTS), made monotone, so that it ascends for searchsorted
     table: Optional[np.ndarray] = None
     table_list: Optional[list] = None   # the same, for the scalar window's bisect
     # the normalized end state, built at the segment's first timeout
     final: Optional[StateVector] = None
-    node: Optional[np.ndarray] = None   # v^-1 a0 if the start state is two_nodes(a0, a0)
+    node: Optional[np.ndarray] = None   # the psi0 segment only: v^-1 a0, psi0 = two_nodes(a0, a0)
 
 
 class StageEngine:
@@ -240,8 +238,7 @@ class StageEngine:
         self._v_inv = np.kron(v_inv, v_inv)[:, self._perm].copy()   # (v^-1 (x) v^-1) P^T, C order
         self._node0 = v_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
         self._fixed_cache: dict = {}
-        self._coarse_cache: dict = {}
-        self._psi0_seg: tuple = (None, None)   # (span, segment) of the last psi0 coarse_curve
+        self._coarse_cache: dict = {}   # window length -> psi0 segment
 
     # -- fixed-step machinery -------------------------------------------------
 
@@ -312,7 +309,7 @@ class StageEngine:
         post = post / math.sqrt(np.vdot(post, post).real)
         return self.tags[idx], post
 
-    def _run_fixed(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
+    def _run_fixed(self, psi_n, rng, t_max, share_curve) -> StageResult:
         n_steps = int(whole_steps(t_max, self.dt, "t_max"))
         events: list[Event] = []
         r = rng.step_uniforms(n_steps)
@@ -325,7 +322,7 @@ class StageEngine:
                 return StageResult(None, None, self._wrap(psi_hat), events)
             k = k0 + rel
             tag, psi = self._collapse(psi_hat, rng)
-            t_evt = t_offset + (k + 1) * self.dt
+            t_evt = (k + 1) * self.dt
             events.append(Event(t_evt, tag))
             if tag.recorded:
                 return StageResult(tag, t_evt, self._wrap(psi), events)
@@ -368,35 +365,23 @@ class StageEngine:
         end = self._evolve(coeffs, span)
         return _Segment(coeffs, end, float(np.vdot(end, end).real))
 
-    def coarse_curve(self, psi_n: np.ndarray, t_max: float) -> _Segment:
-        """The no-jump segment from psi_n over a whole window, cached by start
-        state so that trajectories sharing it decompose it once.  It carries
-        a table of the squared norm on a fixed grid, where its crossings start.
-        The engine's psi0 segment is found by identity, without the key."""
-        span, seg = self._psi0_seg
-        if psi_n is self.psi0.amplitudes and t_max == span:
-            return seg
-        key = (psi_n.tobytes(), round(float(t_max), 12))
-        seg = self._coarse_cache.get(key)
+    def coarse_curve(self, t_max: float) -> _Segment:
+        """The no-jump segment from psi0 over a window of length t_max: the
+        one segment windows share, so the trajectories of a chunk decompose
+        it once.  It is evaluated on the node, carries a table of the squared
+        norm on a fixed grid, where its crossings start, and is cached by
+        window length."""
+        seg = self._coarse_cache.get(t_max)
         if seg is None:
-            times = np.linspace(0.0, t_max, _TABLE_POINTS)
-            if key[0] == self.psi0.amplitudes.tobytes():   # evaluated on the node
-                phi, n2, _ = self._node_rows(self._node0[None], times)
-                seg = _Segment(self._v_inv @ psi_n, self._lift(phi[-1]), n2[-1], node=self._node0)
-            else:
-                seg = self._segment(psi_n, t_max)
-                n2 = self._pair_rows(seg.coeffs[None], times)[1]
-            seg.table = -np.minimum.accumulate(n2)
-            seg.table_list = seg.table.tolist()
-            if len(self._coarse_cache) >= _CURVE_CACHE_MAX:
-                self._coarse_cache.pop(next(iter(self._coarse_cache)))
-            self._coarse_cache[key] = seg
-        if psi_n is self.psi0.amplitudes:
-            self._psi0_seg = (t_max, seg)
+            phi, n2, _ = self._node_rows(self._node0[None], np.linspace(0.0, t_max, _TABLE_POINTS))
+            table = -np.minimum.accumulate(n2)
+            seg = self._coarse_cache[t_max] = _Segment(
+                self._v_inv @ self.psi0.amplitudes, self._lift(phi[-1]), n2[-1],
+                table=table, table_list=table.tolist(), node=self._node0)
         return seg
 
     def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
-        """Where Newton starts: interpolated in a shared segment's norm table,
+        """Where Newton starts: interpolated in the psi0 segment's norm table,
         otherwise from n2 falling exponentially to n2_end over the span."""
         if seg.table is None:
             return span * math.log(r) / math.log(max(seg.n2_end, _TINY))
@@ -446,17 +431,17 @@ class StageEngine:
         raise RuntimeError(f"no norm crossing of r = {r!r} found in {_NEWTON_MAX} "
                            f"iterations on [0, {span!r}]")
 
-    def _run_fast(self, psi_n, rng, t_max, share_curve, t_offset) -> StageResult:
+    def _run_fast(self, psi_n, rng, t_max, share_curve) -> StageResult:
+        # the one shared segment is psi0's, from a window's start
+        psi0 = self.psi0.amplitudes
+        shared = share_curve and (psi_n is psi0 or psi_n.tobytes() == psi0.tobytes())
         events: list[Event] = []
         psi = psi_n
         t_seg = 0.0
         while True:
             r = rng.step_uniform()
             span = t_max - t_seg
-            if share_curve and not events:   # only a window's start state is shared
-                seg = self.coarse_curve(psi, span)
-            else:
-                seg = self._segment(psi, span)
+            seg = self.coarse_curve(span) if shared and not events else self._segment(psi, span)
             if seg.n2_end >= r:
                 if seg.final is None:
                     seg.final = self._wrap(seg.end / math.sqrt(seg.n2_end))
@@ -464,9 +449,9 @@ class StageEngine:
             wait, cross = self._crossing(seg, r, span)
             t_seg += wait
             tag, psi = self._collapse(cross / math.sqrt(np.vdot(cross, cross).real), rng)
-            events.append(Event(t_offset + t_seg, tag))
+            events.append(Event(t_seg, tag))
             if tag.recorded:
-                return StageResult(tag, t_offset + t_seg, self._wrap(psi), events)
+                return StageResult(tag, t_seg, self._wrap(psi), events)
 
     # -- the fast sampler over a stack of trajectories -------------------------
     # Each *_rows method does for every row of a stack what its namesake does
@@ -599,42 +584,6 @@ def _as_unit_array(psi: StateVector | np.ndarray) -> np.ndarray:
     return arr / math.sqrt(n2)
 
 
-def step(
-    psi: StateVector,
-    propagator: OperatorMatrix,
-    channels: Sequence[JumpChannel],
-    rng: RngStream,
-    dt: float,
-    *,
-    total_op: Optional[np.ndarray] = None,
-    p_step_max: float = P_STEP_MAX,
-) -> tuple[StateVector, Optional[Event]]:
-    """One interval of the jump/no-jump loop on a normalized state: the
-    literal reference that the engine's replay kernel must reproduce.
-
-    Returns the successor state and, when a jump fired, an Event whose time
-    is dt (relative to the start of the step).
-    """
-    arr = psi.amplitudes
-    m = total_op if total_op is not None else total_jump_operator(list(channels))
-    p = dt * np.vdot(arr, m @ arr).real
-    if p >= p_step_max:
-        raise StepSizeError(f"per-step jump probability {p:.3g} exceeds {p_step_max}; reduce dt")
-    if rng.step_uniform() < p:
-        weights = np.array(
-            [np.vdot(ch.operator.entries @ arr, ch.operator.entries @ arr).real for ch in channels]
-        )
-        u = rng.channel_uniform() * weights.sum()
-        idx = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(channels) - 1)
-        ch = channels[idx]
-        post = ch.operator.entries @ arr
-        post = post / math.sqrt(np.vdot(post, post).real)
-        return StateVector(post, psi.basis_dims), Event(dt, ch.tag)
-    prop = propagator.entries @ arr
-    prop = prop / math.sqrt(np.vdot(prop, prop).real)
-    return StateVector(prop, psi.basis_dims), None
-
-
 def run_until_click(
     psi0: StateVector | np.ndarray,
     engine: StageEngine,
@@ -643,14 +592,15 @@ def run_until_click(
     *,
     sampler: str = "fixed",
     share_curve: bool = False,
-    t_offset: float = 0.0,
 ) -> StageResult:
     """Evolve from psi0 until the first recorded detector click or t_max.
 
     Unrecorded collapses (lost photons, spontaneous decays) are applied and
-    logged but do not stop the window.  share_curve reuses the engine-cached
-    deterministic no-jump evolution for this initial state, which changes
-    nothing about the sampled statistics.
+    logged but do not stop the window.  Click and event times count from the
+    window's opening.  share_curve reuses the engine-cached deterministic
+    no-jump evolution, which changes nothing about the sampled statistics:
+    the fixed sampler's from any start state, the fast sampler's from
+    engine.psi0 (equal to it bit for bit) alone.
     """
     # the engine's own start state is normalized already
     psi_n = engine.psi0.amplitudes if psi0 is engine.psi0 else _as_unit_array(psi0)
@@ -659,9 +609,9 @@ def run_until_click(
     if t_max == 0.0:
         return StageResult(None, None, engine._wrap(psi_n), [])
     if sampler == "fixed":
-        return engine._run_fixed(psi_n, rng, t_max, share_curve, t_offset)
+        return engine._run_fixed(psi_n, rng, t_max, share_curve)
     if sampler == "fast":
-        return engine._run_fast(psi_n, rng, t_max, share_curve, t_offset)
+        return engine._run_fast(psi_n, rng, t_max, share_curve)
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
@@ -703,7 +653,7 @@ def run_windows(
         return WindowBatch(channel, time, jumps, states[:0])
     recorded = np.array([tag.recorded for tag in engine.tags])
     if start is None:
-        seg = engine.coarse_curve(engine.psi0.amplitudes, t_max)
+        seg = engine.coarse_curve(t_max)
         at, table = engine._node_rows, seg.table
         coeffs, n2_end = seg.node[None], np.full(n, seg.n2_end)
     else:
@@ -742,7 +692,8 @@ def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") 
 
     The drive is identical in both stages, so one engine serves both, and
     the windows' lengths are its params' t_wait and t_wait2.  Event times
-    are absolute; the second window opens at the first click.
+    are absolute: the second window's are shifted by the first click's.
+    The scalar reference for a protocol chunk's columns.
     """
     first = run_until_click(
         engine.psi0,
@@ -760,8 +711,10 @@ def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") 
             rng.for_stage(1),
             engine.params.t_wait2,
             sampler=sampler,
-            t_offset=first.time,
         )
+        t0 = first.time
+        second = replace(second, time=None if second.time is None else t0 + second.time,
+                         events=[Event(t0 + e.time, e.tag) for e in second.events])
     return TrajectoryRecord(rng.stream_index, first, second)
 
 

@@ -1,0 +1,85 @@
+"""Reference implementations the tests check the program against.
+
+None of these has a caller in homsim: each is the literal, unoptimized form
+of something the package computes another way (the fixed-step replay kernel
+against `step`, the spectral propagators against `matrix_exp`), or a
+convenience only the tests need.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+from scipy.linalg import expm
+
+from homsim.hilbert import ION_LEVELS, BasisIndex, OperatorMatrix, StateVector
+from homsim.lindblad import DensityMatrix, _master_rhs
+from homsim.model import JumpChannel, total_jump_operator
+from homsim.rng import RngStream
+from homsim.trajectory import P_STEP_MAX, Event, StepSizeError
+
+
+def identity(dims: tuple[int, ...]) -> OperatorMatrix:
+    return OperatorMatrix(np.eye(math.prod(dims), dtype=complex), dims)
+
+
+def matrix_exp(a: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
+    """exp(scale * A) for a general (not necessarily Hermitian) operator, by
+    scipy's scaling-and-squaring with Pade approximants."""
+    return OperatorMatrix(expm(scale * a.entries), a.basis_dims)
+
+
+def unflatten(flat: int, dims: tuple[int, ...]) -> BasisIndex:
+    """The basis label whose BasisIndex.flatten is flat."""
+    i1, i2, n1, n2 = np.unravel_index(flat, dims)
+    return BasisIndex(ION_LEVELS[i1], ION_LEVELS[i2], int(n1), int(n2))
+
+
+def liouvillian_apply(
+    rho: DensityMatrix | np.ndarray,
+    hamiltonian: OperatorMatrix,
+    channels: Sequence[JumpChannel],
+) -> np.ndarray:
+    """Right-hand side of the master equation, as lindblad.integrate evaluates it."""
+    r = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if r.shape != hamiltonian.entries.shape:
+        raise ValueError("dimension mismatch between rho and H")
+    return _master_rhs(hamiltonian, channels)(r)
+
+
+def step(
+    psi: StateVector,
+    propagator: OperatorMatrix,
+    channels: Sequence[JumpChannel],
+    rng: RngStream,
+    dt: float,
+    *,
+    total_op: Optional[np.ndarray] = None,
+    p_step_max: float = P_STEP_MAX,
+) -> tuple[StateVector, Optional[Event]]:
+    """One interval of the jump/no-jump loop on a normalized state: the
+    literal reference that the engine's replay kernel must reproduce.
+
+    Returns the successor state and, when a jump fired, an Event whose time
+    is dt (relative to the start of the step).
+    """
+    arr = psi.amplitudes
+    m = total_op if total_op is not None else total_jump_operator(list(channels))
+    p = dt * np.vdot(arr, m @ arr).real
+    if p >= p_step_max:
+        raise StepSizeError(f"per-step jump probability {p:.3g} exceeds {p_step_max}; reduce dt")
+    if rng.step_uniform() < p:
+        weights = np.array(
+            [np.vdot(ch.operator.entries @ arr, ch.operator.entries @ arr).real for ch in channels]
+        )
+        u = rng.channel_uniform() * weights.sum()
+        idx = min(int(np.searchsorted(np.cumsum(weights), u, side="right")), len(channels) - 1)
+        ch = channels[idx]
+        post = ch.operator.entries @ arr
+        post = post / math.sqrt(np.vdot(post, post).real)
+        return StateVector(post, psi.basis_dims), Event(dt, ch.tag)
+    prop = propagator.entries @ arr
+    prop = prop / math.sqrt(np.vdot(prop, prop).real)
+    return StateVector(prop, psi.basis_dims), None

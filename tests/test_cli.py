@@ -113,7 +113,7 @@ def test_physics_key_lands_in_its_field(field):
     assert set(CLI_KEY) == {f.name for f in dataclasses.fields(SystemParams)} - {"g"}
     key = CLI_KEY[field]
     value = GIVEN[key]
-    cfg = parse_config("entangle-sweep", overrides={key: _flag(value)})
+    cfg = parse_config("entangle-sweep", overrides={key: _flag(value), **_unswept(key)})
     # every omitted key keeps its SystemParams default, up to the CLI's two
     # derived ones: T2 = 100 T, and adiabatic unless decay is on
     want = dataclasses.replace(SystemParams(), **{field: value})
@@ -125,6 +125,12 @@ def test_physics_key_lands_in_its_field(field):
     if key != field:
         with pytest.raises(ConfigError, match=f"unknown config key: '{field}'"):
             parse_config("entangle-sweep", overrides={field: _flag(value)})
+
+
+def _unswept(key: str) -> dict:
+    """The param override that keeps an entangle-sweep from sweeping key:
+    eta, the default param, is given to a lambda sweep."""
+    return {"param": "lambda"} if key == "eta" else {}
 
 
 # a valid value for every run key, none of them the key's default
@@ -153,9 +159,10 @@ def test_run_key_lands_in_its_field(key, monkeypatch):
     assert set(given) == set(CLI_KEY.values()) | {"gamma"} | set(RUN_GIVEN) == set(_ALL_KEYS)
     # main takes each one as --key v and as --key=v, spelled out in full
     for k, v in given.items():
-        want = parse_config("entangle-sweep", overrides={k: _flag(v)})
+        want = parse_config("entangle-sweep", overrides={k: _flag(v), **_unswept(k)})
+        run = [f"--{a}={b}" for a, b in _unswept(k).items()]
         for argv in ([f"--{k}", _flag(v)], [f"--{k}={_flag(v)}"]):
-            assert _main_config(monkeypatch, ["entangle-sweep", *argv]) == want
+            assert _main_config(monkeypatch, ["entangle-sweep", *argv, *run]) == want
     value = RUN_GIVEN[key]
     cfg = parse_config("entangle-sweep", overrides={key: _flag(value)})
     assert getattr(cfg, key) == value
@@ -264,7 +271,7 @@ def test_malformed_file(tmp_path):
 
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"eta": 0.7, "seed": 4}))
+    path.write_text(json.dumps({"eta": 0.7, "seed": 4, "param": "lambda"}))
     cfg = parse_config("entangle-sweep", str(path), {"eta": "0.9"})
     assert cfg.params.eta == 0.9
     assert cfg.seed == 4
@@ -281,6 +288,55 @@ def test_gamma_shorthand():
 def test_adiabatic_gamma_conflict():
     with pytest.raises(ConfigError):
         parse_config("entangle-sweep", overrides={"gamma": "0.3", "adiabatic": "true"})
+
+
+@pytest.mark.parametrize("command, param, key", [
+    ("redistribute", None, "phi"),
+    ("entangle-sweep", "eta", "eta"),
+    ("entangle-sweep", "lambda", "lambda"),
+    ("entangle-sweep", "gamma", "gamma"),
+    ("entangle-sweep", "gamma", "gamma_ca"),
+    ("entangle-sweep", "gamma", "gamma_cb"),
+])
+def test_a_swept_key_is_a_config_error(command, param, key, tmp_path, capsys):
+    # the grid sets the swept parameter: a value given for it, by a flag or
+    # by the config file, would be run over and still land in the meta
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0.5}))
+    run = ["--param", param] if param else []
+    for given in ([f"--{key}", "0.5"], ["--config", str(cfg)]):
+        assert _run([command, *run, *given, "--grid", "0.25", "--n_traj", "10",
+                     "--format", "json", "--out", str(out)]) == EXIT_CONFIG
+        assert (f"config error: key '{key}' is swept by this command; give its values in 'grid'"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    # a sweep of another parameter takes it
+    other = "lambda" if param == "eta" else "eta"
+    parse_config("entangle-sweep", str(cfg), {"param": other})
+
+
+COARSE_DT = ["--engine", "fixed", "--delta", "0.001", "--n_traj", "5", "--T", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["entangle-sweep", *COARSE_DT, "--grid", "1.0"],
+    ["entangle-sweep", *COARSE_DT, "--grid", "1.0,0.5", "--threads", "2"],
+    ["redistribute", *COARSE_DT, "--grid", "1.0", "--T2", "1"],
+    ["redistribute", *COARSE_DT, "--grid", "1.0,2.0", "--T2", "1", "--threads", "2"],
+    ["oracle-check", "--kappa", "1", "--delta", "0.001", "--dt", "0.1", "--n_traj", "5",
+     "--T", "10"],
+], ids=["sweep", "sweep-pool", "redistribute", "redistribute-pool", "oracle-check"])
+def test_a_too_coarse_dt_is_a_config_error(argv, tmp_path, capsys):
+    # the fixed sampler's first-order guard trips while the command runs, in
+    # a pool worker too; it names dt, and nothing is written
+    out = tmp_path / "out.csv"
+    assert _run(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: value out of range for key 'dt': per-step jump "
+                          "probability ")
+    assert err.endswith("exceeds 0.05; reduce dt\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run(args):

@@ -118,16 +118,16 @@ def scalar_stage1_chunk(task):
 
 
 def scalar_protocol_chunk(task):
-    """_protocol_chunk's columns from one scalar run_protocol per trajectory,
-    the reference for its stack of stage-2 windows."""
-    params, seed, start, stop, _ = task
+    """_protocol_chunk's columns from one scalar run_protocol per trajectory
+    on the task's sampler, the reference for its second windows."""
+    params, seed, start, stop, sampler = task
     engine = StageEngine(params)
     block = StreamBlock(seed, start, stop)
     n_clicks = np.zeros(stop - start, dtype=np.int8)
     same_tag = np.zeros(stop - start, dtype=bool)
     fid = np.full(stop - start, np.nan)
     for j, i in enumerate(range(start, stop)):
-        rec = run_protocol(engine, block.stream(i), sampler="fast")
+        rec = run_protocol(engine, block.stream(i), sampler=sampler)
         if rec.second is not None:
             n_clicks[j] = 1 + rec.second.clicked
             same_tag[j] = rec.second.tag is rec.first.tag
@@ -153,6 +153,21 @@ def test_newton_crossing_keeps_brentq_decisions(monkeypatch, worker, reference_w
     assert reference[0].sum() > 100
     assert np.array_equal(np.isnan(newton[-1]), np.isnan(reference[-1]))
     assert np.nanmax(np.abs(newton[-1] - reference[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.0])
+def test_fixed_protocol_chunk_is_run_protocol_per_stream(phi):
+    # the full generator with spontaneous decay and lost photons; a strong
+    # drive and short windows keep the fixed-step walk cheap, and the second
+    # window both times out and clicks
+    params = SystemParams(adiabatic=False, gamma_ca=0.1, gamma_cb=0.1, eta=0.7, phi=phi,
+                          omega=5.0, delta=10.0, t_wait=10.0, t_wait2=20.0)
+    task = (params, 8, 0, 150, "fixed")
+    got, want = _protocol_chunk(task), scalar_protocol_chunk(task)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    n_clicks = got[0]
+    assert (n_clicks == 1).sum() >= 10 and (n_clicks == 2).sum() >= 3
 
 
 def test_protocol_chunk_builds_one_stream_per_window(monkeypatch):

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from homsim.hilbert import BasisIndex, basis_state, matrix_exp
+from homsim.hilbert import BasisIndex, basis_state
 from homsim.lindblad import (
     DensityMatrix,
     IntegrationError,
     ensemble_compare,
     integrate,
-    liouvillian_apply,
 )
 from homsim.model import (
     SystemParams,
@@ -20,6 +19,7 @@ from homsim.model import (
 )
 from homsim.oracles import ensemble_observables
 from homsim.trajectory import RngStream, StageEngine, run_until_click
+from reference import liouvillian_apply, matrix_exp
 
 
 def number_op(p):

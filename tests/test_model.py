@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from homsim.experiments import fidelity_to_target
 from homsim.hilbert import (
-    BasisIndex, StateVector, basis_state, embed, fock_destroy, level_transfer, matrix_exp,
+    BasisIndex, StateVector, basis_state, embed, fock_destroy, level_transfer,
 )
 from homsim.model import (
     ChannelTag,
@@ -21,6 +21,7 @@ from homsim.model import (
     total_jump_operator,
 )
 from homsim.trajectory import StageEngine
+from reference import matrix_exp, unflatten
 
 RNG = np.random.default_rng(77)
 
@@ -69,7 +70,7 @@ def test_hamiltonian_detuning_only():
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
     dims = p.dims
     for flat in range(h.shape[0]):
-        lab = BasisIndex.unflatten(flat, dims)
+        lab = unflatten(flat, dims)
         n_c = (lab.ion1 == "c") + (lab.ion2 == "c")
         assert h[flat, flat] == pytest.approx(7.0 * n_c)
 
@@ -139,7 +140,7 @@ def test_adiabatic_g_zero_diagonal():
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
     dims = p.dims
     for flat in range(36):
-        lab = BasisIndex.unflatten(flat, dims)
+        lab = unflatten(flat, dims)
         n_a = (lab.ion1 == "a") + (lab.ion2 == "a")
         want = (p.omega**2 / p.delta) * n_a - 1j * p.kappa * (lab.cav1 + lab.cav2)
         assert h[flat, flat] == pytest.approx(want)
@@ -151,7 +152,7 @@ def test_adiabatic_c_level_decoupled():
     h = build_h_eff_adiabatic(p).entries
     dims = p.dims
     in_c = np.array([
-        "c" in (BasisIndex.unflatten(f, dims).ion1, BasisIndex.unflatten(f, dims).ion2)
+        "c" in (unflatten(f, dims).ion1, unflatten(f, dims).ion2)
         for f in range(36)
     ])
     assert np.max(np.abs(h[np.ix_(in_c, ~in_c)])) == 0.0
@@ -165,7 +166,7 @@ def test_adiabatic_propagation_stays_off_c():
     out = u @ psi
     dims = p.dims
     for flat in range(36):
-        lab = BasisIndex.unflatten(flat, dims)
+        lab = unflatten(flat, dims)
         if "c" in (lab.ion1, lab.ion2):
             assert abs(out[flat]) < 1e-12
 
@@ -330,7 +331,7 @@ def embedded_operators(p):
         if rate > 0:
             amp = math.sqrt(2.0 * rate)
             channels += [(tag, amp * ion(target, "c", i)) for i, tag in enumerate(tags)]
-    gate = np.array([np.exp(1j * p.phi) if BasisIndex.unflatten(k, dims).ion1 == "a" else 1.0
+    gate = np.array([np.exp(1j * p.phi) if unflatten(k, dims).ion1 == "a" else 1.0
                      for k in range(math.prod(dims))])
     psi0 = np.zeros(math.prod(dims), dtype=complex)
     psi0[BasisIndex("a", "a", 0, 0).flatten(dims)] = 1.0

@@ -117,6 +117,20 @@ def test_block_stream_draws_what_a_standalone_stream_draws(seed, index, stage, p
     assert draw_all(bound, plan) == draw_all(RngStream(seed, index, stage), plan)
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, INDICES, PARTS, PARTS, st.lists(st.integers(1, 13), min_size=1, max_size=5))
+def test_block_stream_continues_on_philox_at_counter_1(seed, index, stage, sub, sizes):
+    # past its first block a bound stream draws from its key at counter 1,
+    # without the entropy numpy's Philox(key=...) draws and discards
+    block = StreamBlock(seed, index, index + 1)
+    key = block.stage_tables(stage)[0][0, sub]
+    got = block.stream(index).for_stage(stage)._gen(sub)
+    want = np.random.Generator(np.random.Philox(key=key, counter=1))
+    for n in sizes + [9]:   # at least two blocks of four
+        assert got.random(n).tobytes() == want.random(n).tobytes()
+    assert got.integers(2**32, size=3).tobytes() == want.integers(2**32, size=3).tobytes()
+
+
 def test_block_streams_cross_the_first_block_in_every_substream():
     # a block derives any stage, not only the protocol's two windows
     block = StreamBlock(2**62 + 9, 40, 43)

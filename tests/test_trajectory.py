@@ -7,9 +7,7 @@ from scipy import stats
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from homsim.hilbert import (
-    BasisIndex, OperatorMatrix, StateVector, basis_state, identity, matrix_exp,
-)
+from homsim.hilbert import BasisIndex, OperatorMatrix, StateVector, basis_state
 from homsim.model import (
     ChannelTag, SystemParams, initial_state, node_generator, stage_hamiltonian,
 )
@@ -26,9 +24,9 @@ from homsim.trajectory import (
     run_unconditioned,
     run_until_click,
     run_windows,
-    step,
 )
 from homsim.experiments import fidelity_to_target
+from reference import identity, matrix_exp, step
 
 IDEAL = SystemParams(adiabatic=False)
 # kappa = 2 g omega / delta: the reduced generator is defective here
@@ -156,7 +154,8 @@ def start_state(eng, kind, t_prep):
 
 
 def crossing_segment(eng, psi, span, shared):
-    return eng.coarse_curve(psi, span) if shared else eng._segment(psi, span)
+    """The shared psi0 segment (psi must be psi0), or psi's own."""
+    return eng.coarse_curve(span) if shared else eng._segment(psi, span)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,6 +181,8 @@ def test_crossing_is_the_exact_root(adiabatic, gamma, eta, phi, kind, t_prep, sh
     # the reduced generator has no |c> level to decay from
     gamma = 0.0 if adiabatic else gamma
     assume(kind != "spont" or gamma > 0.0)
+    # the one shared segment is psi0's
+    assume(kind == "psi0" or not shared)
     p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, phi=phi)
     eng = StageEngine(p)
     span = p.t_wait2 if kind == "gated" else p.t_wait
@@ -262,7 +263,7 @@ def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max,
                      n_max=n_max, kappa=kappa, t_wait=t_wait)
     eng = StageEngine(p)
     psi0 = eng.psi0.amplitudes
-    seg, pair = eng.coarse_curve(psi0, t_wait), eng._segment(psi0, t_wait)
+    seg, pair = eng.coarse_curve(t_wait), eng._segment(psi0, t_wait)
     assert seg.node is not None and pair.node is None
     assert abs(seg.n2_end - pair.n2_end) <= 1e-12
     assert np.max(np.abs(seg.end - pair.end)) <= 1e-12
@@ -359,7 +360,7 @@ def test_first_guess_bisects_as_searchsorted(n2, span, u, on_entry, data):
 def test_first_guess_on_the_psi0_table_bisects_as_searchsorted():
     eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.3))
     span = eng.params.t_wait
-    seg = eng.coarse_curve(eng.psi0.amplitudes, span)
+    seg = eng.coarse_curve(span)
     for r in np.concatenate((-seg.table, RNG.uniform(seg.n2_end, 1.0, 200))).tolist():
         assert eng._first_guess(seg, r, span) == searchsorted_guess(seg.table, r, span)
 
@@ -415,20 +416,23 @@ def test_collapse_picks_from_the_spont_set_as_searchsorted(t_prep, jumped, u):
 
 
 @settings(max_examples=20, deadline=None)
-@given(t_max=st.floats(0.5, 300.0), identity_first=st.booleans())
-def test_psi0_segment_found_by_identity_is_the_keyed_one(t_max, identity_first):
+@given(t_max=st.floats(0.5, 300.0), copy=st.booleans())
+def test_psi0_segment_is_cached_by_window_length(t_max, copy):
     eng = StageEngine(SystemParams(adiabatic=True))
-    psi0 = eng.psi0.amplitudes
-    if identity_first:
-        seg = eng.coarse_curve(psi0, t_max)
-        assert eng.coarse_curve(psi0.copy(), t_max) is seg
-    else:
-        seg = eng.coarse_curve(psi0.copy(), t_max)
-    assert eng.coarse_curve(psi0, t_max) is seg
-    # another span misses it, and finds it again by its key
-    other = eng.coarse_curve(psi0, 2.0 * t_max)
-    assert other is not seg and other.n2_end < seg.n2_end
-    assert eng.coarse_curve(psi0, t_max) is seg
+    # a window from any other start state, shared or not, leaves the cache
+    # alone; one from psi0, or a copy of it, finds the psi0 segment there
+    other = basis_state(BasisIndex("a", "a", 1, 0), eng.params.dims)
+    for psi, share in ((other, True), (eng.psi0, False)):
+        run_until_click(psi, eng, RngStream(0, 0), t_max, sampler="fast", share_curve=share)
+    assert eng._coarse_cache == {}
+    psi0 = eng.psi0.amplitudes.copy() if copy else eng.psi0
+    run_until_click(psi0, eng, RngStream(0, 0), t_max, sampler="fast", share_curve=True)
+    seg = eng._coarse_cache[t_max]
+    assert eng.coarse_curve(t_max) is seg and seg.node is not None
+    # another length misses it
+    longer = eng.coarse_curve(2.0 * t_max)
+    assert longer is not seg and longer.n2_end < seg.n2_end
+    assert eng.coarse_curve(t_max) is seg and len(eng._coarse_cache) == 2
 
 
 # -- batched windows ----------------------------------------------------------------
@@ -880,6 +884,37 @@ def test_protocol_event_bookkeeping():
             seen_two = True
             assert rec.second.time > rec.first.time
     assert seen_two
+
+
+@pytest.mark.parametrize("sampler", ["fast", "fixed"])
+def test_window_times_count_from_its_opening(sampler):
+    # a second window run on its own times its click and collapses from its
+    # opening; the protocol record shifts them by the first click, to
+    # absolute and sorted times
+    p = SystemParams(adiabatic=False, gamma_ca=0.1, gamma_cb=0.1, eta=0.7, phi=1.0,
+                     omega=5.0, delta=10.0, t_wait=10.0, t_wait2=20.0)
+    eng = StageEngine(p)
+    block = StreamBlock(9, 0, 150)
+    clicked = 0
+    for i in range(150):
+        rec = run_protocol(eng, block.stream(i), sampler=sampler)
+        if rec.second is None:
+            continue
+        t0 = rec.first.time
+        second = run_until_click(eng.phase_diag * rec.first.state.amplitudes, eng,
+                                 block.stream(i).for_stage(1), p.t_wait2, sampler=sampler)
+        own = [e.time for e in second.events]
+        assert all(0.0 < t <= p.t_wait2 for t in own)
+        assert [e.tag for e in rec.second.events] == [e.tag for e in second.events]
+        assert [e.time for e in rec.second.events] == [t0 + t for t in own]
+        if second.clicked:
+            clicked += 1
+            assert second.time == own[-1] and rec.second.time == t0 + second.time
+        else:
+            assert rec.second.time is None
+        times = [e.time for e in rec.events]
+        assert times == sorted(times) and times[len(rec.first.events) - 1] == t0
+    assert clicked >= 3
 
 
 def test_protocol_reproducible_bitwise():
