@@ -16,10 +16,11 @@ SystemParams owns their defaults and ranges.  The run keys are the
 config error, a NaN or infinite value included, names the key to fix (exit
 code 2).  So does a value for the parameter a command sweeps (phi for
 redistribute, the chosen param for entangle-sweep), which grid alone sets,
-and a dt too coarse for the fixed sampler's first-order jump probability,
-found while the command runs.  Every command is a pure function of
-(config, seed): reruns produce byte-identical data files, for any
-worker-thread count.
+and a dt too coarse for the fixed sampler's first-order jump probability or
+for oracle-check's master-equation integration, found while the command
+runs.  Every command is a pure function of (config, seed): reruns produce
+byte-identical data files, for any worker-thread count.  Only oracle-check
+imports the oracle suite, and with it scipy.stats.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 from . import __version__
 from .analytic import EmitterParams, emission_amplitude, emission_norm, same_detector_probability
 from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
+from .lindblad import IntegrationError
 from .model import ParamError, SystemParams
-from .oracles import run_suite
 from .trajectory import StepSizeError, whole_steps
 
 EXIT_OK = 0
@@ -312,6 +313,14 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def run_suite(params: SystemParams, n_traj: int, seed: int) -> list[dict]:
+    """oracles.run_suite, imported when oracle-check runs: the oracles' scipy.stats
+    takes most of a second to import, and no other command needs it."""
+    from .oracles import run_suite as suite
+
+    return suite(params, n_traj, seed)
+
+
 def _cmd_oracle_check(cfg: RunConfig) -> int:
     checks = run_suite(cfg.params, cfg.n_traj, cfg.seed)
     ok = all(c["passed"] for c in checks)
@@ -366,6 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except StepSizeError as exc:   # raised by the fixed sampler, in a pool worker too
         print(f"config error: value out of range for key 'dt': {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except IntegrationError as exc:   # oracle-check's master equation, integrated at dt / 8
+        print(f"config error: value out of range for key 'dt': master equation: {exc}; "
+              f"reduce dt", file=sys.stderr)
         return EXIT_CONFIG
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)

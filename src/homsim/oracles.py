@@ -72,6 +72,19 @@ def _click_times(psi0, engine: StageEngine, seed: int, n: int, t_max: float,
     return np.asarray(ts)
 
 
+def _ks_record(name: str, test, samples: Sequence[np.ndarray], **extra) -> dict:
+    """The record of one KS test on click-time samples: passed at p > 0.01.
+    A test needs at least one click time in every sample; otherwise the
+    record fails with the reason, and its statistic and p-value are None."""
+    sizes = [len(s) for s in samples]
+    if min(sizes) < 1:
+        return {"name": name, "passed": False, "ks_stat": None, "p_value": None, **extra,
+                "reason": f"too few click times for the KS test: {sizes}"}
+    res = test(*samples)
+    return {"name": name, "passed": bool(res.pvalue > 0.01), "ks_stat": float(res.statistic),
+            "p_value": float(res.pvalue), **extra}
+
+
 def waiting_time_ks(params: SystemParams, n: int, seed_fixed: int, seed_fast: int) -> list[dict]:
     """KS tests of the frozen-ion waiting time against Exp(2 kappa), one per
     sampler, and of the two samplers against each other.
@@ -90,17 +103,11 @@ def waiting_time_ks(params: SystemParams, n: int, seed_fixed: int, seed_fast: in
     times = {}
     for seed, name in ((seed_fixed, "fixed"), (seed_fast, "fast")):
         times[name] = _click_times(psi0, engine, seed, n, 1.0, name)
-        ks = stats.kstest(times[name], "expon", args=(0.0, scale))
-        records.append({
-            "name": f"waiting_time_ks_{name}", "passed": bool(ks.pvalue > 0.01),
-            "ks_stat": float(ks.statistic), "p_value": float(ks.pvalue),
-            "n": len(times[name]),
-        })
-    ks2 = stats.ks_2samp(times["fixed"], times["fast"])
-    records.append({
-        "name": "waiting_time_ks_mutual", "passed": bool(ks2.pvalue > 0.01),
-        "ks_stat": float(ks2.statistic), "p_value": float(ks2.pvalue),
-    })
+        records.append(_ks_record(
+            f"waiting_time_ks_{name}", lambda t: stats.kstest(t, "expon", args=(0.0, scale)),
+            [times[name]], n=len(times[name])))
+    records.append(_ks_record("waiting_time_ks_mutual", stats.ks_2samp,
+                              [times["fixed"], times["fast"]]))
     return records
 
 
@@ -112,15 +119,11 @@ def fast_vs_fixed(params: SystemParams, n: int, seed_fixed: int, seed_fast: int)
     psi0 = basis_state(BasisIndex("a", "a", 0, 0), params.dims)
     fixed = _click_times(psi0, engine, seed_fixed, n, params.t_wait, "fixed")
     fast = _click_times(psi0, engine, seed_fast, n, params.t_wait, "fast")
-    ks2 = stats.ks_2samp(fixed, fast)
     p_fix = len(fixed) / n
     p_fast = len(fast) / n
     sd = math.sqrt(2.0 * max(p_fix * (1 - p_fix), 1e-12) / n)
-    return {
-        "name": "fast_vs_fixed_ks", "passed": bool(ks2.pvalue > 0.01),
-        "ks_stat": float(ks2.statistic), "p_value": float(ks2.pvalue),
-        "p_fixed": p_fix, "p_fast": p_fast, "click_fraction_z": (p_fast - p_fix) / sd,
-    }
+    return _ks_record("fast_vs_fixed_ks", stats.ks_2samp, [fixed, fast], p_fixed=p_fix,
+                      p_fast=p_fast, click_fraction_z=(p_fast - p_fix) / sd)
 
 
 def ensemble_observables(params: SystemParams) -> list[tuple[str, OperatorMatrix]]:

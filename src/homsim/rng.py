@@ -7,12 +7,15 @@ output block is counter 1, and a uniform is `(raw >> 11) * 2**-53`
 (`Generator.random`).  Building those numpy objects costs about 30 us a
 stream, more than the physics of a typical trajectory, so `StreamBlock`
 derives the keys and first output blocks of a whole range of streams in one
-vectorized pass, one stage at a time and only when a stage is first used:
-numpy's SeedSequence hash mix on 32-bit words, and Philox4x64-10 (Salmon et
-al., SC'11) with each 64x64 -> 128-bit multiply split into 32-bit halves.
-`block_uniforms` gives the output block at any counter, so a batch of
-streams draws past its first block in the same vectorized way
-(`nth_uniforms`).  Both match numpy bit for bit.  numpy stays the
+vectorized pass, one stage at a time and only when a stage is first used,
+both substreams together: numpy's SeedSequence hash mix on 32-bit words,
+with the substream as one more entropy word per row and the words all rows
+share mixed once on ints, and Philox4x64-10 (Salmon et al., SC'11) with
+each 64x64 -> 128-bit multiply split into 32-bit halves and a round's two
+multiplies run as one (2, n) array.  `block_uniforms` gives the output
+block at any counter, so a batch of streams draws past its first block in
+the same vectorized way, both substreams in one call (`nth_uniforms`).
+Both match numpy bit for bit.  numpy stays the
 reference: a stream made outside a block draws from the numpy objects, and a
 block-bound stream that has used its first block continues on a Philox at
 its key and counter 1, whose next block is counter 2 (`_KeySeed`).
@@ -85,49 +88,62 @@ def _words(value: int) -> list[int]:
     return out
 
 
-def _const(word: int) -> np.ndarray:
-    # one-element arrays, not numpy scalars: array arithmetic wraps silently
-    return np.array([word], dtype=np.uint32)
+def _wrap32(value):
+    """value modulo 2**32: an int is reduced, a uint32 array has wrapped already."""
+    return value & _MASK32 if isinstance(value, int) else value
 
 
-def stream_keys(master_seed: int, indices, stage: int, substream: int) -> np.ndarray:
+def stream_keys(master_seed: int, indices, stage: int, substream) -> np.ndarray:
     """Philox keys, shape (len(indices), 2) uint64, equal row by row to
     `SeedSequence(master_seed, spawn_key=(i, stage, substream))
-    .generate_state(2, np.uint64)`."""
+    .generate_state(2, np.uint64)`.  substream is one int for every index,
+    or one below 2**32 per index, so that one pass keys several substreams."""
     seed_words = _words(check_seed(master_seed))
     # with a spawn key, SeedSequence pads a short seed with zeros to the pool size
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    tail = _words(_non_negative(stage, "stage")) + _words(_non_negative(substream, "substream"))
+    stage_words = _words(_non_negative(stage, "stage"))
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("stream indices must be a 1-d integer array")
     if idx.size and idx.min() < 0:
         raise ValueError(f"stream index must be a non-negative integer, got {idx.min()}")
+    sub = np.asarray(substream)
+    if sub.ndim == 0:
+        sub_words = _words(_non_negative(substream, "substream"))
+    else:
+        if sub.shape != idx.shape or sub.dtype.kind not in "iu":
+            raise ValueError("substreams must be one integer per stream index")
+        if sub.size and not 0 <= sub.min() <= sub.max() <= _MASK32:
+            raise ValueError(f"substream must lie in [0, 2**32), got {sub.min()}, {sub.max()}")
+        sub_words = [sub.astype(np.uint32)]
     idx = idx.astype(np.uint64)
     lo = (idx & _MASK32).astype(np.uint32)
     hi = (idx >> 32).astype(np.uint32)
-    keys = _mix_keys(seed_words, [lo], tail)
+    keys = _mix_keys(seed_words + [lo] + stage_words + sub_words, idx.size)
     wide = hi != 0   # an index of 2**32 or more is two entropy words
     if wide.any():
-        keys[wide] = _mix_keys(seed_words, [lo[wide], hi[wide]], tail)
+        sub_wide = [w[wide] if isinstance(w, np.ndarray) else w for w in sub_words]
+        keys[wide] = _mix_keys(seed_words + [lo[wide], hi[wide]] + stage_words + sub_wide,
+                               int(wide.sum()))
     return keys
 
 
-def _mix_keys(seed_words: list[int], index_words: list[np.ndarray], tail: list[int]) -> np.ndarray:
-    """SeedSequence's mix_entropy and generate_state(2, uint64) over the
-    entropy seed_words + index_words + tail, vectorized over the index."""
-    entropy = [_const(w) for w in seed_words] + index_words + [_const(w) for w in tail]
+def _mix_keys(entropy: list, n: int) -> np.ndarray:
+    """SeedSequence's mix_entropy and generate_state(2, uint64) for n streams
+    whose entropy words are given in order, each an int that all share or a
+    uint32 array of one word per stream.  Words all streams share are mixed
+    on ints, the rest on arrays."""
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
+        value = _wrap32(value * hash_const)
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        out = _wrap32(_wrap32(x * _MIX_MULT_L) - _wrap32(y * _MIX_MULT_R))
         return out ^ (out >> _XSHIFT)
 
     pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
@@ -139,25 +155,30 @@ def _mix_keys(seed_words: list[int], index_words: list[np.ndarray], tail: list[i
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    state = np.empty((index_words[0].size, 4), dtype=np.uint64)
+    state = np.empty((n, 4), dtype=np.uint64)
     hash_const = _INIT_B
     for k in range(4):   # two uint64 words are four uint32 words, low word first
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
+        value = _wrap32(value * hash_const)
         state[:, k] = value ^ (value >> _XSHIFT)
     return state[:, 0::2] | (state[:, 1::2] << 32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit product m * x."""
-    m_lo, m_hi = m & _MASK32, m >> 32
+# a round's two multipliers, whole and in 32-bit halves, and the two Weyl
+# key increments, as columns
+_PHILOX_M = np.array([[_PHILOX_M0], [_PHILOX_M1]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+_PHILOX_W = np.array([[_PHILOX_W0], [_PHILOX_W1]], dtype=np.uint64)
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products _PHILOX_M * x
+    (Hacker's Delight, mulhu: no partial sum exceeds 64 bits)."""
     x_lo, x_hi = x & _MASK32, x >> 32
-    ll = x_lo * m_lo
-    hl = x_hi * m_lo
-    lh = x_lo * m_hi
-    carry = ((ll >> 32) + (hl & _MASK32) + (lh & _MASK32)) >> 32
-    return x_hi * m_hi + (hl >> 32) + (lh >> 32) + carry, x * m
+    t = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> 32)
+    u = (t & _MASK32) + x_lo * _PHILOX_M_HI
+    return x_hi * _PHILOX_M_HI + (t >> 32) + (u >> 32), x * _PHILOX_M
 
 
 def block_uniforms(keys: np.ndarray, counter: int = 1) -> np.ndarray:
@@ -168,27 +189,30 @@ def block_uniforms(keys: np.ndarray, counter: int = 1) -> np.ndarray:
     counter = _non_negative(counter, "counter")
     if counter >> 256:
         raise ValueError(f"counter must be below 2**256, got {counter}")
-    k0 = keys[:, 0]
-    k1 = keys[:, 1]
-    c0, c1, c2, c3 = (np.full_like(k0, (counter >> (64 * j)) & _MASK64) for j in range(4))
+    # x = (c0, c2) goes through the round's two multipliers as one (2, n)
+    # array, y = (c1, c3) is carried; k = (k0, k1)
+    k = keys.T.copy()
+    words = np.array([(counter >> (64 * j)) & _MASK64 for j in range(4)], dtype=np.uint64)
+    x, y = (np.broadcast_to(words[cols, None], k.shape) for cols in ([0, 2], [1, 3]))
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    raw = np.stack((c0, c1, c2, c3), axis=1)
+            k += _PHILOX_W
+        hi, lo = _mulhilo(x)
+        # c0, c2 = hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1; c1, c3 = lo1, lo0
+        x, y = hi[::-1] ^ y ^ k, lo[::-1]
+    raw = np.stack((x, y), axis=1).reshape(HEAD, -1).T   # c0, c1, c2, c3
     return (raw >> 11).astype(np.float64) * 2.0**-53
 
 
 def nth_uniforms(keys: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
-    """Draw k (counting from 0) of the streams with key rows keys (n, 2) and
-    first blocks head (n, HEAD): from head while k < HEAD, past it from the
-    block at counter 1 + k // HEAD."""
+    """Draw k (counting from 0) of the streams with key rows keys (..., 2) and
+    first blocks head (..., HEAD), such as a stage's tables: from head while
+    k < HEAD, past it from the blocks at counter 1 + k // HEAD, all in one
+    block_uniforms call."""
     if k < HEAD:
-        return head[:, k]
-    return block_uniforms(keys, 1 + k // HEAD)[:, k % HEAD]
+        return head[..., k]
+    block = block_uniforms(keys.reshape(-1, 2), 1 + k // HEAD)
+    return block[:, k % HEAD].reshape(keys.shape[:-1])
 
 
 class StreamBlock:
@@ -221,11 +245,11 @@ class StreamBlock:
         if tables is not None:
             return tables[0][rows], tables[1][rows]
         idx = np.arange(self.start, self.stop, dtype=np.uint64)[rows]
-        keys = np.stack(
-            [stream_keys(self.master_seed, idx, stage, sub) for sub in range(SUBSTREAMS)], axis=1
-        )
-        head = np.stack([block_uniforms(keys[:, sub]) for sub in range(SUBSTREAMS)], axis=1)
-        return keys, head
+        # one pass over (row, substream) pairs, substream fastest
+        keys = stream_keys(self.master_seed, np.repeat(idx, SUBSTREAMS), stage,
+                           np.tile(np.arange(SUBSTREAMS), idx.size))
+        head = block_uniforms(keys)
+        return keys.reshape(-1, SUBSTREAMS, 2), head.reshape(-1, SUBSTREAMS, HEAD)
 
     def stream(self, index: int) -> "RngStream":
         """The stage-0 stream of trajectory index; for_stage(1) gives its second stage."""

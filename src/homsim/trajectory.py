@@ -26,16 +26,20 @@ Two statistically equivalent samplers over the same jump-channel set:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
   exceptional point); from psi0 = two_nodes(a0, a0) it stays two_nodes(phi,
-  phi), phi = u(t) a0, evaluated on the node alone.  run_windows runs the
-  windows of many streams as one stack: one comparison finds the timeouts,
-  one masked Newton iteration the crossings, a per-row weight matrix the
-  channels; windows going on after an unrecorded jump form a shrinking
-  stack.  Its windows start either from psi0, whose shared segment is
-  crossed on the node from its norm table (a stage-1 sweep chunk's herald
-  windows), or from a state per row, crossed in the pair space (a protocol
-  chunk's stage-2 windows, from the phase-gated herald states).  The *_rows
-  methods repeat the scalar ones row by row and are tested against the
-  scalar window, as the replay is against the one-step loop.
+  phi), phi = u(t) a0, evaluated on the node alone.  The jump rate
+  sum L^dag L is diagonal, and acts by its diagonal; a channel's weight
+  <psi|L_k^dag L_k|psi> is summed from the nonzero entries of L_k^dag L_k,
+  for all channels in one product, and held at 0 or above.  run_windows
+  runs the windows of many streams as one stack: one comparison finds the
+  timeouts, one masked Newton iteration the crossings, a per-row weight
+  matrix the channels; windows going on after an unrecorded jump form a
+  shrinking stack.  Its windows start either from psi0, whose shared
+  segment is crossed on the node from its norm table (a stage-1 sweep
+  chunk's herald windows), or from a state per row, crossed in the pair
+  space (a protocol chunk's stage-2 windows, from the phase-gated herald
+  states).  The *_rows methods repeat the scalar ones row by row and are
+  tested against the scalar window, as the replay is against the one-step
+  loop.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -48,7 +52,8 @@ its row, serves its first four draws per substream from the block and
 continues on a numpy Philox from the block's key at counter 1; the batch
 reads the block's keys and first draws directly (a protocol chunk's second
 windows only the heralded rows', derived for those rows alone) and takes
-later draws from the vectorized Philox at counter 2, 3, ...
+later draws from the vectorized Philox at counter 2, 3, ..., a round's step
+and channel draws in one call.
 
 A waiting window returns a StageResult: the recorded click that ended it, or
 a timeout, with the state it left and every collapse on the way, timed from
@@ -173,6 +178,15 @@ def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a.conj(), b).real
 
 
+def _diagonal(mat: np.ndarray) -> np.ndarray:
+    """The diagonal of a matrix that has no other nonzero entry, as complex
+    numbers: a complex product with a real array goes through numpy's slow
+    casting loop."""
+    diag = np.diag(mat).astype(complex)
+    assert np.array_equal(mat, np.diag(diag)), "matrix is not diagonal"
+    return diag
+
+
 def _rows(states: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """mat applied to each row of states, each row rounded the same whatever
     stack it sits in: numpy hands a one-row product to gemv, whose last bits
@@ -219,10 +233,12 @@ class StageEngine:
         self.h_eff = both_nodes(self._h)
         self.channels: list[JumpChannel] = build_jump_channels(params)
         self.ops = [ch.operator.entries for ch in self.channels]
-        self._op_stack = np.stack(self.ops)
         self.tags = [ch.tag for ch in self.channels]
-        self._j = node_jump_rate(params)
-        self.total_op = both_nodes(self._j)
+        j = node_jump_rate(params)
+        self.total_op = both_nodes(j)
+        # both are diagonal (node_jump_rate), so they act elementwise
+        self._j, self._total = _diagonal(j), _diagonal(self.total_op)
+        self._weight_pairs, self._weight_coef = _weight_terms(self.ops)
         u = _scipy_expm(-1j * self.dt * self._h)
         self.propagator = two_nodes(u, u)
         self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
@@ -244,7 +260,7 @@ class StageEngine:
 
     def _pvals(self, states: np.ndarray, n2: np.ndarray) -> np.ndarray:
         """Per-step jump probabilities dt*<L^dag L> for a run of states."""
-        p = self.dt * _vdots(states, states @ self.total_op.T) / n2
+        p = self.dt * _vdots(states, states * self._total) / n2
         if p.size and p.max() >= P_STEP_MAX:
             raise StepSizeError(
                 f"per-step jump probability {p.max():.3g} exceeds {P_STEP_MAX}; reduce dt"
@@ -299,8 +315,7 @@ class StageEngine:
 
     def _collapse(self, psi_hat: np.ndarray, rng: RngStream):
         """Pick a channel proportionally to its weight and apply it."""
-        amps = self._op_stack @ psi_hat
-        weights = _vdots(amps, amps)
+        weights = self._weights(psi_hat)
         total = weights.sum()
         if total <= 0.0:
             raise RuntimeError("jump triggered with zero total channel weight")
@@ -341,7 +356,7 @@ class StageEngine:
     def _pair_at(self, coeffs: np.ndarray, t: float):
         """_evolve, the state's squared norm and its slope -<psi| sum L^dag L |psi>."""
         psi = self._evolve(coeffs, t)
-        return psi, np.vdot(psi, psi).real, -np.vdot(psi, self.total_op @ psi).real
+        return psi, np.vdot(psi, psi).real, -np.vdot(psi, self._total * psi).real
 
     def _node_at(self, c: np.ndarray, t: float):
         """_pair_at of two_nodes(phi, phi) from phi = u(t) a0 alone (c = v^-1 a0):
@@ -349,7 +364,7 @@ class StageEngine:
         phi = (self._nv @ (np.exp(-1j * t * self._w) * c) if self.spectral
                else _scipy_expm(-1j * t * self._h) @ c)
         s = np.vdot(phi, phi).real
-        return phi, s * s, -2.0 * s * np.vdot(phi, self._j @ phi).real
+        return phi, s * s, -2.0 * s * np.vdot(phi, self._j * phi).real
 
     def _lift(self, x: np.ndarray) -> np.ndarray:
         """two_nodes(phi, phi) of a node state phi, or of each row of a stack of
@@ -474,14 +489,14 @@ class StageEngine:
     def _pair_rows(self, coeffs: np.ndarray, t: np.ndarray):
         """_pair_at of each row."""
         psi = self._evolve_rows(coeffs, t)
-        return psi, _vdots(psi, psi), -_vdots(psi, _rows(psi, self.total_op))
+        return psi, _vdots(psi, psi), -_vdots(psi, psi * self._total)
 
     def _node_rows(self, c: np.ndarray, t: np.ndarray):
         """_node_at of each row of c (or of its one shared row) at time t[i]."""
         phi = (_rows(np.exp(np.multiply.outer(-1j * t, self._w)) * c, self._nv) if self.spectral
                else (_scipy_expm(np.multiply.outer(-1j * t, self._h)) @ c[..., None])[..., 0])
         s = _vdots(phi, phi)
-        return phi, s * s, -2.0 * s * _vdots(phi, _rows(phi, self._j))
+        return phi, s * s, -2.0 * s * _vdots(phi, phi * self._j)
 
     def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
         """_segment of each row: its coefficients and its end state's squared norm."""
@@ -538,13 +553,21 @@ class StageEngine:
         raise RuntimeError(f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} "
                            f"iterations on [0, {span[live[0]]!r}]")
 
+    def _weights(self, psi: np.ndarray) -> np.ndarray:
+        """The channel weights <psi|L_k^dag L_k|psi> of a state, or of each
+        row of a stack of them, from the nonzero entries of L_k^dag L_k
+        (_weight_terms), at least 0."""
+        i, j = self._weight_pairs
+        terms = psi[..., i].conj() * psi[..., j]
+        # complex, not a real product of Re and Im: zgemm's rows keep their
+        # bits in any stack, dgemm's do not above a few hundred rows
+        w = self._weight_coef @ terms if psi.ndim == 1 else _rows(terms, self._weight_coef)
+        return np.maximum(w.real, 0.0)
+
     def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
         """_collapse of each normalized row with its channel draw u: the
         channel indices and the normalized post-jump states."""
-        weights = np.empty((psi_hat.shape[0], len(self.ops)))
-        for k, op in enumerate(self.ops):
-            amps = _rows(psi_hat, op)
-            weights[:, k] = _vdots(amps, amps)
+        weights = self._weights(psi_hat)
         total = weights.sum(axis=1)
         if np.any(total <= 0.0):
             raise RuntimeError("jump triggered with zero total channel weight")
@@ -558,6 +581,18 @@ class StageEngine:
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
+
+
+def _weight_terms(ops: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The terms of <psi|M_k|psi> = Re sum_(i <= j) c_kij conj(psi_i) psi_j,
+    M_k = L_k^dag L_k, over all channels k: the index pairs (i, j), i <= j,
+    at which some M_k is nonzero, and the coefficients c (n_channels,
+    n_pairs), M_ii on the diagonal and 2 M_ij above it (M_k is Hermitian)."""
+    stack = np.stack(ops)
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    i, j = np.nonzero(gram.any(axis=0))
+    i, j = i[i <= j], j[i <= j]
+    return (i, j), gram[:, i, j] * np.where(i == j, 1.0, 2.0)
 
 
 def _pick(weights: np.ndarray, u: float) -> int:
@@ -658,13 +693,19 @@ def run_windows(
         coeffs, n2_end = seg.node[None], np.full(n, seg.n2_end)
     else:
         at, table = engine._pair_rows, None
-        psi = np.array([_as_unit_array(s) for s in start])
-        coeffs, n2_end = engine._segment_rows(psi, np.full(n, t_max))
+        psi = np.asarray(start, dtype=complex)
+        n2 = _vdots(psi, psi)
+        if not np.all(n2 > 0.0):
+            raise ValueError("start state must have a positive norm, got squared norm "
+                             f"{n2[~(n2 > 0.0)][0]}")
+        coeffs, n2_end = engine._segment_rows(psi / np.sqrt(n2)[:, None], np.full(n, t_max))
     live, t_seg, k = np.arange(n), np.zeros(n), 0
     while True:
-        r = nth_uniforms(keys[live, 0], head[live, 0], k)
-        cross = r > n2_end   # the other rows time out
-        live, r, n2_end, t_seg = (a[cross] for a in (live, r, n2_end, t_seg))
+        # draw k of both substreams: step (column 0) and channel (column 1)
+        draws = nth_uniforms(keys[live], head[live], k)
+        cross = draws[:, 0] > n2_end   # the other rows time out
+        live, n2_end, t_seg, draws = (a[cross] for a in (live, n2_end, t_seg, draws))
+        r, u = draws.T
         # one row of coeffs is psi0's, which every row shares, or a lone row's
         coeffs = coeffs if len(coeffs) == 1 else coeffs[cross]
         if not live.size:
@@ -674,7 +715,6 @@ def run_windows(
             at, coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
         )
         t_seg = t_seg + wait
-        u = nth_uniforms(keys[live, 1], head[live, 1], k)
         chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
         jumps[live] += 1
         hit = recorded[chan]

@@ -339,6 +339,46 @@ def test_a_too_coarse_dt_is_a_config_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_dt_too_coarse_for_the_master_equation_is_a_config_error(tmp_path, capsys):
+    # oracle-check integrates the master equation at dt / 8; at dt = 0.1 its
+    # positivity check trips, and the error names dt
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--kappa", "1", "--dt", "0.1", "--T", "10", "--n_traj", "5"]
+    assert _run(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: value out of range for key 'dt': master equation: "
+                          "negative eigenvalue ")
+    assert err.endswith("; reduce dt\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_scipy_stats_out():
+    # only oracle-check needs the oracle suite's scipy.stats, which takes most
+    # of a second to import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, homsim.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("check", ["fast_vs_fixed", "waiting_time_ks"])
+def test_a_ks_record_without_click_times_fails_with_a_reason(check):
+    # a window too short for any click (fast_vs_fixed) or no trajectories at
+    # all (waiting_time_ks): no KS test, no warning, no NaN, a failed record
+    from homsim import oracles
+
+    if check == "fast_vs_fixed":
+        records = [oracles.fast_vs_fixed(SystemParams(adiabatic=True, t_wait=0.01), 5, 1, 2)]
+    else:
+        records = oracles.waiting_time_ks(SystemParams(), 0, 1, 2)
+    for rec in records:
+        assert rec["passed"] is False and rec["ks_stat"] is None and rec["p_value"] is None
+        assert rec["reason"].startswith("too few click times for the KS test: [0")
+        json.dumps(rec, allow_nan=False)
+
+
 def _run(args):
     return main(args)
 

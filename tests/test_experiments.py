@@ -192,16 +192,18 @@ def test_protocol_chunk_derives_second_window_keys_for_heralded_rows_only(monkey
     keys = homsim.rng.stream_keys
 
     def counting_keys(seed, indices, stage, substream):
-        derived.append((stage, len(indices)))
+        derived.append((stage, sorted(set(indices.tolist())), len(indices)))
         return keys(seed, indices, stage, substream)
 
     monkeypatch.setattr(homsim.rng, "stream_keys", counting_keys)
     n = 1000
     n_clicks, _, _ = _protocol_chunk((SystemParams(adiabatic=True, phi=1.0), 5, 0, n, "fast"))
-    heralded = int((n_clicks >= 1).sum())
-    assert 0 < heralded < n / 5
-    # every stream's first window, and only the heralded rows' second one
-    assert sorted(derived) == [(0, n)] * SUBSTREAMS + [(1, heralded)] * SUBSTREAMS
+    heralded = np.flatnonzero(n_clicks >= 1).tolist()
+    assert 0 < len(heralded) < n / 5
+    # one pass per stage over both substreams: every stream's first window,
+    # and only the heralded rows' second one
+    assert sorted(derived) == [(0, list(range(n)), n * SUBSTREAMS),
+                               (1, heralded, len(heralded) * SUBSTREAMS)]
 
 
 def test_single_point_sweep_matches_direct_run():

@@ -170,6 +170,41 @@ def test_row_tables_are_the_stage_tables_at_those_rows(seed, start, stage, rows)
             assert table.tobytes() == full[rows].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from([0, 5, 2**32 - 3, 2**32, 2**64 - 7]), PARTS,
+       st.lists(st.integers(0, 5), max_size=6))
+@example(seed=0, start=0, stage=0, rows=[])
+@example(seed=2**64 + 3, start=2**32 - 3, stage=1, rows=[2])
+@example(seed=9, start=2**32 - 3, stage=1, rows=[4, 1, 4, 2, 3])
+def test_row_tables_are_each_substreams_keys_and_first_block(seed, start, stage, rows):
+    # one pass over both substreams derives what one pass per substream
+    # derives, and what numpy's SeedSequence and Philox give; indices from
+    # 2**32 - 3 on cross to two entropy words
+    keys, head = StreamBlock(seed, start, start + 6).row_tables(stage, np.array(rows, dtype=int))
+    assert keys.shape == (len(rows), SUBSTREAMS, 2) and head.shape == (len(rows), SUBSTREAMS, HEAD)
+    idx = np.array([start + r for r in rows], dtype=np.uint64)
+    for sub in range(SUBSTREAMS):
+        alone = stream_keys(seed, idx, stage, sub)
+        assert keys[:, sub].tobytes() == alone.tobytes()
+        assert head[:, sub].tobytes() == block_uniforms(alone).tobytes()
+        for row, i in enumerate(idx.tolist()):
+            ss = numpy_stream(seed, i, stage, sub)
+            assert keys[row, sub].tolist() == ss.generate_state(2, np.uint64).tolist()
+            draws = np.random.Generator(np.random.Philox(ss)).random(HEAD)
+            assert head[row, sub].tolist() == draws.tolist()
+
+
+def test_stream_keys_take_one_substream_below_2_32_per_index():
+    idx = np.array([0, 2**40, 3], dtype=np.uint64)
+    mixed = stream_keys(4, idx, 2, np.array([1, 0, 2**32 - 1]))
+    for row, sub in enumerate((1, 0, 2**32 - 1)):
+        assert mixed[row].tolist() == stream_keys(4, idx[row : row + 1], 2, sub)[0].tolist()
+    for bad in (np.array([0, 1]), np.array([0, -1, 0]), np.array([0, 2**32, 0]),
+                np.array([0.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="substream"):
+            stream_keys(4, idx, 2, bad)
+
+
 def test_row_tables_reject_rows_outside_the_block():
     block = StreamBlock(3, 10, 14)
     for rows in ([4], [-5], [0.0]):

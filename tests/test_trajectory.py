@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from homsim.hilbert import BasisIndex, OperatorMatrix, StateVector, basis_state
 from homsim.model import (
-    ChannelTag, SystemParams, initial_state, node_generator, stage_hamiltonian,
+    ChannelTag, SystemParams, initial_state, node_generator, node_jump_rate, stage_hamiltonian,
 )
 from homsim.rng import HEAD, StreamBlock
 from homsim.trajectory import (
@@ -19,6 +19,7 @@ from homsim.trajectory import (
     StageEngine,
     StepSizeError,
     _pick,
+    _rows,
     _Segment,
     run_protocol,
     run_unconditioned,
@@ -406,13 +407,124 @@ def test_collapse_picks_from_the_spont_set_as_searchsorted(t_prep, jumped, u):
     if jumped:   # a state after one spontaneous decay
         psi = eng.ops[eng.tags.index(ChannelTag.SPONT_A_ION1)] @ psi
     psi = psi / np.linalg.norm(psi)
-    amps = eng._op_stack @ psi
+    amps = np.stack(eng.ops) @ psi
     weights = np.einsum("ij,ij->i", amps.conj(), amps).real
     want = searchsorted_pick(weights, u * weights.sum())
     tag, post = eng._collapse(psi, _FixedDraw(u))
     assert tag is eng.tags[want]
     ref = eng.ops[want] @ psi
     assert post.tobytes() == (ref / math.sqrt(np.vdot(ref, ref).real)).tobytes()
+
+
+def dense_weights(eng, psi):
+    """|L_k psi|^2 of each row of psi and channel k, from the dense operators."""
+    amps = np.einsum("kij,nj->nki", np.stack(eng.ops), psi)
+    return np.einsum("nki,nki->nk", amps.conj(), amps).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(0.0, 1.0), lam=st.floats(0.2, 5.0), gamma=st.floats(0.0, 0.5),
+       n_max=st.sampled_from([1, 2]), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       support=st.floats(0.0, 1.0))
+@example(eta=1.0, lam=1.0, gamma=0.0, n_max=1, rows=1, seed=0, support=1.0)
+@example(eta=0.0, lam=3.0, gamma=0.5, n_max=2, rows=4, seed=1, support=0.2)
+def test_channel_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, support):
+    # <psi|L_k^dag L_k|psi> from the nonzero entries of L_k^dag L_k against
+    # |L_k psi|^2, on states whose amplitudes are zero outside a random
+    # support: to 1e-13 of the state's total weight, never negative, and 0
+    # for a channel whose operator meets only zero amplitudes
+    p = SystemParams(adiabatic=False, gamma_ca=gamma, gamma_cb=gamma / 3, eta=eta, lam=lam,
+                     n_max=n_max)
+    eng = StageEngine(p)
+    gen = np.random.default_rng(seed)
+    psi = (gen.normal(size=(rows, eng.psi0.dim)) + 1j * gen.normal(size=(rows, eng.psi0.dim)))
+    psi *= gen.random(psi.shape) < support
+    # and the states the sampler meets: psi0, and the no-jump state after a while
+    psi = np.concatenate((psi, [eng.psi0.amplitudes, eng._segment(eng.psi0.amplitudes, 3.0).end]))
+    got, want = eng._weights(psi), dense_weights(eng, psi)
+    assert got.shape == want.shape and (got >= 0.0).all()
+    assert np.all(np.abs(got - want) <= 1e-13 * want.sum(axis=1, keepdims=True))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    # a lone row keeps its bytes; one state, as the scalar collapse weighs it,
+    # meets the same bounds
+    for i in range(len(psi)):
+        assert eng._weights(psi[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
+        one = eng._weights(psi[i])
+        assert (one >= 0.0).all() and np.array_equal(one == 0.0, want[i] == 0.0)
+        assert np.all(np.abs(one - want[i]) <= 1e-13 * want[i].sum())
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_channel_weights_of_a_row_do_not_depend_on_the_stack(n_max):
+    # as _rows promises: a real product of Re and Im parts (dgemm) fails
+    # this above a few hundred rows
+    eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.2, eta=0.5,
+                                   lam=3.0, n_max=n_max))
+    gen = np.random.default_rng(5)
+    psi = gen.normal(size=(3000, eng.psi0.dim)) + 1j * gen.normal(size=(3000, eng.psi0.dim))
+    lone = np.concatenate([eng._weights(psi[i : i + 1]) for i in range(40)])
+    for n in (2, 3, 40, 257, 1000, 3000):
+        assert eng._weights(psi[:n])[:40].tobytes() == lone[:n].tobytes(), n
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_a_channel_dark_by_cancellation_weighs_at_most_its_rounding(n_max):
+    # one photon shared evenly by the two cavities: at lam = 1, D2 ~ c1 - c2
+    # annihilates it, but the terms of <psi|D2^dag D2|psi> cancel only to
+    # rounding, about half the time below 0; the clamp holds those at 0
+    eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.2, eta=0.7, n_max=n_max))
+    gen = np.random.default_rng(n_max)
+    psi = np.zeros((200, eng.psi0.dim), dtype=complex)
+    for x in "abc":
+        for y in "abc":
+            amp = gen.normal(size=200) + 1j * gen.normal(size=200)
+            for photons in ((1, 0), (0, 1)):
+                psi[:, BasisIndex(x, y, *photons).flatten(eng.params.dims)] = amp
+    w = eng._weights(psi)
+    dark = w[:, [eng.tags.index(ChannelTag.D2), eng.tags.index(ChannelTag.LOST_D2)]]
+    assert (w >= 0.0).all() and (dark == 0.0).any()
+    assert np.all(dark <= 1e-13 * w.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.1, eta=0.6),
+                               SystemParams(adiabatic=True, n_max=2, lam=2.0)],
+                         ids=["full", "reduced-n2"])
+def test_jump_rates_act_as_their_diagonals(p):
+    # sum L^dag L and the node's share of it are diagonal, and their
+    # elementwise products are the dense ones, on stacks of any height and
+    # on one state, and so are the slopes and the per-step probabilities
+    # built on them; the only byte that may differ is the sign of a zero,
+    # which BLAS's sum of +0 terms drops
+    p = p.with_(dt=1e-4)   # per-step probabilities below P_STEP_MAX
+    eng = StageEngine(p)
+    j = node_jump_rate(p)
+    assert np.array_equal(np.diag(eng._j), j) and np.array_equal(np.diag(eng._total), eng.total_op)
+    gen = np.random.default_rng(7)
+
+    def same(a, b):
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+    for n in (1, 2, 3, 17, 650, 5000):
+        psi = gen.normal(size=(n, eng.psi0.dim)) + 1j * gen.normal(size=(n, eng.psi0.dim))
+        psi[:, ::5] = 0.0
+        phi = gen.normal(size=(n, j.shape[0])) + 1j * gen.normal(size=(n, j.shape[0]))
+        same(psi * eng._total, _rows(psi, eng.total_op))
+        same(psi * eng._total, psi @ eng.total_op.T)   # the fixed sampler's whole runs
+        same(phi * eng._j, _rows(phi, j))
+        same(eng._total * psi[0], eng.total_op @ psi[0])
+        same(eng._j * phi[0], j @ phi[0])
+        t = gen.random(n) * 5.0
+        x, n2, slope = eng._pair_rows(psi, t)
+        same(slope, -np.einsum("ij,ij->i", x.conj(), _rows(x, eng.total_op)).real)
+        same(eng._pvals(x, n2),
+             p.dt * np.einsum("ij,ij->i", x.conj(), x @ eng.total_op.T).real / n2)
+        x, _, slope = eng._node_rows(eng._node0[None], t)
+        s = np.einsum("ij,ij->i", x.conj(), x).real
+        same(slope, -2.0 * s * np.einsum("ij,ij->i", x.conj(), _rows(x, j)).real)
+        x, _, slope = eng._pair_at(psi[0], t[0])
+        same(slope, -np.vdot(x, eng.total_op @ x).real)
+        x, _, slope = eng._node_at(eng._node0, t[0])
+        same(slope, -2.0 * np.vdot(x, x).real * np.vdot(x, j @ x).real)
 
 
 @settings(max_examples=20, deadline=None)
@@ -605,6 +717,21 @@ def test_stage2_batch_takes_a_start_state_per_window():
         run_windows(eng, StreamBlock(0, 0, 3), 1.0, stage=1, start=np.ones((2, eng.psi0.dim)))
     with pytest.raises(ValueError, match="positive norm"):
         run_windows(eng, StreamBlock(0, 0, 1), 1.0, stage=1, start=np.zeros((1, eng.psi0.dim)))
+
+
+def test_stage2_batch_normalizes_its_start_states():
+    # start states of any norm decide as their normalized selves do
+    p = SystemParams(adiabatic=True, eta=0.7, phi=1.0, t_wait2=100.0)
+    eng = StageEngine(p)
+    block = StreamBlock(3, 0, 600)
+    rows, start = stage2_windows(eng, block)
+    assert rows.size > 20
+    want = run_windows(eng, block, p.t_wait2, stage=1, rows=rows, start=start)
+    scale = np.geomspace(1e-3, 1e3, rows.size)[:, None]
+    got = run_windows(eng, block, p.t_wait2, stage=1, rows=rows, start=start * scale)
+    assert got.channel.tolist() == want.channel.tolist()
+    assert got.jumps.tolist() == want.jumps.tolist()
+    assert np.allclose(got.time, want.time, rtol=0.0, atol=CROSSING_TOL, equal_nan=True)
 
 
 def test_herald_batch_rejects_a_negative_window():
