@@ -85,8 +85,10 @@ def _binomial_stderr(p: float, n: int) -> float:
 
 
 def _sample_stderr(values: np.ndarray) -> float:
+    """The standard error of the mean of values; NaN below two values, which
+    have no sample variance."""
     if values.size < 2:
-        return 0.0
+        return float("nan")
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 

@@ -10,6 +10,7 @@ from homsim.experiments import (
     _protocol_chunk,
     _protocol_point,
     _stage1_chunk,
+    _stage1_point,
     fidelity_to_target,
     run_entanglement_generation,
     run_redistribution,
@@ -82,6 +83,17 @@ def test_aggregate_order_independent():
         assert getattr(a, k) == getattr(b, k), k
     assert b.f_hat == pytest.approx(a.f_hat, rel=1e-14)
     assert b.f_stderr == pytest.approx(a.f_stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("heralds", [0, 1, 2])
+def test_fidelity_stderr_needs_two_heralds(heralds):
+    # one fidelity has no sample variance: its stderr is unknown, not 0
+    clicked = np.arange(30) < heralds
+    pt = _stage1_point("eta", 0.5, clicked, np.where(clicked, [0.9, 0.7] + [0.0] * 28, np.nan))
+    assert math.isnan(pt.f_hat) == (heralds == 0)
+    assert math.isnan(pt.f_stderr) == (heralds < 2)
+    if heralds == 2:
+        assert pt.f_stderr == pytest.approx(0.1)
 
 
 def test_aggregate_empty_rejected():
