@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,8 +224,19 @@ def stage_hamiltonian(p: SystemParams) -> OperatorMatrix:
     return OperatorMatrix(both_nodes(node_generator(p)), p.dims)
 
 
-def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
-    """All collapse channels with rates folded in as amplitude prefactors.
+class NodeChannel(NamedTuple):
+    """A jump channel as one node operator op: L = amp (x op_1 + y op_2),
+    with op_k acting on node k.  A local channel has x or y zero."""
+
+    tag: ChannelTag
+    amp: float
+    op: np.ndarray
+    x: float
+    y: float
+
+
+def node_channels(p: SystemParams) -> list[NodeChannel]:
+    """All collapse channels, in build_jump_channels' order, as node operators.
 
     Detector modes mix the cavity outputs: d1 = sqrt(R) c1 + sqrt(T) c2,
     d2 = sqrt(T) c1 - sqrt(R) c2.  Cavity decay 2*kappa splits into a
@@ -232,24 +244,31 @@ def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
     Spontaneous decay |c> -> |a>, |b> at 2*gamma_ca, 2*gamma_cb per ion is
     never recorded.  Channels with zero rate are omitted.
     """
-    c, one = node_cavity(p), np.eye(3 * (p.n_max + 1))
-    c1, c2 = two_nodes(c, one), two_nodes(one, c)
+    c = node_cavity(p)
     sr, st = math.sqrt(p.reflectance), math.sqrt(p.transmittance)
-    d1, d2 = sr * c1 + st * c2, st * c1 - sr * c2
-    found = []   # (tag, operator)
+    found = []
     for share, tag1, tag2 in ((p.eta, ChannelTag.D1, ChannelTag.D2),
                               (1.0 - p.eta, ChannelTag.LOST_D1, ChannelTag.LOST_D2)):
         if share > 0:
             amp = math.sqrt(2.0 * p.kappa * share)
-            found += [(tag1, amp * d1), (tag2, amp * d2)]
+            found += [NodeChannel(tag1, amp, c, sr, st), NodeChannel(tag2, amp, c, st, -sr)]
     for rate, target, tag1, tag2 in (
         (p.gamma_ca, "a", ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2),
         (p.gamma_cb, "b", ChannelTag.SPONT_B_ION1, ChannelTag.SPONT_B_ION2),
     ):
         if rate > 0:
-            op = math.sqrt(2.0 * rate) * node_level(target, "c", p)
-            found += [(tag1, two_nodes(op, one)), (tag2, two_nodes(one, op))]
-    return [JumpChannel(OperatorMatrix(op, p.dims), tag) for tag, op in found]
+            amp, op = math.sqrt(2.0 * rate), node_level(target, "c", p)
+            found += [NodeChannel(tag1, amp, op, 1.0, 0.0), NodeChannel(tag2, amp, op, 0.0, 1.0)]
+    return found
+
+
+def build_jump_channels(p: SystemParams) -> list[JumpChannel]:
+    """All collapse channels of the pair (node_channels), with rates folded
+    in as amplitude prefactors."""
+    one = np.eye(3 * (p.n_max + 1))
+    return [JumpChannel(OperatorMatrix(ch.amp * (ch.x * two_nodes(ch.op, one)
+                                                 + ch.y * two_nodes(one, ch.op)), p.dims), ch.tag)
+            for ch in node_channels(p)]
 
 
 def phase_gate(phi: float, n_max: int = 1) -> OperatorMatrix:

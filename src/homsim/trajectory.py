@@ -33,13 +33,18 @@ Two statistically equivalent samplers over the same jump-channel set:
   runs the windows of many streams as one stack: one comparison finds the
   timeouts, one masked Newton iteration the crossings, a per-row weight
   matrix the channels; windows going on after an unrecorded jump form a
-  shrinking stack.  Its windows start either from psi0, whose shared
-  segment is crossed on the node from its norm table (a stage-1 sweep
-  chunk's herald windows), or from a state per row, crossed in the pair
-  space (a protocol chunk's stage-2 windows, from the phase-gated herald
-  states).  The *_rows methods repeat the scalar ones row by row and are
-  tested against the scalar window, as the replay is against the one-step
-  loop.
+  shrinking stack.  A window from psi0 (a stage-1 sweep chunk's herald
+  window) is carried as two node states, two_nodes(a, b), for as long as
+  it stays a product, as it does through every spontaneous decay, a local
+  jump: it is crossed on the node (the first round from psi0's norm
+  table), its channel weights come from node expectations, and a local
+  jump acts on one node.  Only its click lifts it to the pair space, and a
+  lost photon, which acts on both nodes, moves it there for good.  The
+  pair space serves those rows and the windows from a state per row (a
+  protocol chunk's stage-2 windows, from the phase-gated herald states),
+  and StageEngine builds its machinery on first use.  The *_rows methods
+  repeat the scalar ones row by row and are tested against the scalar
+  window, as the replay is against the one-step loop.
 
 Randomness comes from counter-based (Philox) streams keyed by
 (master_seed, stream_index, stage, substream), so any trajectory is
@@ -70,6 +75,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -82,8 +88,10 @@ from .model import (
     ParamError,
     SystemParams,
     both_nodes,
+    NodeChannel,
     build_jump_channels,
     initial_state,
+    node_channels,
     node_generator,
     node_initial_state,
     node_jump_rate,
@@ -173,9 +181,21 @@ class WindowBatch(NamedTuple):
     state: np.ndarray
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i|b_i> for each state i (along the last axis) of two stacks of states."""
+    return np.einsum("...j,...j->...", a.conj(), b)
+
+
 def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i|b_i> for each row i of two stacks of states."""
-    return np.einsum("ij,ij->i", a.conj(), b).real
+    """Re <a_i|b_i> for each state i of two stacks of states."""
+    return _dots(a, b).real
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Each state of a stack (along the last axis) normalized, by the
+    reciprocal of its norm: a complex-by-real division is the same
+    product, through numpy's slower complex division."""
+    return x * (1.0 / np.sqrt(_vdots(x, x)))[..., None]
 
 
 def _diagonal(mat: np.ndarray) -> np.ndarray:
@@ -204,7 +224,9 @@ class _FixedCurve(NamedTuple):
 
 @dataclass(eq=False, slots=True)
 class _Segment:
-    coeffs: np.ndarray   # start state in the evaluator's basis (see StageEngine._evolve)
+    # start state in the evaluator's basis (see StageEngine._evolve); None
+    # for the psi0 segment, which is evaluated on the node
+    coeffs: Optional[np.ndarray]
     end: np.ndarray      # unnormalized state at the segment end
     n2_end: float        # its squared norm
     # the psi0 segment only: minus the squared norm on linspace(0, span,
@@ -219,10 +241,14 @@ class _Segment:
 class StageEngine:
     """Precomputed machinery for one parameter set.
 
-    Holds the initial state, the jump channels, the summed jump operator,
-    the fine fixed-step propagator and the eigendecomposition of the node
-    that the fast sampler propagates with.  Immutable after construction apart
-    from internal caches; safe to share read-only across worker trajectories.
+    Holds the initial state, the jump channels, the node's one-step
+    propagator and the eigendecomposition of the node that the fast sampler
+    propagates with.  The pair space's machinery (H_eff, the channels'
+    operators and weight terms, the summed jump operator, the pair
+    eigenbasis, the fixed-step propagator and the phase gate) is built on
+    first use, so a chunk whose windows stay products of node states never
+    builds it.  Immutable after construction apart from internal caches;
+    safe to share read-only across worker trajectories.
     """
 
     def __init__(self, params: SystemParams):
@@ -230,31 +256,75 @@ class StageEngine:
         self.dt = params.dt
         self.dims = params.dims
         self._h = node_generator(params)
-        self.h_eff = both_nodes(self._h)
-        self.channels: list[JumpChannel] = build_jump_channels(params)
-        self.ops = [ch.operator.entries for ch in self.channels]
-        self.tags = [ch.tag for ch in self.channels]
-        j = node_jump_rate(params)
-        self.total_op = both_nodes(j)
-        # both are diagonal (node_jump_rate), so they act elementwise
-        self._j, self._total = _diagonal(j), _diagonal(self.total_op)
-        self._weight_pairs, self._weight_coef = _weight_terms(self.ops)
-        u = _scipy_expm(-1j * self.dt * self._h)
-        self.propagator = two_nodes(u, u)
-        self.phase_diag = np.diag(phase_gate(params.phi, params.n_max).entries).copy()
+        self._nodes: list[NodeChannel] = node_channels(params)
+        self.tags = [ch.tag for ch in self._nodes]
+        # diagonal (node_jump_rate), so it acts elementwise
+        self._j = _diagonal(node_jump_rate(params))
+        self._mix, self._node_coef = _node_weight_terms(self._nodes)
+        # a channel that entangles the nodes, or a recorded one, leaves a
+        # product row for the pair space
+        self._lifted = np.array([ch.tag.recorded or (ch.x != 0.0 and ch.y != 0.0)
+                                 for ch in self._nodes])
+        self._u = _scipy_expm(-1j * self.dt * self._h)   # the node's fixed step
         self.psi0 = initial_state(params)
         w, v = np.linalg.eig(self._h)
         # cond(V) = cond(v)^2; near an exceptional point V^-1 loses the digits
         # the spectral propagator needs, and the node's expm is used, with V = P
         self.spectral = bool(np.linalg.cond(v) ** 2 <= EIG_COND_MAX)
         v = v if self.spectral else np.eye(v.shape[0])
-        self._w, self._w_pairs = w, (w[:, None] + w).ravel()   # W = w_i + w_j
-        self._perm, self._nv, v_inv = node_order(params.n_max), v, np.linalg.inv(v)
-        self._v = np.kron(v, v)[self._perm]                         # V = P (v (x) v)
-        self._v_inv = np.kron(v_inv, v_inv)[:, self._perm].copy()   # (v^-1 (x) v^-1) P^T, C order
-        self._node0 = v_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
+        self._w, self._nv, self._nv_inv = w, v, np.linalg.inv(v)
+        self._perm = node_order(params.n_max)
+        self._node0 = self._nv_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
         self._fixed_cache: dict = {}
         self._coarse_cache: dict = {}   # window length -> psi0 segment
+
+    # -- the pair space, built on first use ------------------------------------
+
+    @cached_property
+    def h_eff(self) -> np.ndarray:
+        return both_nodes(self._h)
+
+    @cached_property
+    def channels(self) -> list[JumpChannel]:
+        return build_jump_channels(self.params)
+
+    @cached_property
+    def ops(self) -> list[np.ndarray]:
+        return [ch.operator.entries for ch in self.channels]
+
+    @cached_property
+    def total_op(self) -> np.ndarray:
+        return both_nodes(node_jump_rate(self.params))
+
+    @cached_property
+    def _total(self) -> np.ndarray:
+        # diagonal, as the node's share is, so it acts elementwise
+        return _diagonal(self.total_op)
+
+    @cached_property
+    def _pair_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        return _weight_terms(self.ops)
+
+    @cached_property
+    def propagator(self) -> np.ndarray:
+        return two_nodes(self._u, self._u)
+
+    @cached_property
+    def phase_diag(self) -> np.ndarray:
+        return np.diag(phase_gate(self.params.phi, self.params.n_max).entries).copy()
+
+    @cached_property
+    def _w_pairs(self) -> np.ndarray:
+        return (self._w[:, None] + self._w).ravel()   # W = w_i + w_j
+
+    @cached_property
+    def _v(self) -> np.ndarray:
+        return np.kron(self._nv, self._nv)[self._perm]   # V = P (v (x) v)
+
+    @cached_property
+    def _v_inv(self) -> np.ndarray:
+        # (v^-1 (x) v^-1) P^T, C order
+        return np.kron(self._nv_inv, self._nv_inv)[:, self._perm].copy()
 
     # -- fixed-step machinery -------------------------------------------------
 
@@ -367,13 +437,14 @@ class StageEngine:
         return phi, s * s, -2.0 * s * np.vdot(phi, self._j * phi).real
 
     def _lift(self, x: np.ndarray) -> np.ndarray:
-        """two_nodes(phi, phi) of a node state phi, or of each row of a stack of
-        them; a state of the pair as it is."""
+        """two_nodes(phi, phi) of a node state phi; a state of the pair as it is."""
         d = self._h.shape[0]
-        if x.ndim == 1 and x.size == d:   # the same products, for less than the broadcast's call
-            return np.multiply.outer(x, x).reshape(d * d)[self._perm]
-        return x if x.shape[-1] != d else (
-            (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], d * d)[..., self._perm])
+        return np.multiply.outer(x, x).reshape(d * d)[self._perm] if x.size == d else x
+
+    def _products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """two_nodes(a[i], b[i]) of each row of two stacks of node states."""
+        d = a.shape[-1]
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), d * d)[:, self._perm]
 
     def _segment(self, psi_n: np.ndarray, span: float) -> _Segment:
         coeffs = self._v_inv @ psi_n
@@ -388,10 +459,11 @@ class StageEngine:
         window length."""
         seg = self._coarse_cache.get(t_max)
         if seg is None:
-            phi, n2, _ = self._node_rows(self._node0[None], np.linspace(0.0, t_max, _TABLE_POINTS))
+            phi, n2, _ = self._node_rows(self._node0[None, None],
+                                         np.linspace(0.0, t_max, _TABLE_POINTS))
             table = -np.minimum.accumulate(n2)
             seg = self._coarse_cache[t_max] = _Segment(
-                self._v_inv @ self.psi0.amplitudes, self._lift(phi[-1]), n2[-1],
+                None, self._lift(phi[-1, 0]), n2[-1],
                 table=table, table_list=table.tolist(), node=self._node0)
         return seg
 
@@ -492,17 +564,32 @@ class StageEngine:
         return psi, _vdots(psi, psi), -_vdots(psi, psi * self._total)
 
     def _node_rows(self, c: np.ndarray, t: np.ndarray):
-        """_node_at of each row of c (or of its one shared row) at time t[i]."""
-        phi = (_rows(np.exp(np.multiply.outer(-1j * t, self._w)) * c, self._nv) if self.spectral
-               else (_scipy_expm(np.multiply.outer(-1j * t, self._h)) @ c[..., None])[..., 0])
-        s = _vdots(phi, phi)
-        return phi, s * s, -2.0 * s * _vdots(phi, phi * self._j)
+        """_pair_at of each product row two_nodes(phi[i, 0], phi[i, -1]) at
+        time t[i], evaluated on the node: c (R, k, d), or its one shared row,
+        holds the rows' node states as v^-1 a, and k = 1 is a row two_nodes(a,
+        a).  Returns the node states phi = u(t) a, the squared norm s_a s_b
+        and the slope -(s_b <a|j|a> + s_a <b|j|b>), s the nodes' squared
+        norms (for k = 1, _node_at's norm and slope)."""
+        if self.spectral:
+            e = np.exp(np.multiply.outer(-1j * t, self._w))[:, None, :] * c
+            phi = _rows(e.reshape(-1, c.shape[-1]), self._nv).reshape(e.shape)
+        else:
+            u = _scipy_expm(np.multiply.outer(-1j * t, self._h))
+            phi = (u @ c.swapaxes(1, 2)).swapaxes(1, 2)
+        s, sj = _vdots(phi, phi), _vdots(phi, phi * self._j)
+        return phi, s[:, 0] * s[:, -1], -(s[:, -1] * sj[:, 0] + s[:, 0] * sj[:, -1])
 
     def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
         """_segment of each row: its coefficients and its end state's squared norm."""
         coeffs = _rows(psi, self._v_inv)
         end = self._evolve_rows(coeffs, span)
         return coeffs, _vdots(end, end)
+
+    def _node_segment_rows(self, nodes: np.ndarray, span: np.ndarray):
+        """_segment_rows of each product row two_nodes(nodes[i, 0], nodes[i, 1]),
+        on the node: its node coefficients and its end state's squared norm."""
+        coeffs = _rows(nodes.reshape(-1, nodes.shape[-1]), self._nv_inv).reshape(nodes.shape)
+        return coeffs, self._node_rows(coeffs, span)[1]
 
     def _first_guess_rows(self, table, n2_end, r, span) -> np.ndarray:
         """_first_guess of each row, from the shared segment's norm table if
@@ -517,11 +604,11 @@ class StageEngine:
 
     def _crossing_rows(self, at, coeffs, r, span, t) -> tuple[np.ndarray, np.ndarray]:
         """_crossing of each row from the first guesses t, evaluated by at
-        (_node_rows or _pair_rows): the crossing times and the states there.
-        Each row iterates with the scalar safeguards and leaves at their stop."""
+        (_node_rows or _pair_rows): the crossing times and the states there,
+        as at gives them (node states, or states of the pair).  Each row
+        iterates with the scalar safeguards and leaves at their stop."""
         t = np.minimum(t, np.nextafter(span, 0.0))
-        t_out = np.empty(r.size)
-        psi_out = np.empty((r.size, self.h_eff.shape[0]), dtype=complex)
+        t_out, out = np.empty(r.size), None
         live = np.arange(r.size)
         r_live, lo, hi, end = r, np.zeros(r.size), span, span
         last = before = span   # sizes of the last two steps
@@ -540,44 +627,81 @@ class StageEngine:
             t = t + step
             done = last <= _XTOL + _RTOL * t
             if done.any():
-                # one first-order step carries each state to its returned time
-                hit = self._lift(x[done])
+                if out is None:
+                    out = np.empty((r.size,) + x.shape[1:], dtype=complex)
                 t_out[live[done]] = t[done]
-                psi_out[live[done]] = hit - (1j * step[done])[:, None] * _rows(hit, self.h_eff)
+                out[live[done]] = self._carry(x[done], step[done])
                 go = ~done
                 if not go.any():
-                    return t_out, psi_out
+                    return t_out, out
                 live, r_live, t, lo, hi, end, last, before = (
                     a[go] for a in (live, r_live, t, lo, hi, end, last, before)
                 )
         raise RuntimeError(f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} "
                            f"iterations on [0, {span[live[0]]!r}]")
 
+    def _carry(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """One first-order step of each state to its returned crossing time:
+        x - i step H x, by H_eff for states of the pair, by h for each node
+        state of a stack (R, k, d)."""
+        gen = self.h_eff if x.ndim == 2 else self._h
+        hx = _rows(x.reshape(-1, x.shape[-1]), gen).reshape(x.shape)
+        return x - (1j * step).reshape((-1,) + (1,) * (x.ndim - 1)) * hx
+
     def _weights(self, psi: np.ndarray) -> np.ndarray:
         """The channel weights <psi|L_k^dag L_k|psi> of a state, or of each
         row of a stack of them, from the nonzero entries of L_k^dag L_k
         (_weight_terms), at least 0."""
-        i, j = self._weight_pairs
+        (i, j), coef = self._pair_terms
         terms = psi[..., i].conj() * psi[..., j]
         # complex, not a real product of Re and Im: zgemm's rows keep their
         # bits in any stack, dgemm's do not above a few hundred rows
-        w = self._weight_coef @ terms if psi.ndim == 1 else _rows(terms, self._weight_coef)
+        w = coef @ terms if psi.ndim == 1 else _rows(terms, coef)
         return np.maximum(w.real, 0.0)
+
+    def _product_weights(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """_weights of each product row two_nodes(a[i], b[i]) of normalized
+        node states, from the nodes' expectations (_node_weight_terms)."""
+        ab = np.concatenate((a, b))
+        m = _dots(ab, _rows(ab, self._mix))   # <a|m|a>, then <b|m|b>
+        cross = m[: len(a)].conj() * m[len(a):]
+        power = ab.real ** 2 + ab.imag ** 2
+        terms = np.concatenate((power[: len(a)], power[len(a):], cross[:, None]), axis=1)
+        return np.maximum(_rows(terms, self._node_coef).real, 0.0)
 
     def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
         """_collapse of each normalized row with its channel draw u: the
         channel indices and the normalized post-jump states."""
-        weights = self._weights(psi_hat)
-        total = weights.sum(axis=1)
-        if np.any(total <= 0.0):
-            raise RuntimeError("jump triggered with zero total channel weight")
-        below = np.cumsum(weights, axis=1) <= (u * total)[:, None]
-        idx = np.minimum(below.sum(axis=1), len(self.ops) - 1)
+        idx = _pick_rows(self._weights(psi_hat), u)
         post = np.empty_like(psi_hat)
         for k in np.unique(idx):
             chosen = idx == k
             post[chosen] = _rows(psi_hat[chosen], self.ops[k])
-        return idx, post / np.sqrt(_vdots(post, post))[:, None]
+        return idx, _unit(post)
+
+    def _collapse_products(self, x: np.ndarray, u: np.ndarray):
+        """_collapse of each product row two_nodes(x[i, 0], x[i, -1]) with its
+        channel draw u, on the node: the channel indices; the normalized
+        node pairs (R', 2, d) of the rows a local channel left products,
+        applied to one node; and the normalized states of the pair L (a (x)
+        b) = amp (x (op a) (x) b + y a (x) (op b)) of the others, those whose
+        channel is recorded or acts on both nodes (_lifted), in row order."""
+        x = _unit(x)
+        a, b = x[:, 0], x[:, -1]
+        idx = _pick_rows(self._product_weights(a, b), u)
+        lift = self._lifted[idx]
+        nodes = np.stack((a, b), axis=1)
+        pair = np.empty((int(lift.sum()), self.psi0.dim), dtype=complex)
+        for k in np.unique(idx):
+            chosen, ch = idx == k, self._nodes[k]
+            if self._lifted[k]:
+                ak, bk = a[chosen], b[chosen]
+                pair[chosen[lift]] = (ch.x * self._products(_rows(ak, ch.op), bk)
+                                      + ch.y * self._products(ak, _rows(bk, ch.op)))
+            else:
+                side = int(ch.x == 0.0)
+                nodes[chosen, side] = _rows(nodes[chosen, side], ch.op)
+        return idx, _unit(nodes[~lift]), _unit(pair)
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
@@ -593,6 +717,36 @@ def _weight_terms(ops: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray],
     i, j = np.nonzero(gram.any(axis=0))
     i, j = i[i <= j], j[i <= j]
     return (i, j), gram[:, i, j] * np.where(i == j, 1.0, 2.0)
+
+
+def _node_weight_terms(nodes: list[NodeChannel]) -> tuple[np.ndarray, np.ndarray]:
+    """What the channel weights of a product state two_nodes(a, b), a and b
+    normalized, are made of: <L^dag L> = amp^2 (x^2 <op^dag op>_a + y^2
+    <op^dag op>_b + 2 x y Re(conj(<op>_a) <op>_b)).  Each op^dag op is
+    diagonal, so with the terms [|a_i|^2, |b_i|^2, conj(<m>_a) <m>_b], m the
+    one operator of the channels that act on both nodes, the weights are a
+    product with coefficients (n_channels, 2 d + 1).  Returns m and the
+    coefficients, complex for zgemm (see _weights)."""
+    ops = np.stack([ch.op for ch in nodes])
+    gram = ops.conj().transpose(0, 2, 1) @ ops
+    g = np.diagonal(gram, axis1=1, axis2=2).real
+    assert np.count_nonzero(gram) == np.count_nonzero(g), "an op^dag op is not diagonal"
+    amp2, x, y = (np.array(col, dtype=float)[:, None] for col in zip(*(
+        (ch.amp ** 2, ch.x, ch.y) for ch in nodes)))
+    mixed = ops[(x * y != 0.0)[:, 0]]
+    assert (mixed == mixed[:1]).all(), "channels mix the nodes unalike"
+    coef = amp2 * np.concatenate((x ** 2 * g, y ** 2 * g, 2.0 * x * y), axis=1)
+    m = mixed[0] if len(mixed) else np.zeros(ops.shape[1:])
+    return m.astype(complex), coef.astype(complex)
+
+
+def _pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_pick of each row of weights with its draw u, as one comparison."""
+    total = weights.sum(axis=1)
+    if np.any(total <= 0.0):
+        raise RuntimeError("jump triggered with zero total channel weight")
+    below = np.cumsum(weights, axis=1) <= (u * total)[:, None]
+    return np.minimum(below.sum(axis=1), weights.shape[1] - 1)
 
 
 def _pick(weights: np.ndarray, u: float) -> int:
@@ -650,6 +804,25 @@ def run_until_click(
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
+class _Waiting(NamedTuple):
+    """The windows of a run_windows round that wait in one space: their
+    rows, where their segments start (from the window's opening), the
+    segments' end norms and their coefficients (one row psi0's, which every
+    row shares)."""
+
+    rows: np.ndarray
+    t_seg: np.ndarray
+    n2_end: np.ndarray
+    coeffs: np.ndarray
+
+    def crossing(self, draws: np.ndarray):
+        """The windows whose step draw (column 0) falls below their end norm,
+        and their draws: the others time out."""
+        cross = draws[:, 0] > self.n2_end
+        coeffs = self.coeffs if len(self.coeffs) == 1 else self.coeffs[cross]
+        return _Waiting(self.rows[cross], self.t_seg[cross], self.n2_end[cross], coeffs), draws[cross]
+
+
 def run_windows(
     engine: StageEngine,
     block: StreamBlock,
@@ -672,9 +845,15 @@ def run_windows(
     which times out the rows at or below it, crosses the rest in one masked
     Newton iteration and collapses them with their draw k of the channel
     substream; the rows whose collapse was not recorded go on into round
-    k + 1, each from its own segment.  The shared psi0 segment is crossed
-    on the node from its norm table (_node_rows), any other in the pair
-    space (_pair_rows) from the log-linear guess.
+    k + 1, each from its own segment.  A window from psi0 = two_nodes(a0,
+    a0) stays a product two_nodes(a, b) until a channel acting on both
+    nodes, and is carried as its two node states: crossed on the node
+    (_node_rows, the first round from psi0's norm table), weighed from node
+    expectations and collapsed on one node by a local (spontaneous) jump.
+    A click lifts it to the pair space for its post-click state, and an
+    unrecorded jump on both nodes (a lost photon) moves it there, to the
+    windows from start states: those are crossed and collapsed in the pair
+    space (_pair_rows).
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
@@ -687,43 +866,62 @@ def run_windows(
     if t_max == 0.0 or n == 0:
         return WindowBatch(channel, time, jumps, states[:0])
     recorded = np.array([tag.recorded for tag in engine.tags])
+    none = _Waiting(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, 0)))
     if start is None:
+        # psi0's shared segment, from one shared row of node coefficients
         seg = engine.coarse_curve(t_max)
-        at, table = engine._node_rows, seg.table
-        coeffs, n2_end = seg.node[None], np.full(n, seg.n2_end)
+        nodes = _Waiting(np.arange(n), np.zeros(n), np.full(n, seg.n2_end), seg.node[None, None])
+        pairs, table = none, seg.table
     else:
-        at, table = engine._pair_rows, None
         psi = np.asarray(start, dtype=complex)
         n2 = _vdots(psi, psi)
         if not np.all(n2 > 0.0):
             raise ValueError("start state must have a positive norm, got squared norm "
                              f"{n2[~(n2 > 0.0)][0]}")
-        coeffs, n2_end = engine._segment_rows(psi / np.sqrt(n2)[:, None], np.full(n, t_max))
-    live, t_seg, k = np.arange(n), np.zeros(n), 0
-    while True:
-        # draw k of both substreams: step (column 0) and channel (column 1)
-        draws = nth_uniforms(keys[live], head[live], k)
-        cross = draws[:, 0] > n2_end   # the other rows time out
-        live, n2_end, t_seg, draws = (a[cross] for a in (live, n2_end, t_seg, draws))
-        r, u = draws.T
-        # one row of coeffs is psi0's, which every row shares, or a lone row's
-        coeffs = coeffs if len(coeffs) == 1 else coeffs[cross]
+        coeffs, n2_end = engine._segment_rows(_unit(psi), np.full(n, t_max))
+        nodes, pairs, table = none, _Waiting(np.arange(n), np.zeros(n), n2_end, coeffs), None
+
+    def cross(at, waiting, r, table):
+        """The crossing times from the window's opening and the states there."""
+        span = t_max - waiting.t_seg
+        wait, x = engine._crossing_rows(
+            at, waiting.coeffs, r, span, engine._first_guess_rows(table, waiting.n2_end, r, span))
+        return waiting.t_seg + wait, x
+
+    for k in itertools.count():
+        live = np.concatenate((nodes.rows, pairs.rows))
         if not live.size:
             return WindowBatch(channel, time, jumps, states[channel >= 0])
-        span = t_max - t_seg
-        wait, psi = engine._crossing_rows(
-            at, coeffs, r, span, engine._first_guess_rows(table, n2_end, r, span)
-        )
-        t_seg = t_seg + wait
-        chan, post = engine._collapse_rows(psi / np.sqrt(_vdots(psi, psi))[:, None], u)
-        jumps[live] += 1
-        hit = recorded[chan]
-        channel[live[hit]], time[live[hit]] = chan[hit], t_seg[hit]
-        states[live[hit]] = post[hit]
-        live, t_seg, post = live[~hit], t_seg[~hit], post[~hit]
-        k += 1
-        at, table = engine._pair_rows, None
-        coeffs, n2_end = engine._segment_rows(post, t_max - t_seg)
+        # draw k of both substreams: step (column 0) and channel (column 1)
+        draws = nth_uniforms(keys[live], head[live], k)
+        m = nodes.rows.size
+        nodes, node_draws = nodes.crossing(draws[:m])
+        pairs, pair_draws = pairs.crossing(draws[m:])
+        # the collapses that leave a state of the pair: (rows, times, channels, states)
+        lifted = []
+        if nodes.rows.size:
+            t, x = cross(engine._node_rows, nodes, node_draws[:, 0], table)
+            chan, kept, post = engine._collapse_products(x, node_draws[:, 1])
+            up = engine._lifted[chan]
+            lifted.append((nodes.rows[up], t[up], chan[up], post))
+            coeffs, n2_end = engine._node_segment_rows(kept, t_max - t[~up])
+            jumps[nodes.rows] += 1
+            nodes = _Waiting(nodes.rows[~up], t[~up], n2_end, coeffs)
+        if pairs.rows.size:
+            t, x = cross(engine._pair_rows, pairs, pair_draws[:, 0], None)
+            chan, post = engine._collapse_rows(_unit(x), pair_draws[:, 1])
+            lifted.append((pairs.rows, t, chan, post))
+            jumps[pairs.rows] += 1
+        if lifted:
+            live, t, chan, post = (np.concatenate(c) for c in zip(*lifted))
+            hit = recorded[chan]
+            channel[live[hit]], time[live[hit]], states[live[hit]] = chan[hit], t[hit], post[hit]
+            go = ~hit
+            pairs = none
+            if go.any():
+                coeffs, n2_end = engine._segment_rows(post[go], t_max - t[go])
+                pairs = _Waiting(live[go], t[go], n2_end, coeffs)
+        table = None
 
 
 def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") -> TrajectoryRecord:

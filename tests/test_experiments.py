@@ -103,13 +103,17 @@ def test_aggregate_empty_rejected():
 
 
 def brentq_crossing(self, seg, r, span):
-    """The crossing as brentq found it before the Newton root-finder."""
+    """The crossing as brentq found it before the Newton root-finder, in the
+    pair space: the shared psi0 segment, evaluated on the node, has no pair
+    coefficients of its own."""
+    coeffs = self._v_inv @ self.psi0.amplitudes if seg.coeffs is None else seg.coeffs
+
     def excess(t):
-        out = self._evolve(seg.coeffs, t)
+        out = self._evolve(coeffs, t)
         return np.vdot(out, out).real - r
 
     t = brentq(excess, 0.0, span)
-    return t, self._evolve(seg.coeffs, t)
+    return t, self._evolve(coeffs, t)
 
 
 def scalar_stage1_chunk(task):

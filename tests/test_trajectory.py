@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from homsim.hilbert import BasisIndex, OperatorMatrix, StateVector, basis_state
 from homsim.model import (
     ChannelTag, SystemParams, initial_state, node_generator, node_jump_rate, stage_hamiltonian,
+    two_nodes,
 )
 from homsim.rng import HEAD, StreamBlock
 from homsim.trajectory import (
@@ -20,6 +21,7 @@ from homsim.trajectory import (
     StepSizeError,
     _pick,
     _rows,
+    _unit,
     _Segment,
     run_protocol,
     run_unconditioned,
@@ -116,6 +118,12 @@ def test_exceptional_point_click_fraction_matches_survival_oracle():
 # -- fast-sampler crossing ----------------------------------------------------------
 
 
+def pair_coeffs(eng, seg):
+    """The segment's start state in the pair's eigenbasis: its own coeffs,
+    or psi0's for the shared psi0 segment, which is evaluated on the node."""
+    return eng._v_inv @ eng.psi0.amplitudes if seg.coeffs is None else seg.coeffs
+
+
 def brentq_crossing(eng, seg, r, span):
     """brentq's root of the squared norm minus r, on the evaluator that gave
     the segment its end norm n2_end: the stacked node evaluator for the
@@ -124,7 +132,7 @@ def brentq_crossing(eng, seg, r, span):
     within those of n2_end then has no sign change on [0, span]."""
     def excess(t):
         if seg.node is not None:
-            return eng._node_rows(seg.node[None], np.array([t]))[1][0] - r
+            return eng._node_rows(seg.node[None, None], np.array([t]))[1][0] - r
         psi = eng._evolve(seg.coeffs, t)
         return np.vdot(psi, psi).real - r
 
@@ -134,7 +142,7 @@ def brentq_crossing(eng, seg, r, span):
 def assert_exact_crossing(eng, seg, r, span):
     t, psi = eng._crossing(seg, r, span)
     assert 0.0 < t < span
-    at_t = eng._evolve(seg.coeffs, t)
+    at_t = eng._evolve(pair_coeffs(eng, seg), t)
     assert abs(np.vdot(at_t, at_t).real - r) <= 1e-12
     assert abs(t - brentq_crossing(eng, seg, r, span)) <= 1e-9
     assert np.max(np.abs(psi - at_t)) <= 1e-12
@@ -272,24 +280,27 @@ def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max,
     grid, n2, slope = eng._pair_rows(pair.coeffs[None], times)
     assert np.max(np.abs(seg.table + np.minimum.accumulate(n2))) <= 1e-12
     # the Newton slope too: -2 (phi^dag phi)(phi^dag j phi) = -<psi| sum L^dag L |psi>
-    phi, node_n2, node_slope = eng._node_rows(seg.node[None], times)
+    phi, node_n2, node_slope = eng._node_rows(seg.node[None, None], times)
     assert np.max(np.abs(node_n2 - n2)) <= 1e-12
     assert np.max(np.abs(node_slope - slope)) <= 1e-12 * max(1.0, np.max(np.abs(slope)))
-    assert np.max(np.abs(eng._lift(phi) - grid)) <= 1e-12
+    assert np.max(np.abs(eng._products(phi[:, 0], phi[:, 0]) - grid)) <= 1e-12
     r = seg.n2_end + np.array([u, 0.5, 1e-3]) * (1.0 - seg.n2_end)
     r = r[(seg.n2_end < r) & (r <= 1.0 - 1e-8)]
     assume(r.size)
     span = np.full(r.size, t_wait)
     guess = eng._first_guess_rows(seg.table, None, r, span)
-    ts, states = eng._crossing_rows(eng._node_rows, seg.node[None], r, span, guess)
+    ts, states = eng._crossing_rows(eng._node_rows, seg.node[None, None], r, span, guess)
+    # the crossing states stay on the node, as two_nodes(phi, phi)
+    assert states.shape == (r.size, 1, eng._h.shape[0])
+    lifted = eng._products(states[:, 0], states[:, 0])
     for i, ri in enumerate(r):
         assert_exact_crossing(eng, seg, ri, t_wait)   # the scalar crossing
-        at_t = eng._evolve(seg.coeffs, ts[i])
+        at_t = eng._evolve(pair_coeffs(eng, seg), ts[i])
         assert abs(np.vdot(at_t, at_t).real - ri) <= 1e-12
         assert abs(ts[i] - brentq_crossing(eng, seg, ri, t_wait)) <= 1e-9
-        assert np.max(np.abs(states[i] - at_t)) <= 1e-12
+        assert np.max(np.abs(lifted[i] - at_t)) <= 1e-12
         # a row crosses alone as it does in the stack, to the last bit
-        t, psi = eng._crossing_rows(eng._node_rows, seg.node[None], r[i:i + 1], span[:1],
+        t, psi = eng._crossing_rows(eng._node_rows, seg.node[None, None], r[i:i + 1], span[:1],
                                     guess[i:i + 1])
         assert t.tobytes() == ts[i:i + 1].tobytes() and psi.tobytes() == states[i:i + 1].tobytes()
 
@@ -518,7 +529,8 @@ def test_jump_rates_act_as_their_diagonals(p):
         same(slope, -np.einsum("ij,ij->i", x.conj(), _rows(x, eng.total_op)).real)
         same(eng._pvals(x, n2),
              p.dt * np.einsum("ij,ij->i", x.conj(), x @ eng.total_op.T).real / n2)
-        x, _, slope = eng._node_rows(eng._node0[None], t)
+        x, _, slope = eng._node_rows(eng._node0[None, None], t)
+        x = x[:, 0]
         s = np.einsum("ij,ij->i", x.conj(), x).real
         same(slope, -2.0 * s * np.einsum("ij,ij->i", x.conj(), _rows(x, j)).real)
         x, _, slope = eng._pair_at(psi[0], t[0])
@@ -600,16 +612,21 @@ def assert_batch_matches_scalar_windows(p, seed, n, stage=0):
     # exceptional point, where both evaluators are drawn
     kappa=st.one_of(st.just(0.0), st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
     t_wait=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+    # node states of 3 (n_max + 1) levels
+    n_max=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**64),
 )
-@example(adiabatic=True, gamma=0.0, eta=0.7, lam=0.5, kappa=0.1, t_wait=20.0, seed=1)
-@example(adiabatic=False, gamma=0.5, eta=0.3, lam=2.0, kappa=10.0, t_wait=0.0, seed=2)
-@example(adiabatic=False, gamma=0.4, eta=1.0, lam=1.0, kappa=0.0, t_wait=100.0, seed=3)
-def test_herald_batch_matches_scalar_windows(adiabatic, gamma, eta, lam, kappa, t_wait, seed):
+@example(adiabatic=True, gamma=0.0, eta=0.7, lam=0.5, kappa=0.1, t_wait=20.0, n_max=1, seed=1)
+@example(adiabatic=False, gamma=0.5, eta=0.3, lam=2.0, kappa=10.0, t_wait=0.0, n_max=1, seed=2)
+@example(adiabatic=False, gamma=0.4, eta=1.0, lam=1.0, kappa=0.0, t_wait=100.0, n_max=1, seed=3)
+@example(adiabatic=False, gamma=0.4, eta=1.0, lam=0.7, kappa=10.0, t_wait=100.0, n_max=2, seed=4)
+@example(adiabatic=True, gamma=0.0, eta=0.6, lam=1.0, kappa=0.1, t_wait=20.0, n_max=2, seed=5)
+def test_herald_batch_matches_scalar_windows(adiabatic, gamma, eta, lam, kappa, t_wait, n_max,
+                                             seed):
     # the reduced generator has no |c> level to decay from
     gamma = 0.0 if adiabatic else gamma
     p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, lam=lam,
-                     kappa=kappa, t_wait=t_wait)
+                     kappa=kappa, t_wait=t_wait, n_max=n_max)
     if kappa == 0.1 and adiabatic:
         assert not StageEngine(p).spectral
     assert_batch_matches_scalar_windows(p, seed, 40)
@@ -624,17 +641,31 @@ def test_herald_batch_draws_past_the_first_block():
     assert (batch.channel >= 0).sum() > 0
 
 
+LOST = (ChannelTag.LOST_D1, ChannelTag.LOST_D2)
+
+
 @pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5),
-                               EXCEPTIONAL.with_(eta=0.6)], ids=["spectral", "expm"])
+                               SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5, eta=0.5),
+                               EXCEPTIONAL.with_(eta=0.6)], ids=["spectral", "mixed", "expm"])
 def test_herald_batch_rows_do_not_depend_on_the_block(p):
     eng = StageEngine(p)
-    whole = run_windows(eng, StreamBlock(77, 0, 2000), p.t_wait)
+    block = StreamBlock(77, 0, 2000)
+    whole = run_windows(eng, block, p.t_wait)
     # the whole block crosses as one stack of hundreds of rows, and some go on
-    # after an unrecorded jump
+    # after an unrecorded jump: on the node after a spontaneous decay, in the
+    # pair space after a lost photon, in one block when both happen
     assert (whole.jumps > 0).sum() > 300 and (whole.jumps > 1).sum() > 0
     clicked = np.flatnonzero(whole.channel >= 0)
-    # a lone stream that jumps goes through numpy's one-row (gemv) products
+    # a lone stream that jumps goes through numpy's one-row (gemv) products,
+    # and so does one that a lost photon moved to the pair space
     lone = [(i, i + 1) for i in np.flatnonzero(whole.jumps > 0)[:4]]
+    if p.eta < 1.0:
+        lost = [i for i in np.flatnonzero(whole.jumps > 1)
+                if any(e.tag in LOST for e in run_until_click(
+                    eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
+                    share_curve=True).events)]
+        assert len(lost) >= 2
+        lone += [(i, i + 1) for i in lost[:2]]
     for lo, hi in [(0, 60), (13, 41), (58, 60), (250, 1777), (1999, 2000)] + lone:
         part = run_windows(eng, StreamBlock(77, lo, hi), p.t_wait)
         for got, want in zip(part[:3], whole[:3]):
@@ -652,18 +683,23 @@ def test_herald_batch_rows_do_not_depend_on_the_block(p):
     # exceptional point, where both evaluators are drawn
     kappa=st.one_of(st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
     t_wait2=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+    # node states of 3 (n_max + 1) levels
+    n_max=st.sampled_from([1, 2]),
     seed=st.integers(0, 2**64),
 )
 # the exceptional point, where the pair space is evaluated by the node's expm
-@example(adiabatic=True, gamma=0.0, eta=0.7, phi=math.pi, kappa=0.1, t_wait2=20.0, seed=3)
+@example(adiabatic=True, gamma=0.0, eta=0.7, phi=math.pi, kappa=0.1, t_wait2=20.0, n_max=1,
+         seed=3)
 # every window times out at once, and none is heralded
-@example(adiabatic=False, gamma=0.3, eta=0.6, phi=0.0, kappa=1.0, t_wait2=0.0, seed=4)
-@example(adiabatic=False, gamma=0.3, eta=0.0, phi=0.0, kappa=1.0, t_wait2=100.0, seed=5)
-def test_stage2_batch_matches_scalar_windows(adiabatic, gamma, eta, phi, kappa, t_wait2, seed):
+@example(adiabatic=False, gamma=0.3, eta=0.6, phi=0.0, kappa=1.0, t_wait2=0.0, n_max=1, seed=4)
+@example(adiabatic=False, gamma=0.3, eta=0.0, phi=0.0, kappa=1.0, t_wait2=100.0, n_max=1, seed=5)
+@example(adiabatic=False, gamma=0.3, eta=0.6, phi=1.0, kappa=1.0, t_wait2=100.0, n_max=2, seed=6)
+def test_stage2_batch_matches_scalar_windows(adiabatic, gamma, eta, phi, kappa, t_wait2, n_max,
+                                             seed):
     # the reduced generator has no |c> level to decay from
     gamma = 0.0 if adiabatic else gamma
     p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, eta=eta, phi=phi,
-                     kappa=kappa, t_wait2=t_wait2)
+                     kappa=kappa, t_wait2=t_wait2, n_max=n_max)
     if kappa == 0.1 and adiabatic:
         assert not StageEngine(p).spectral
     batch = assert_batch_matches_scalar_windows(p, seed, 200, stage=1)
@@ -671,6 +707,138 @@ def test_stage2_batch_matches_scalar_windows(adiabatic, gamma, eta, phi, kappa, 
         assert batch.channel.size == 0
     if t_wait2 == 0.0:
         assert not batch.jumps.any() and (batch.channel == -1).all()
+
+
+# what StageEngine builds in the pair space on first use
+PAIR_MACHINERY = ("_v", "_v_inv", "_w_pairs", "_pair_terms", "h_eff", "channels", "ops",
+                  "total_op", "_total", "propagator", "phase_diag")
+
+
+@pytest.mark.parametrize("adiabatic, gamma", [(False, 0.5), (True, 0.0)])
+def test_product_windows_never_build_the_pair_space(adiabatic, gamma):
+    # with eta = 1 every herald window stays a product of node states until
+    # its click, and only the clicks are lifted; a lost photon entangles the
+    # nodes, and its row goes on in the pair space
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, t_wait=300.0)
+    eng = StageEngine(p)
+    batch = run_windows(eng, StreamBlock(4, 0, 2000), p.t_wait)
+    assert (batch.channel >= 0).sum() > 100 and (batch.jumps > 1).any() == (gamma > 0.0)
+    assert not set(PAIR_MACHINERY) & set(vars(eng))
+    eng = StageEngine(p.with_(eta=0.5))
+    batch = run_windows(eng, StreamBlock(4, 0, 2000), p.t_wait)
+    assert went_on(batch) > 0
+    assert {"_v", "_v_inv", "_pair_terms", "h_eff", "ops"} <= set(vars(eng))
+
+
+def test_only_rows_a_lost_photon_hit_collapse_in_the_pair_space(monkeypatch):
+    # every other collapse is on the node: the pair collapse sees exactly the
+    # jumps that follow a row's first lost photon in the scalar reference
+    p = SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5, eta=0.5)
+    eng = StageEngine(p)
+    block = StreamBlock(8, 0, 600)
+    seen = []
+    collapse = eng._collapse_rows
+
+    def spy(psi, u):
+        seen.append(len(psi))
+        return collapse(psi, u)
+
+    monkeypatch.setattr(eng, "_collapse_rows", spy)
+    batch = run_windows(eng, block, p.t_wait)
+    after_lost = 0
+    for i in range(600):
+        events = run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
+                                 share_curve=True).events
+        first = next((k for k, e in enumerate(events) if e.tag in LOST), None)
+        after_lost += 0 if first is None else len(events) - first - 1
+    assert sum(seen) == after_lost > 0
+    assert batch.jumps.sum() > 2 * after_lost
+
+
+def dense_product_weights(eng, a, b):
+    return dense_weights(eng, np.stack([two_nodes(x, y) for x, y in zip(a, b)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(0.0, 1.0), lam=st.floats(0.2, 5.0), gamma=st.floats(0.0, 0.5),
+       n_max=st.sampled_from([1, 2]), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       support=st.floats(0.0, 1.0))
+@example(eta=1.0, lam=1.0, gamma=0.0, n_max=1, rows=1, seed=0, support=1.0)
+@example(eta=0.0, lam=3.0, gamma=0.5, n_max=2, rows=4, seed=1, support=0.2)
+def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, support):
+    # the weights of two_nodes(a, b) from node expectations against |L_k psi|^2
+    # in the pair space: to 1e-13 of the total weight, never negative, and 0
+    # for a channel whose operator meets only zero amplitudes
+    p = SystemParams(adiabatic=False, gamma_ca=gamma, gamma_cb=gamma / 3, eta=eta, lam=lam,
+                     n_max=n_max)
+    eng = StageEngine(p)
+    gen = np.random.default_rng(seed)
+    d = eng._h.shape[0]
+    ab = gen.normal(size=(2, rows, d)) + 1j * gen.normal(size=(2, rows, d))
+    ab *= gen.random(ab.shape) < support
+    ab[:, :, 0] += 1.0   # no zero node
+    # and the node states the sampler meets: a0, and the no-jump state after a while
+    a0 = np.eye(d)[0]
+    phi = eng._node_rows(eng._node0[None, None], np.array([3.0]))[0][0, 0]
+    a = np.concatenate((ab[0], [a0, phi, phi]))
+    b = np.concatenate((ab[1], [a0, phi, a0]))
+    a, b = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (a, b))
+    got, want = eng._product_weights(a, b), dense_product_weights(eng, a, b)
+    assert got.shape == want.shape and (got >= 0.0).all()
+    assert np.all(np.abs(got - want) <= 1e-13 * want.sum(axis=1, keepdims=True))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    # a lone row keeps its bytes
+    for i in range(len(a)):
+        assert eng._product_weights(a[i : i + 1], b[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_product_weights_of_a_row_do_not_depend_on_the_stack(n_max):
+    eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.2, eta=0.5,
+                                   lam=3.0, n_max=n_max))
+    gen = np.random.default_rng(5)
+    d = eng._h.shape[0]
+    a, b = gen.normal(size=(2, 3000, d)) + 1j * gen.normal(size=(2, 3000, d))
+    lone = np.concatenate([eng._product_weights(a[i : i + 1], b[i : i + 1]) for i in range(40)])
+    for n in (2, 3, 40, 257, 1000, 3000):
+        assert eng._product_weights(a[:n], b[:n])[:40].tobytes() == lone[:n].tobytes(), n
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_product_collapse_is_the_pair_collapse(n_max):
+    # the channel and the post-jump state of two_nodes(a, b), on the node,
+    # against _collapse_rows on the lifted state: equal channels, and post
+    # states within 1e-14 (lifted, or as node pairs after a local jump)
+    p = SystemParams(adiabatic=False, gamma_ca=0.4, gamma_cb=0.2, eta=0.6, n_max=n_max)
+    eng = StageEngine(p)
+    gen = np.random.default_rng(n_max)
+    d = eng._h.shape[0]
+    x = gen.normal(size=(2000, 2, d)) + 1j * gen.normal(size=(2000, 2, d))
+    u = gen.random(2000)
+    idx, kept, lifted = eng._collapse_products(x, u)
+    unit = x / np.linalg.norm(x, axis=2, keepdims=True)
+    want_idx, want_post = eng._collapse_rows(eng._products(unit[:, 0], unit[:, 1]), u)
+    assert np.array_equal(idx, want_idx) and len(set(idx.tolist())) == len(eng.tags)
+    up = eng._lifted[idx]
+    assert np.array_equal(up, [t.recorded or t in LOST for t in np.array(eng.tags)[idx]])
+    assert np.max(np.abs(lifted - want_post[up])) <= 1e-14
+    assert np.max(np.abs(eng._products(kept[:, 0], kept[:, 1]) - want_post[~up])) <= 1e-14
+    assert np.allclose(np.linalg.norm(kept, axis=2), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_normalizing_by_the_reciprocal_is_the_division():
+    # _unit multiplies by the reciprocal norm; numpy's complex-by-real
+    # division is the same product (its complex division scales by the
+    # reciprocal of the divisor), so the bytes are the division's, up to the
+    # sign of a zero: the division adds the imaginary part times 0 to it
+    gen = np.random.default_rng(9)
+    for n in (1, 2, 3, 17, 300, 5000):
+        psi = gen.normal(size=(n, 36)) + 1j * gen.normal(size=(n, 36))
+        psi *= np.exp(gen.uniform(-300.0, 300.0, size=(n, 1)))
+        psi[:, ::7] = 0.0
+        psi.real[:, 1::5] = -0.0
+        want = psi / np.sqrt(np.einsum("ij,ij->i", psi.conj(), psi).real)[:, None]
+        assert (_unit(psi) + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def went_on(batch):
