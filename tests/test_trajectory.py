@@ -305,6 +305,28 @@ def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max,
         assert t.tobytes() == ts[i:i + 1].tobytes() and psi.tobytes() == states[i:i + 1].tobytes()
 
 
+@pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.1),
+                               SystemParams(adiabatic=True, n_max=2, lam=2.0), EXCEPTIONAL],
+                         ids=["full", "reduced-n2", "expm"])
+def test_product_rows_evolve_as_the_pair(p):
+    # two_nodes(a, b) of unequal node states, evolved on the node: its
+    # states, squared norms and slopes against the pair-space evaluator
+    eng = StageEngine(p)
+    gen = np.random.default_rng(11)
+    d = eng._h.shape[0]
+    nodes = gen.normal(size=(50, 2, d)) + 1j * gen.normal(size=(50, 2, d))
+    t = gen.random(50) * 20.0
+    coeffs, n2_end = eng._node_segment_rows(nodes, t)
+    phi, n2, slope = eng._node_rows(coeffs, t)
+    pair = eng._products(nodes[:, 0], nodes[:, 1])
+    psi, want_n2, want_slope = eng._pair_rows(np.stack([eng._v_inv @ x for x in pair]), t)
+    scale = np.max(np.abs(psi), axis=1)
+    assert np.all(np.abs(eng._products(phi[:, 0], phi[:, 1]) - psi) <= 1e-12 * scale[:, None])
+    assert np.all(np.abs(n2 - want_n2) <= 1e-12 * want_n2)
+    assert np.all(np.abs(slope - want_slope) <= 1e-12 * np.abs(want_slope))
+    assert n2_end.tobytes() == n2.tobytes()
+
+
 def test_psi0_crossings_evaluate_the_node_alone(monkeypatch):
     # without unrecorded jumps every crossing starts from psi0, and none of
     # them may evaluate a state of the pair
