@@ -71,13 +71,17 @@ def _target_vectors(dims: tuple[int, ...]) -> dict[ChannelTag, np.ndarray]:
     return out
 
 
+def _fidelity(targets: dict[ChannelTag, np.ndarray], tag: ChannelTag, psi: np.ndarray) -> float:
+    """|<target, 00 | psi>|^2 with the target of a click of tag (_target_vectors)."""
+    return float(abs(np.vdot(targets[tag], psi)) ** 2)
+
+
 def fidelity_to_target(state: StateVector, tag: ChannelTag) -> float:
     """Squared overlap with the click-appropriate maximally entangled state
     (both cavities in vacuum): |<target, 00 | psi>|^2."""
     if tag not in (ChannelTag.D1, ChannelTag.D2):
         raise ValueError("fidelity target is defined for detector clicks only")
-    target = _target_vectors(state.basis_dims)[tag]
-    return float(abs(np.vdot(target, state.amplitudes)) ** 2)
+    return _fidelity(_target_vectors(state.basis_dims), tag, state.amplitudes)
 
 
 def _binomial_stderr(p: float, n: int) -> float:
@@ -98,24 +102,12 @@ def _sample_stderr(values: np.ndarray) -> float:
 def _stage1_chunk(args):
     params, seed, start, stop, sampler = args
     engine = StageEngine(params)
-    block = StreamBlock(seed, start, stop)
-    if sampler == "fast":
-        res = run_windows(engine, block, params.t_wait)
-        rows = np.flatnonzero(res.channel >= 0)
-        clicks = [(j, engine.tags[res.channel[j]], state) for j, state in zip(rows, res.state)]
-    else:
-        clicks = []
-        for j, i in enumerate(range(start, stop)):
-            res = run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
-                                  sampler=sampler, share_curve=True)
-            if res.clicked:
-                clicks.append((j, res.tag, res.state.amplitudes))
+    res = run_windows(engine, StreamBlock(seed, start, stop), params.t_wait, sampler=sampler)
     targets = _target_vectors(params.dims)
-    clicked = np.zeros(stop - start, dtype=bool)
+    clicked = res.channel >= 0
     fid = np.full(stop - start, np.nan)
-    for j, tag, state in clicks:
-        clicked[j] = True
-        fid[j] = abs(np.vdot(targets[tag], state)) ** 2
+    fid[clicked] = [_fidelity(targets, engine.tags[c], state)
+                    for c, state in zip(res.channel[clicked], res.state)]
     return clicked, fid
 
 
@@ -126,29 +118,24 @@ def _protocol_chunk(args):
     # the first windows one stream at a time; heralded: (row, first window)
     # of each stream whose first window clicked
     firsts = (run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
-                              sampler=sampler, share_curve=True) for i in range(start, stop))
+                              sampler=sampler) for i in range(start, stop))
     heralded = [(j, first) for j, first in enumerate(firsts) if first.clicked]
     # the second windows from the phase-gated herald states, run_protocol's
-    # second stage; ends: the tag that ended each, None after a timeout
+    # second stage
     gated = [engine.phase_diag * first.state.amplitudes for _, first in heralded]
-    if sampler == "fast":
-        second = run_windows(engine, block, params.t_wait2, stage=1,
-                             rows=np.array([j for j, _ in heralded], dtype=int),
-                             start=np.reshape(gated, (len(heralded), engine.psi0.dim)))
-        ends = [engine.tags[c] if c >= 0 else None for c in second.channel]
-    else:
-        ends = [run_until_click(psi, engine, block.stream(start + j).for_stage(1),
-                                params.t_wait2, sampler=sampler).tag
-                for (j, _), psi in zip(heralded, gated)]
+    second = run_windows(engine, block, params.t_wait2, stage=1,
+                         rows=np.array([j for j, _ in heralded], dtype=int),
+                         start=np.reshape(gated, (len(heralded), engine.psi0.dim)),
+                         sampler=sampler)
     targets = _target_vectors(params.dims)
     n = stop - start
     n_clicks = np.zeros(n, dtype=np.int8)
     same_tag = np.zeros(n, dtype=bool)
     fid = np.full(n, np.nan)
-    for (j, first), end in zip(heralded, ends):
-        n_clicks[j] = 1 + (end is not None)
-        fid[j] = abs(np.vdot(targets[first.tag], first.state.amplitudes)) ** 2
-        same_tag[j] = end is first.tag
+    for (j, first), c in zip(heralded, second.channel):
+        n_clicks[j] = 1 + (c >= 0)
+        fid[j] = _fidelity(targets, first.tag, first.state.amplitudes)
+        same_tag[j] = c >= 0 and engine.tags[c] is first.tag
     return n_clicks, same_tag, fid
 
 

@@ -6,7 +6,7 @@ against fixed sampler, trajectories against the master equation) and
 returns one record: a dict with a `name`, a `passed` verdict and the
 measured values.  `homsim oracle-check` writes these records and the
 acceptance criteria assert on them.  Every check takes its sample size
-and the master seed(s) of its random streams.
+and the master seed(s) of its streams; click times come from run_windows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .model import (
     two_nodes,
 )
 from .rng import StreamBlock
-from .trajectory import StageEngine, run_until_click
+from .trajectory import StageEngine, run_windows
 
 
 def channel_residual(params: SystemParams, channels: Sequence[JumpChannel]) -> float:
@@ -59,17 +59,20 @@ def channel_consistency(seed: int) -> dict:
     }
 
 
-def _click_times(psi0, engine: StageEngine, seed: int, n: int, t_max: float,
-                 sampler: str) -> np.ndarray:
-    """Stage-1 click times of n trajectories on streams (seed, 0..n-1)."""
-    block = StreamBlock(seed, 0, n)
-    ts = []
-    for i in range(n):
-        res = run_until_click(psi0, engine, block.stream(i), t_max,
-                              sampler=sampler, share_curve=True)
-        if res.clicked:
-            ts.append(res.time)
-    return np.asarray(ts)
+def _click_times(engine: StageEngine, n: int, t_max: float, seed_fixed: int, seed_fast: int,
+                 start=None) -> list[np.ndarray]:
+    """Stage-1 click times of n windows, fixed-step then fast, each in stream
+    order on the streams (seed, 0..n-1) of its seed, from engine.psi0 or
+    from the state start."""
+    if seed_fixed == seed_fast:
+        raise ValueError(f"seed_fixed ({seed_fixed}) and seed_fast ({seed_fast}) must differ: "
+                         "a two-sample KS test needs independent samples")
+    starts = None if start is None else np.tile(start.amplitudes, (n, 1))
+    times = []
+    for sampler, seed in (("fixed", seed_fixed), ("fast", seed_fast)):
+        res = run_windows(engine, StreamBlock(seed, 0, n), t_max, start=starts, sampler=sampler)
+        times.append(res.time[res.channel >= 0])
+    return times
 
 
 def _ks_record(name: str, test, samples: Sequence[np.ndarray], **extra) -> dict:
@@ -96,29 +99,24 @@ def waiting_time_ks(params: SystemParams, n: int, seed_fixed: int, seed_fast: in
     frozen = params.with_(
         omega=0.0, gamma_ca=0.0, gamma_cb=0.0, eta=1.0, dt=1e-4, adiabatic=False
     )
-    engine = StageEngine(frozen)
     psi0 = basis_state(BasisIndex("a", "a", 1, 0), frozen.dims)
+    times = dict(zip(("fixed", "fast"),
+                     _click_times(StageEngine(frozen), n, 1.0, seed_fixed, seed_fast, start=psi0)))
     scale = 1.0 / (2.0 * frozen.kappa)
-    records = []
-    times = {}
-    for seed, name in ((seed_fixed, "fixed"), (seed_fast, "fast")):
-        times[name] = _click_times(psi0, engine, seed, n, 1.0, name)
-        records.append(_ks_record(
-            f"waiting_time_ks_{name}", lambda t: stats.kstest(t, "expon", args=(0.0, scale)),
-            [times[name]], n=len(times[name])))
+    records = [_ks_record(f"waiting_time_ks_{name}",
+                          lambda t: stats.kstest(t, "expon", args=(0.0, scale)),
+                          [times[name]], n=len(times[name])) for name in ("fixed", "fast")]
     records.append(_ks_record("waiting_time_ks_mutual", stats.ks_2samp,
                               [times["fixed"], times["fast"]]))
     return records
 
 
 def fast_vs_fixed(params: SystemParams, n: int, seed_fixed: int, seed_fast: int) -> dict:
-    """Two-sample KS test of stage-1 click times from |aa,00> over one
-    t_wait window, fast against fixed sampler, and the z-score of their
-    click fractions."""
-    engine = StageEngine(params)
-    psi0 = basis_state(BasisIndex("a", "a", 0, 0), params.dims)
-    fixed = _click_times(psi0, engine, seed_fixed, n, params.t_wait, "fixed")
-    fast = _click_times(psi0, engine, seed_fast, n, params.t_wait, "fast")
+    """Two-sample KS test of stage-1 click times from psi0 = |aa,00> over
+    one t_wait window, fast against fixed sampler, and the z-score of their
+    click fractions.  The two master seeds must differ, as in
+    waiting_time_ks."""
+    fixed, fast = _click_times(StageEngine(params), n, params.t_wait, seed_fixed, seed_fast)
     p_fix = len(fixed) / n
     p_fast = len(fast) / n
     sd = math.sqrt(2.0 * max(p_fix * (1 - p_fix), 1e-12) / n)

@@ -30,10 +30,11 @@ Two statistically equivalent samplers over the same jump-channel set:
   sum L^dag L is diagonal, and acts by its diagonal; a channel's weight
   <psi|L_k^dag L_k|psi> is summed from the nonzero entries of L_k^dag L_k,
   for all channels in one product, and held at 0 or above.  run_windows
-  runs the windows of many streams as one stack: one comparison finds the
-  timeouts, one masked Newton iteration the crossings, a per-row weight
-  matrix the channels; windows going on after an unrecorded jump form a
-  shrinking stack.  A window from psi0 (a stage-1 sweep chunk's herald
+  runs the windows of many streams, a fixed-step window per row or the
+  fast sampler's as one stack: one comparison finds the timeouts, one
+  masked Newton iteration the crossings, a per-row weight matrix the
+  channels; windows going on after an unrecorded jump form a shrinking
+  stack.  A window from psi0 (a stage-1 sweep chunk's herald
   window) is carried as two node states, two_nodes(a, b), for as long as
   it stays a product, as it does through every spontaneous decay, a local
   jump: it is crossed on the node (the first round from psi0's norm
@@ -394,7 +395,7 @@ class StageEngine:
         post = post / math.sqrt(np.vdot(post, post).real)
         return self.tags[idx], post
 
-    def _run_fixed(self, psi_n, rng, t_max, share_curve) -> StageResult:
+    def _run_fixed(self, psi_n, rng, t_max, shared) -> StageResult:
         n_steps = int(whole_steps(t_max, self.dt, "t_max"))
         events: list[Event] = []
         r = rng.step_uniforms(n_steps)
@@ -402,7 +403,7 @@ class StageEngine:
         psi = psi_n
         while k0 < n_steps:
             # only a window's start state is shared
-            rel, psi_hat = self._fixed_scan(psi, r[k0:], share_curve and not events)
+            rel, psi_hat = self._fixed_scan(psi, r[k0:], shared and not events)
             if rel is None:
                 return StageResult(None, None, self._wrap(psi_hat), events)
             k = k0 + rel
@@ -518,10 +519,7 @@ class StageEngine:
         raise RuntimeError(f"no norm crossing of r = {r!r} found in {_NEWTON_MAX} "
                            f"iterations on [0, {span!r}]")
 
-    def _run_fast(self, psi_n, rng, t_max, share_curve) -> StageResult:
-        # the one shared segment is psi0's, from a window's start
-        psi0 = self.psi0.amplitudes
-        shared = share_curve and (psi_n is psi0 or psi_n.tobytes() == psi0.tobytes())
+    def _run_fast(self, psi_n, rng, t_max, shared) -> StageResult:
         events: list[Event] = []
         psi = psi_n
         t_seg = 0.0
@@ -780,16 +778,14 @@ def run_until_click(
     t_max: float,
     *,
     sampler: str = "fixed",
-    share_curve: bool = False,
 ) -> StageResult:
     """Evolve from psi0 until the first recorded detector click or t_max.
 
     Unrecorded collapses (lost photons, spontaneous decays) are applied and
     logged but do not stop the window.  Click and event times count from the
-    window's opening.  share_curve reuses the engine-cached deterministic
-    no-jump evolution, which changes nothing about the sampled statistics:
-    the fixed sampler's from any start state, the fast sampler's from
-    engine.psi0 (equal to it bit for bit) alone.
+    window's opening.  A window from engine.psi0 (the state itself, or equal
+    to it bit for bit) replays the engine-cached deterministic no-jump
+    evolution from it, which changes nothing about the sampled statistics.
     """
     # the engine's own start state is normalized already
     psi_n = engine.psi0.amplitudes if psi0 is engine.psi0 else _as_unit_array(psi0)
@@ -797,10 +793,13 @@ def run_until_click(
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if t_max == 0.0:
         return StageResult(None, None, engine._wrap(psi_n), [])
+    # the one shared curve is psi0's
+    psi0 = engine.psi0.amplitudes
+    shared = psi_n is psi0 or psi_n.tobytes() == psi0.tobytes()
     if sampler == "fixed":
-        return engine._run_fixed(psi_n, rng, t_max, share_curve)
+        return engine._run_fixed(psi_n, rng, t_max, shared)
     if sampler == "fast":
-        return engine._run_fast(psi_n, rng, t_max, share_curve)
+        return engine._run_fast(psi_n, rng, t_max, shared)
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
@@ -831,40 +830,56 @@ def run_windows(
     stage: int = 0,
     rows: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
+    sampler: str = "fast",
 ) -> WindowBatch:
     """The stage `stage` windows of block's streams (those in rows, all by
-    default), by the fast sampler run over many of them at once: from
-    engine.psi0, or row i from start[i], normalized as run_until_click
-    normalizes it.  Times count from the window's opening.
+    default), by either sampler: from engine.psi0, or row i from start[i],
+    normalized as run_until_click normalizes it.  Times count from the
+    window's opening.
 
     Row i draws the numbers run_until_click draws on the same stream and
-    start state (with share_curve=True from psi0) and decides from them as
-    it does; that scalar window is the reference the batch is tested
-    against.  The windows go through in rounds, as one stack: round k
-    compares each waiting row's step draw k with its segment's end norm,
-    which times out the rows at or below it, crosses the rest in one masked
-    Newton iteration and collapses them with their draw k of the channel
-    substream; the rows whose collapse was not recorded go on into round
-    k + 1, each from its own segment.  A window from psi0 = two_nodes(a0,
-    a0) stays a product two_nodes(a, b) until a channel acting on both
-    nodes, and is carried as its two node states: crossed on the node
-    (_node_rows, the first round from psi0's norm table), weighed from node
-    expectations and collapsed on one node by a local (spontaneous) jump.
-    A click lifts it to the pair space for its post-click state, and an
-    unrecorded jump on both nodes (a lost photon) moves it there, to the
-    windows from start states: those are crossed and collapsed in the pair
-    space (_pair_rows).
+    start state and decides from them as it does; that scalar window is the
+    reference the batch is tested against.  The fixed-step sampler runs it
+    per row, replaying one cached curve for the rows from psi0, or from a
+    start several rows share (the scalar walk's bits up to _FIXED_BLOCK
+    steps, to rounding past them).  The fast sampler's windows go through
+    in rounds, as one stack: round k compares each waiting row's step draw
+    k with its segment's end norm, which times out the rows at or below it,
+    crosses the rest in one masked Newton iteration and collapses them with
+    their draw k of the channel substream; the rows whose collapse was not
+    recorded go on into round k + 1, each from its own segment.  A window
+    from psi0 = two_nodes(a0, a0) stays a product two_nodes(a, b) until a
+    channel acting on both nodes, and is carried as its two node states:
+    crossed on the node (_node_rows, the first round from psi0's norm
+    table), weighed from node expectations and collapsed on one node by a
+    local (spontaneous) jump.  A click lifts it to the pair space for its
+    post-click state, and an unrecorded jump on both nodes (a lost photon)
+    moves it there, to the windows from start states: those are crossed
+    and collapsed in the pair space (_pair_rows).
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    keys, head = block.stage_tables(stage) if rows is None else block.row_tables(stage, rows)
-    n = keys.shape[0]
+    if sampler not in ("fast", "fixed"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    streams = np.arange(block.start, block.stop)[slice(None) if rows is None else rows]
+    n = streams.size
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
     states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: window i's click
     if start is not None and len(start) != n:
         raise ValueError(f"{len(start)} start states for {n} windows")
     if t_max == 0.0 or n == 0:
         return WindowBatch(channel, time, jumps, states[:0])
+    if sampler == "fixed":
+        psi = [engine.psi0.amplitudes] * n if start is None else [_as_unit_array(x) for x in start]
+        shared = start is None or n > 1 and all(x.tobytes() == psi[0].tobytes() for x in psi)
+        for i, (index, x) in enumerate(zip(streams, psi)):
+            res = engine._run_fixed(x, block.stream(index).for_stage(stage), t_max, shared)
+            jumps[i] = len(res.events)
+            if res.clicked:
+                channel[i], time[i] = engine.tags.index(res.tag), res.time
+                states[i] = res.state.amplitudes
+        return WindowBatch(channel, time, jumps, states[channel >= 0])
+    keys, head = block.stage_tables(stage) if rows is None else block.row_tables(stage, rows)
     recorded = np.array([tag.recorded for tag in engine.tags])
     none = _Waiting(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, 0)))
     if start is None:
@@ -939,7 +954,6 @@ def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") 
         rng if rng.stage == 0 else rng.for_stage(0),
         engine.params.t_wait,
         sampler=sampler,
-        share_curve=True,
     )
     second = None
     if first.clicked:

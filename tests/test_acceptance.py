@@ -158,7 +158,7 @@ def test_criterion_06_heralded_state_fidelity():
     fids = {ChannelTag.D1: [], ChannelTag.D2: []}
     for i in range(20_000):
         res = run_until_click(psi0, eng, RngStream(SEED + 2, i).for_stage(0),
-                              FULL.t_wait, sampler="fast", share_curve=True)
+                              FULL.t_wait, sampler="fast")
         if res.clicked:
             fids[res.tag].append(fidelity_to_target(res.state, res.tag))
     n1, n2 = len(fids[ChannelTag.D1]), len(fids[ChannelTag.D2])

@@ -379,6 +379,16 @@ def test_a_ks_record_without_click_times_fails_with_a_reason(check):
         json.dumps(rec, allow_nan=False)
 
 
+@pytest.mark.parametrize("check", ["fast_vs_fixed", "waiting_time_ks"])
+def test_ks_oracles_reject_one_seed_for_both_samplers(check):
+    # the two-sample KS test needs independent samples, so the samplers'
+    # master seeds must differ
+    from homsim import oracles
+
+    with pytest.raises(ValueError, match=r"seed_fixed \(7\) and seed_fast \(7\) must differ"):
+        getattr(oracles, check)(SystemParams(adiabatic=True), 5, 7, 7)
+
+
 def _run(args):
     return main(args)
 

@@ -126,7 +126,7 @@ def scalar_stage1_chunk(task):
     fid = np.full(stop - start, np.nan)
     for j, i in enumerate(range(start, stop)):
         res = run_until_click(engine.psi0, engine, block.stream(i), params.t_wait,
-                              sampler="fast", share_curve=True)
+                              sampler="fast")
         if res.clicked:
             clicked[j] = True
             fid[j] = fidelity_to_target(res.state, res.tag)

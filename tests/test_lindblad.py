@@ -103,7 +103,7 @@ def test_no_click_survival_cross_check():
         surv = float(np.vdot(u @ psi0.amplitudes, u @ psi0.amplitudes).real)
         alive = sum(
             not run_until_click(psi0, eng, RngStream(210, i).for_stage(0), t_probe,
-                                sampler="fast", share_curve=True).clicked
+                                sampler="fast").clicked
             for i in range(n)
         )
         sd = math.sqrt(surv * (1 - surv) / n)

@@ -269,7 +269,7 @@ def test_spontaneous_decay_windows_draw_more_than_once():
     eng = StageEngine(SPONT)
     multi = sum(
         len(run_until_click(eng.psi0, eng, RngStream(404, i), SPONT.t_wait,
-                            sampler="fast", share_curve=True).events) > 1
+                            sampler="fast").events) > 1
         for i in range(600)
     )
     assert multi >= 5

@@ -108,7 +108,7 @@ def test_exceptional_point_click_fraction_matches_survival_oracle():
     n = 1500
     clicks = sum(
         run_until_click(eng.psi0, eng, RngStream(190, i).for_stage(0), EXCEPTIONAL.t_wait,
-                        sampler="fast", share_curve=True).clicked
+                        sampler="fast").clicked
         for i in range(n)
     )
     assert 0.3 < p_true < 0.7
@@ -340,8 +340,8 @@ def test_psi0_crossings_evaluate_the_node_alone(monkeypatch):
     monkeypatch.setattr(eng, "_pair_rows", pair)
     block = StreamBlock(5, 0, 1000)
     assert (run_windows(eng, block, p.t_wait).channel >= 0).sum() > 50
-    assert sum(run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
-                               share_curve=True).clicked for i in range(200)) > 5
+    assert sum(run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast").clicked
+               for i in range(200)) > 5
 
 
 def test_crossing_stays_below_an_end_within_rounding_of_the_root():
@@ -565,20 +565,35 @@ def test_jump_rates_act_as_their_diagonals(p):
 @given(t_max=st.floats(0.5, 300.0), copy=st.booleans())
 def test_psi0_segment_is_cached_by_window_length(t_max, copy):
     eng = StageEngine(SystemParams(adiabatic=True))
-    # a window from any other start state, shared or not, leaves the cache
-    # alone; one from psi0, or a copy of it, finds the psi0 segment there
+    # a window from any other start state leaves the cache alone, psi0 times
+    # a phase too (equal as a state, not bit for bit); one from psi0, or a
+    # copy of it, finds the psi0 segment there
     other = basis_state(BasisIndex("a", "a", 1, 0), eng.params.dims)
-    for psi, share in ((other, True), (eng.psi0, False)):
-        run_until_click(psi, eng, RngStream(0, 0), t_max, sampler="fast", share_curve=share)
+    for psi in (other, 1j * eng.psi0.amplitudes):
+        run_until_click(psi, eng, RngStream(0, 0), t_max, sampler="fast")
     assert eng._coarse_cache == {}
     psi0 = eng.psi0.amplitudes.copy() if copy else eng.psi0
-    run_until_click(psi0, eng, RngStream(0, 0), t_max, sampler="fast", share_curve=True)
+    run_until_click(psi0, eng, RngStream(0, 0), t_max, sampler="fast")
     seg = eng._coarse_cache[t_max]
     assert eng.coarse_curve(t_max) is seg and seg.node is not None
     # another length misses it
     longer = eng.coarse_curve(2.0 * t_max)
     assert longer is not seg and longer.n2_end < seg.n2_end
     assert eng.coarse_curve(t_max) is seg and len(eng._coarse_cache) == 2
+
+
+@pytest.mark.parametrize("copy", [False, True])
+def test_fixed_curve_is_cached_for_psi0_alone(copy):
+    # the fixed-step window follows the same rule: only a window from psi0,
+    # or a copy of it, replays (and caches) the curve of its start state
+    eng = StageEngine(SystemParams(adiabatic=True))
+    other = basis_state(BasisIndex("a", "b", 0, 0), eng.params.dims)
+    for psi in (other, 1j * eng.psi0.amplitudes):
+        run_until_click(psi, eng, RngStream(0, 0), 30.0, sampler="fixed")
+    assert eng._fixed_cache == {}
+    psi0 = eng.psi0.amplitudes.copy() if copy else eng.psi0
+    run_until_click(psi0, eng, RngStream(0, 0), 30.0, sampler="fixed")
+    assert list(eng._fixed_cache) == [(eng.psi0.amplitudes.tobytes(), 3000)]
 
 
 # -- batched windows ----------------------------------------------------------------
@@ -593,31 +608,38 @@ def stage2_windows(eng, block):
     return np.flatnonzero(first.channel >= 0), eng.phase_diag * first.state
 
 
-def assert_batch_matches_scalar_windows(p, seed, n, stage=0):
+def assert_batch_matches_scalar_windows(p, seed, n, stage=0, sampler="fast", shared=None):
     """run_windows against one scalar run_until_click per window on the same
-    streams: equal decisions, click times within the crossing tolerance and
-    fidelities within 1e-12.  Stage 0 is every stream's herald window from
-    psi0, stage 1 the second window of every heralded stream from its
-    phase-gated herald state."""
+    streams.  The fast sampler's: equal decisions, click times within the
+    crossing tolerance and fidelities within 1e-12; the fixed sampler's:
+    equal channels, click times, jump counts and post-click state bytes.
+    Stage 0 is every stream's herald window from psi0, or from the state
+    shared if it is given; stage 1 the second window of every heralded
+    stream from its phase-gated herald state."""
     eng = StageEngine(p)
     block = StreamBlock(seed, 0, n)
     if stage == 0:
-        rows, start, t_max = np.arange(n), None, p.t_wait
+        rows, t_max = np.arange(n), p.t_wait
+        start = None if shared is None else np.tile(shared, (n, 1))
     else:
         (rows, start), t_max = stage2_windows(eng, block), p.t_wait2
-    batch = run_windows(eng, block, t_max, stage=stage, rows=rows, start=start)
+    batch = run_windows(eng, block, t_max, stage=stage, rows=rows, start=start, sampler=sampler)
     assert batch.channel.shape == rows.shape
     assert batch.state.shape == ((batch.channel >= 0).sum(), eng.psi0.dim)
     states = dict(zip(np.flatnonzero(batch.channel >= 0), batch.state))
     for i, row in enumerate(rows):
         psi = eng.psi0 if start is None else start[i]
         res = run_until_click(psi, eng, block.stream(row).for_stage(stage), t_max,
-                              sampler="fast", share_curve=start is None)
+                              sampler=sampler)
         assert batch.jumps[i] == len(res.events)
         if not res.clicked:
             assert batch.channel[i] == -1 and math.isnan(batch.time[i])
             continue
         assert eng.tags[batch.channel[i]] is res.tag
+        if sampler == "fixed":
+            assert batch.time[i] == res.time
+            assert states[i].tobytes() == res.state.amplitudes.tobytes()
+            continue
         assert abs(batch.time[i] - res.time) <= CROSSING_TOL * len(res.events)
         fid = fidelity_to_target(StateVector(states[i], p.dims), res.tag)
         assert abs(fid - fidelity_to_target(res.state, res.tag)) <= 1e-12
@@ -684,8 +706,7 @@ def test_herald_batch_rows_do_not_depend_on_the_block(p):
     if p.eta < 1.0:
         lost = [i for i in np.flatnonzero(whole.jumps > 1)
                 if any(e.tag in LOST for e in run_until_click(
-                    eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
-                    share_curve=True).events)]
+                    eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast").events)]
         assert len(lost) >= 2
         lone += [(i, i + 1) for i in lost[:2]]
     for lo, hi in [(0, 60), (13, 41), (58, 60), (250, 1777), (1999, 2000)] + lone:
@@ -769,8 +790,7 @@ def test_only_rows_a_lost_photon_hit_collapse_in_the_pair_space(monkeypatch):
     batch = run_windows(eng, block, p.t_wait)
     after_lost = 0
     for i in range(600):
-        events = run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast",
-                                 share_curve=True).events
+        events = run_until_click(eng.psi0, eng, block.stream(i), p.t_wait, sampler="fast").events
         first = next((k for k, e in enumerate(events) if e.tag in LOST), None)
         after_lost += 0 if first is None else len(events) - first - 1
     assert sum(seen) == after_lost > 0
@@ -787,10 +807,13 @@ def dense_product_weights(eng, a, b):
        support=st.floats(0.0, 1.0))
 @example(eta=1.0, lam=1.0, gamma=0.0, n_max=1, rows=1, seed=0, support=1.0)
 @example(eta=0.0, lam=3.0, gamma=0.5, n_max=2, rows=4, seed=1, support=0.2)
+@example(eta=0.0, lam=1.0, gamma=5e-324, n_max=1, rows=1, seed=1, support=1.0)
 def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, support):
     # the weights of two_nodes(a, b) from node expectations against |L_k psi|^2
-    # in the pair space: to 1e-13 of the total weight, never negative, and 0
-    # for a channel whose operator meets only zero amplitudes
+    # in the pair space: to 1e-13 of the total weight, never negative, 0 for
+    # a channel whose operator meets only zero amplitudes (L_k psi = 0), and
+    # nonzero wherever |L_k psi|^2 is a normal float; below that, at a
+    # subnormal gamma, either of the two may round to 0 and the other not
     p = SystemParams(adiabatic=False, gamma_ca=gamma, gamma_cb=gamma / 3, eta=eta, lam=lam,
                      n_max=n_max)
     eng = StageEngine(p)
@@ -808,7 +831,9 @@ def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, 
     got, want = eng._product_weights(a, b), dense_product_weights(eng, a, b)
     assert got.shape == want.shape and (got >= 0.0).all()
     assert np.all(np.abs(got - want) <= 1e-13 * want.sum(axis=1, keepdims=True))
-    assert np.array_equal(got == 0.0, want == 0.0)
+    psi = np.stack([two_nodes(x, y) for x, y in zip(a, b)])
+    dark = ~np.einsum("kij,nj->nki", np.stack(eng.ops), psi).any(axis=2)
+    assert (got[dark] == 0.0).all() and (got[want >= np.finfo(float).tiny] > 0.0).all()
     # a lone row keeps its bytes
     for i in range(len(a)):
         assert eng._product_weights(a[i : i + 1], b[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
@@ -879,6 +904,53 @@ def test_stage2_batch_goes_on_after_unrecorded_jumps(adiabatic, gamma):
     assert went_on(batch) > 20 and (batch.channel >= 0).sum() > 20
     # a spontaneous decay is followed by a second jump
     assert (batch.jumps.max() > 1) == (gamma > 0.0)
+
+
+def test_fixed_herald_windows_are_the_scalar_ones():
+    # from psi0: the shared curve until a row's first jump, its own walk
+    # after a spontaneous decay or a lost photon
+    p = SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.3, eta=0.6, omega=2.0)
+    batch = assert_batch_matches_scalar_windows(p, 5, 100, sampler="fixed")
+    assert (batch.channel >= 0).sum() > 10 and went_on(batch) > 10
+
+
+def test_fixed_second_windows_are_the_scalar_ones():
+    # the heralded rows' windows of 3000 steps, past one replay block, each
+    # from its own phase-gated herald state
+    p = SystemParams(adiabatic=False, gamma_ca=0.1, gamma_cb=0.1, eta=0.8, omega=5.0,
+                     delta=10.0, t_wait=10.0, phi=1.0, t_wait2=30.0)
+    batch = assert_batch_matches_scalar_windows(p, 6, 250, stage=1, sampler="fixed")
+    assert 20 < batch.channel.size < 250 and (batch.channel >= 0).sum() > 10
+
+
+def test_fixed_windows_from_one_start_replay_one_curve(monkeypatch):
+    # every window starts from one photon state, and the batch replays its
+    # curve: the bits of the scalar walk within one replay block (2000
+    # steps); a lost photon leaves the row to a walk of its own
+    p = frozen_photon_params().with_(eta=0.7, t_wait=0.2)
+    photon = photon_state(p).amplitudes
+    batch = assert_batch_matches_scalar_windows(p, 12, 300, sampler="fixed", shared=photon)
+    assert (batch.channel >= 0).sum() > 100 and went_on(batch) > 20
+    eng = StageEngine(p)
+    built = []
+    fixed_block = eng._fixed_block
+
+    def spy(psi, n_steps):
+        built.append(psi.tobytes() == photon.tobytes())
+        return fixed_block(psi, n_steps)
+
+    monkeypatch.setattr(eng, "_fixed_block", spy)
+    run_windows(eng, StreamBlock(12, 0, 300), p.t_wait, start=np.tile(photon, (300, 1)),
+                sampler="fixed")
+    assert built.count(True) == 1 and len(built) > 20
+
+
+def test_windows_reject_an_unknown_sampler():
+    eng = StageEngine(SystemParams(adiabatic=True))
+    with pytest.raises(ValueError, match="unknown sampler 'exact'"):
+        run_windows(eng, StreamBlock(0, 0, 3), 1.0, sampler="exact")
+    with pytest.raises(ValueError, match="unknown sampler 'exact'"):
+        run_until_click(eng.psi0, eng, RngStream(0, 0), 1.0, sampler="exact")
 
 
 @pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5,
@@ -1034,17 +1106,14 @@ def test_no_decay_times_out():
 def test_waiting_time_exponential_both_samplers():
     p = frozen_photon_params()
     eng = StageEngine(p)
-    psi0 = photon_state(p)
+    # every window starts from the photon state: the fixed-step ones replay its curve
+    start = np.tile(photon_state(p).amplitudes, (1500, 1))
     scale = 1.0 / (2.0 * p.kappa)
     samples = {}
     for seed, sampler in ((50, "fixed"), (60, "fast")):
-        ts = []
-        for i in range(1500):
-            res = run_until_click(psi0, eng, RngStream(seed, i).for_stage(0), 1.0,
-                                  sampler=sampler, share_curve=True)
-            assert res.clicked
-            ts.append(res.time)
-        samples[sampler] = np.asarray(ts)
+        batch = run_windows(eng, StreamBlock(seed, 0, 1500), 1.0, start=start, sampler=sampler)
+        assert (batch.channel >= 0).all()
+        samples[sampler] = batch.time
         ks = stats.kstest(samples[sampler], "expon", args=(0.0, scale))
         assert ks.pvalue > 0.01, f"{sampler}: KS p={ks.pvalue}"
     assert stats.ks_2samp(samples["fixed"], samples["fast"]).pvalue > 0.01
@@ -1060,7 +1129,7 @@ def test_click_fraction_matches_survival_oracle():
     n = 4000
     clicks = sum(
         run_until_click(initial_state(IDEAL), eng, RngStream(70, i).for_stage(0),
-                        IDEAL.t_wait, sampler="fast", share_curve=True).clicked
+                        IDEAL.t_wait, sampler="fast").clicked
         for i in range(n)
     )
     p_hat = clicks / n
@@ -1117,7 +1186,7 @@ def test_detection_thinning():
     recorded = 0
     for i in range(n):
         res = run_until_click(psi0, eng, RngStream(90, i).for_stage(0), 1.0,
-                              sampler="fast", share_curve=True)
+                              sampler="fast")
         assert len(res.events) == 1          # photon always collapses exactly once
         recorded += res.clicked
     sd = math.sqrt(eta * (1 - eta) / n)
@@ -1139,7 +1208,7 @@ def test_herald_fidelity_by_tag():
     sums = {ChannelTag.D1: [], ChannelTag.D2: []}
     for i in range(2500):
         res = run_until_click(initial_state(IDEAL), eng, RngStream(110, i).for_stage(0),
-                              IDEAL.t_wait, sampler="fast", share_curve=True)
+                              IDEAL.t_wait, sampler="fast")
         if res.clicked:
             sums[res.tag].append(fidelity_to_target(res.state, res.tag))
     for tag, vals in sums.items():
@@ -1258,7 +1327,7 @@ def test_fast_vs_fixed_click_time_distributions():
         ts = []
         for i in range(2000):
             res = run_until_click(psi0, eng, RngStream(seed, i).for_stage(0), IDEAL.t_wait,
-                                  sampler=sampler, share_curve=True)
+                                  sampler=sampler)
             if res.clicked:
                 ts.append(res.time)
         samples[sampler] = np.asarray(ts)
