@@ -192,7 +192,8 @@ def parse_config(
     try:
         params = SystemParams(**given)
         if run.get("engine") == "fixed" or command == "oracle-check":
-            for field in ("t_wait", "t_wait2"):   # the fixed sampler's windows
+            # the fixed sampler's windows: T, and T2 where a second window runs
+            for field in ("t_wait", "t_wait2")[: 1 + (command == "redistribute")]:
                 whole_steps(getattr(params, field), params.dt, field)
     except ParamError as exc:
         key = _ALIASES.get(exc.field, exc.field)

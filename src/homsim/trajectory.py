@@ -9,8 +9,8 @@ Two statistically equivalent samplers over the same jump-channel set:
   followed by renormalization.  Between jumps the evolution is deterministic,
   so one replay kernel (StageEngine._fixed_scan) evaluates a no-jump segment
   blockwise against a trajectory's random numbers, replaying a cached block
-  for a start state many trajectories share.  It serves the stopping windows
-  and the unconditioned walk; the tests hold it to a literal one-step loop.
+  for a window start many trajectories share.  It serves the stopping
+  windows alone; the tests hold it to a literal one-step loop.
 
 * fast: waiting-time sampling (Plenio and Knight, RMP 70, 101 (1998)).
   Draw r; if the unnormalized no-jump state still has squared norm >= r at
@@ -66,7 +66,9 @@ a timeout, with the state it left and every collapse on the way, timed from
 the window's opening.  Whether a collapse is recorded is a property of its
 tag (ChannelTag.recorded).  A protocol run is two windows, and its
 TrajectoryRecord holds just those two results, at absolute times; the
-outcome and the event list are derived from them.
+outcome and the event list are derived from them.  The unconditioned walk
+(run_unconditioned) is a chain of fast-sampler windows from one observation
+time to the next.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ from .rng import RngStream, StreamBlock, nth_uniforms
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
-_FIXED_CACHE_STEPS = 1 << 16   # fixed-step states cached per engine (38 MB at dim 36)
 _TABLE_POINTS = 257         # grid of the norm table of the shared psi0 segment
 _NEWTON_MAX = 100           # crossing iterations before the root-find gives up
 _XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
@@ -349,17 +350,12 @@ class StageEngine:
         return _FixedCurve(states, n2, self._pvals(states[:n_steps], n2[:n_steps]))
 
     def fixed_curve(self, psi_n: np.ndarray, n_steps: int) -> _FixedCurve:
-        """_fixed_block cached by start state, for states many trajectories share."""
+        """_fixed_block cached by start state, for window starts many
+        trajectories share: psi0's, or one start of a whole run_windows batch."""
         key = (psi_n.tobytes(), n_steps)
         curve = self._fixed_cache.get(key)
         if curve is None:
-            curve = self._fixed_block(psi_n, n_steps)
-            # bounded in steps, not entries: the unconditioned walk caches one
-            # short segment per observation time; the newest curve always stays
-            cached = sum(c.pvals.size for c in self._fixed_cache.values())
-            while self._fixed_cache and cached + n_steps > _FIXED_CACHE_STEPS:
-                cached -= self._fixed_cache.pop(next(iter(self._fixed_cache))).pvals.size
-            self._fixed_cache[key] = curve
+            curve = self._fixed_cache[key] = self._fixed_block(psi_n, n_steps)
         return curve
 
     def _fixed_scan(self, psi_n: np.ndarray, r: np.ndarray, shared: bool):
@@ -983,28 +979,22 @@ def run_unconditioned(
     All jumps, recorded or not, are applied and the walk continues to the
     end of the grid; averaging many of these against the density-matrix
     integrator is the correctness oracle for the whole unraveling.  The walk
-    goes from grid time to grid time (repeats allowed) with the replay
-    kernel, shared until the trajectory first jumps.
+    is a chain of fast-sampler windows (run_until_click) from grid time to
+    grid time (repeats allowed): a recorded click opens the next window from
+    its state, a timeout gives the state at the grid time.  The unraveling
+    is Markov in the normalized state, so a fresh draw at each window's
+    opening leaves the law unchanged.
     """
-    dt = engine.dt
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or not np.all(t_grid >= 0.0):
-        raise ValueError(f"t_grid must be a non-empty set of times >= 0, got {t_grid}")
-    grid_idx = whole_steps(t_grid, dt, "t_grid")
+    if t_grid.size == 0 or not np.all((t_grid >= 0.0) & np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be a non-empty set of finite times >= 0, got {t_grid}")
     obs = [o.entries for o in observables]
     vals = np.empty((len(obs), t_grid.size))
-    psi = _as_unit_array(psi0)
-    r = rng.step_uniforms(int(grid_idx.max()))
-    k = 0
-    shared = True
-    for j in np.argsort(grid_idx, kind="stable"):
-        while True:
-            rel, psi_hat = engine._fixed_scan(psi, r[k : grid_idx[j]], shared)
-            if rel is None:
-                break
-            _, psi = engine._collapse(psi_hat, rng)
-            k += rel + 1
-            shared = False
-        psi, k = psi_hat, grid_idx[j]
+    psi, t = _as_unit_array(psi0), 0.0
+    for j in np.argsort(t_grid, kind="stable"):
+        while t < t_grid[j]:
+            res = run_until_click(psi, engine, rng, t_grid[j] - t, sampler="fast")
+            psi = res.state.amplitudes
+            t = t + res.time if res.clicked else t_grid[j]
         vals[:, j] = [np.vdot(psi, o @ psi).real for o in obs]
     return vals

@@ -572,9 +572,11 @@ def test_negative_exponent_form_is_a_flag_value(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fixed_sampler_windows_are_whole_steps(tmp_path, capsys):
+def test_fixed_sampler_windows_are_whole_steps(tmp_path, capsys, monkeypatch):
     # at dt = 0.01, a window of 0.004 would run no step at all and one of
     # 0.015 would run two; the fast sampler needs no grid
+    import homsim.cli as cli
+
     out = tmp_path / "x.csv"
     for argv, key in ((["entangle-sweep", "--engine", "fixed", "--T", "0.004"], "T"),
                       (["entangle-sweep", "--engine", "fixed", "--T", "0.015"], "T"),
@@ -587,6 +589,12 @@ def test_fixed_sampler_windows_are_whole_steps(tmp_path, capsys):
     assert not out.exists()
     assert _run(["entangle-sweep", "--T", "0.004", "--omega", "20", "--delta", "1",
                  "--grid", "1.0", "--n_traj", "10", "--out", str(out)]) == EXIT_OK
+    # T2 sets only redistribute's second window, which the other commands never run
+    monkeypatch.setattr(
+        cli, "run_suite", lambda params, n_traj, seed: [{"name": "stub", "passed": True}]
+    )
+    for argv in (["entangle-sweep", "--engine", "fixed", "--grid", "1.0"], ["oracle-check"]):
+        assert _run(argv + ["--T2", "0.005", "--n_traj", "10", "--out", str(out)]) == EXIT_OK
 
 
 def test_io_error_exit_code(tmp_path, monkeypatch, capsys):

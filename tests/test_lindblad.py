@@ -137,12 +137,13 @@ def test_ensemble_compare_rejects_decreasing_grid_and_no_trajectories():
 
 
 def test_ensemble_equal_samples_have_zero_variance():
-    # no trajectory jumps before t = 1 at this seed: every sample is equal, so
-    # the spread is exactly zero and the Poisson-floor branch scores it
-    p = SystemParams(adiabatic=False)
-    report = ensemble_compare(p, [("n_c1", number_op(p))], (1.0,), 1000, 3)
-    assert report.traj_stderr[0, 0] == 0.0
-    assert report.z_scores[0, 0] == 0.0
+    # with the drive off no photon is made, so no trajectory can jump: every
+    # sample is equal, the spread is exactly zero and the Poisson-floor
+    # branch scores it
+    p = SystemParams(omega=0.0, adiabatic=False)
+    report = ensemble_compare(p, ensemble_observables(p), (1.0, 5.0), 1000, 3)
+    assert np.all(report.traj_stderr == 0.0)
+    assert np.all(report.z_scores == 0.0)
 
 
 def test_ensemble_stderr_clt_scaling():

@@ -1021,9 +1021,6 @@ def test_fixed_window_is_a_whole_number_of_steps():
     # rounding error in t_max is no fault
     res = run_until_click(eng.psi0, eng, RngStream(0, 0), 0.1 + 0.2, sampler="fixed")
     assert not res.clicked
-    with pytest.raises(ValueError, match="t_grid"):
-        run_unconditioned(eng.psi0, eng, RngStream(0, 0), (0.5, 0.015),
-                          [identity(eng.params.dims)])
 
 
 # -- single step ------------------------------------------------------------------
@@ -1338,38 +1335,58 @@ def test_fast_vs_fixed_click_time_distributions():
 
 
 def test_unconditioned_repeated_time_fills_every_column():
-    # stream 13 jumps before t = 10; both columns must hold the post-jump state
+    # both columns must hold the state at t = 10 (on the fast-sampler walk
+    # stream 13 does not jump; test_unconditioned_walk_is_a_chain_of_windows
+    # repeats a time on streams that do)
     p = SystemParams(gamma_ca=0.3, gamma_cb=0.3, adiabatic=False)
     eng = StageEngine(p)
     vals = run_unconditioned(eng.psi0, eng, RngStream(5, 13), (10.0, 10.0), [identity(p.dims)])
     assert vals[0, 0] == pytest.approx(1.0) and vals[0, 1] == pytest.approx(1.0)
 
 
-def test_unconditioned_walk_equals_step_loop():
-    # the replay walk against the literal stepping loop, over an unsorted grid
-    # with a repeated time, on trajectories that jump (some more than once)
+def test_unconditioned_walk_is_a_chain_of_windows(monkeypatch):
+    # over an unsorted grid with t = 0 and a repeated time, on trajectories
+    # that jump (some more than once), the walk equals the walk over the
+    # sorted unique times bit for bit, and runs as fast-sampler windows
+    import homsim.trajectory as trajectory
+
+    jumps = []
+
+    def counted(*args, **kwargs):
+        res = run_until_click(*args, **kwargs)
+        assert kwargs["sampler"] == "fast"
+        jumps[-1] += len(res.events)
+        return res
+
+    monkeypatch.setattr(trajectory, "run_until_click", counted)
     p = SystemParams(omega=2.0, kappa=2.0, delta=10.0, gamma_ca=0.3, gamma_cb=0.3,
                      adiabatic=False)
     eng = StageEngine(p)
-    u_op = OperatorMatrix(eng.propagator, p.dims)
     obs = [identity(p.dims), OperatorMatrix(eng.total_op, p.dims)]
-    t_grid = (5.0, 0.0, 2.0, 5.0)
-    idx = [int(round(t / p.dt)) for t in t_grid]
-    jumps = []
     for i in range(20):
-        vals = run_unconditioned(eng.psi0, eng, RngStream(40, i), t_grid, obs)
-        rng = RngStream(40, i)
-        psi = eng.psi0
-        ref = {}
         jumps.append(0)
-        for k in range(max(idx) + 1):
-            ref[k] = [np.vdot(psi.amplitudes, o.entries @ psi.amplitudes).real for o in obs]
-            if k < max(idx):
-                psi, ev = step(psi, u_op, eng.channels, rng, p.dt, total_op=eng.total_op)
-                jumps[-1] += ev is not None
-        for j, k in enumerate(idx):
-            assert np.max(np.abs(vals[:, j] - ref[k])) < 1e-10
+        vals = run_unconditioned(eng.psi0, eng, RngStream(40, i), (5.0, 0.0, 2.0, 5.0), obs)
+        once = jumps[-1]
+        ref = run_unconditioned(eng.psi0, eng, RngStream(40, i), (0.0, 2.0, 5.0), obs)
+        assert np.array_equal(vals, ref[:, [2, 0, 1, 2]])
+        assert jumps[-1] == 2 * once and ref[0] == pytest.approx(1.0)
+        jumps[-1] = once
     assert sum(jumps) >= 10 and max(jumps) >= 2
+
+
+def test_unconditioned_grid_needs_no_dt_steps():
+    # the fast sampler's windows need no dt grid: 0.015 at dt = 0.01 is a time
+    eng = StageEngine(SystemParams(adiabatic=True))
+    vals = run_unconditioned(eng.psi0, eng, RngStream(0, 0), (0.5, 0.015),
+                             [identity(eng.params.dims)])
+    assert vals.shape == (1, 2) and vals[0] == pytest.approx(1.0)
+
+
+def test_unconditioned_rejects_a_non_finite_time():
+    eng = StageEngine(IDEAL)
+    for grid in ((1.0, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="t_grid"):
+            run_unconditioned(eng.psi0, eng, RngStream(0, 0), grid, [identity(IDEAL.dims)])
 
 
 def test_unconditioned_rejects_empty_or_negative_grid():
