@@ -19,6 +19,7 @@ Everything is expressed in units of g (time in 1/g).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -158,14 +159,36 @@ def both_nodes(x: np.ndarray) -> np.ndarray:
     return two_nodes(x, one) + two_nodes(one, x)
 
 
+def _read_only(fn):
+    """fn cached by its arguments, its arrays made read-only: they are built
+    once and shared by every caller."""
+    @functools.lru_cache(maxsize=None)
+    def cached(*args):
+        arr = fn(*args)
+        arr.flags.writeable = False
+        return arr
+
+    return cached
+
+
+@_read_only
+def _cavity(n_max: int) -> np.ndarray:
+    return _kron(np.eye(3), fock_destroy(n_max + 1))
+
+
+@_read_only
+def _level(to_level: str, from_level: str, n_max: int) -> np.ndarray:
+    return _kron(level_transfer(to_level, from_level), np.eye(n_max + 1))
+
+
 def node_cavity(p: SystemParams) -> np.ndarray:
-    """The node's cavity annihilator."""
-    return _kron(np.eye(3), fock_destroy(p.n_max + 1))
+    """The node's cavity annihilator (read-only, one array per n_max)."""
+    return _cavity(p.n_max)
 
 
 def node_level(to_level: str, from_level: str, p: SystemParams) -> np.ndarray:
-    """|to><from| on the node's ion."""
-    return _kron(level_transfer(to_level, from_level), np.eye(p.n_max + 1))
+    """|to><from| on the node's ion (read-only, one array per n_max)."""
+    return _level(to_level, from_level, p.n_max)
 
 
 def _node_hamiltonian(p: SystemParams) -> np.ndarray:

@@ -20,8 +20,12 @@ Two statistically equivalent samplers over the same jump-channel set:
   unique: safeguarded Newton with the analytic slope -<psi| sum L^dag L |psi>
   finds it (StageEngine._crossing), from the norm table of the one segment
   windows share, psi0's (StageEngine.coarse_curve), or a log-linear guess
-  on any other.  The scalar window searches the table and sums its channel
-  weights on Python lists, to numpy's bits.  The no-jump state at any time
+  on any other.  The table's grid comes from the node's spectrum: where the
+  norm rings (the full generator's, at about the detuning of |c>), a fine
+  piece takes a few points a period for as long as the ringing lasts
+  (_ring_grid), then a uniform one the rest of the window.  The scalar
+  window searches the table and sums its channel weights on Python lists,
+  to numpy's bits.  The no-jump state at any time
   comes from one eigendecomposition of the node, h = v diag(w) v^-1:
   psi(t) = V exp(-i W t) V^-1 psi with W = w_i + w_j and V = P (v (x) v),
   or from the node's expm when v is too ill-conditioned (near an
@@ -32,14 +36,17 @@ Two statistically equivalent samplers over the same jump-channel set:
   for all channels in one product, and held at 0 or above.  run_windows
   runs the windows of many streams, a fixed-step window per row or the
   fast sampler's as one stack: one comparison finds the timeouts, one
-  masked Newton iteration the crossings, a per-row weight matrix the
-  channels; windows going on after an unrecorded jump form a shrinking
-  stack.  A window from psi0 (a stage-1 sweep chunk's herald
+  Newton iteration over the stack the crossings (stopped rows stay in it
+  until half of it has stopped), a per-row weight matrix the channels;
+  windows going on after an unrecorded jump form a shrinking stack.  A
+  window from psi0 (a stage-1 sweep chunk's herald
   window) is carried as two node states, two_nodes(a, b), for as long as
   it stays a product, as it does through every spontaneous decay, a local
   jump: it is crossed on the node (the first round from psi0's norm
-  table), its channel weights come from node expectations, and a local
-  jump acts on one node.  Only its click lifts it to the pair space, and a
+  table), with a Halley first step from the norm's second derivative,
+  its channel weights come from node expectations, and one product
+  applies every channel's node operator, so a local jump acts on one
+  node.  Only its click lifts it to the pair space, and a
   lost photon, which acts on both nodes, moves it there for good.  The
   pair space serves those rows and the windows from a state per row (a
   protocol chunk's stage-2 windows, from the phase-gated herald states),
@@ -107,7 +114,10 @@ from .rng import RngStream, StreamBlock, nth_uniforms
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
 _FIXED_BLOCK = 2048         # steps per replay block in unshared fixed-step scans
-_TABLE_POINTS = 257         # grid of the norm table of the shared psi0 segment
+_TABLE_POINTS = 257         # coarse grid of the norm table of the shared psi0 segment
+_RING_POINTS = 6            # table points per period of the psi0 norm's ringing
+_RING_LEVEL = 1e-1          # ringing resolved while its slope is above this share of the norm's
+_FINE_MAX = 4096            # most table points spent on the ringing
 _NEWTON_MAX = 100           # crossing iterations before the root-find gives up
 _XTOL = 2e-12               # crossing tolerance |dt| <= _XTOL + _RTOL t (brentq's defaults)
 _RTOL = 4 * np.finfo(float).eps
@@ -224,6 +234,29 @@ class _FixedCurve(NamedTuple):
     pvals: np.ndarray    # per-step jump probability of the normalized state
 
 
+class _Grid(NamedTuple):
+    """The times of the psi0 segment's norm table, two uniform pieces: n_fine
+    steps up to t_fine, where the norm rings (_ring_grid), then linspace(0,
+    span, _TABLE_POINTS) from its point k0 = t_fine / span (_TABLE_POINTS -
+    1) on; with n_fine = 0 the linspace alone."""
+
+    span: float
+    n_fine: int
+    t_fine: float
+    k0: int
+
+    def times(self) -> np.ndarray:
+        fine = self.t_fine * np.arange(self.n_fine) / max(self.n_fine, 1)
+        return np.concatenate((fine, np.linspace(0.0, self.span, _TABLE_POINTS)[self.k0:]))
+
+    def at(self, g):
+        """The time at the fractional table index g (a float, or an array)."""
+        coarse = self.span * (g - self.n_fine + self.k0) / (_TABLE_POINTS - 1)
+        if isinstance(g, float):
+            return self.t_fine * g / self.n_fine if g < self.n_fine else coarse
+        return np.where(g < self.n_fine, self.t_fine * g / max(self.n_fine, 1), coarse)
+
+
 @dataclass(eq=False, slots=True)
 class _Segment:
     # start state in the evaluator's basis (see StageEngine._evolve); None
@@ -231,10 +264,11 @@ class _Segment:
     coeffs: Optional[np.ndarray]
     end: np.ndarray      # unnormalized state at the segment end
     n2_end: float        # its squared norm
-    # the psi0 segment only: minus the squared norm on linspace(0, span,
-    # _TABLE_POINTS), made monotone, so that it ascends for searchsorted
+    # the psi0 segment only: minus the squared norm on grid.times(), made
+    # monotone, so that it ascends for searchsorted
     table: Optional[np.ndarray] = None
     table_list: Optional[list] = None   # the same, for the scalar window's bisect
+    grid: Optional[_Grid] = None
     # the normalized end state, built at the segment's first timeout
     final: Optional[StateVector] = None
     node: Optional[np.ndarray] = None   # the psi0 segment only: v^-1 a0, psi0 = two_nodes(a0, a0)
@@ -267,6 +301,8 @@ class StageEngine:
         # product row for the pair space
         self._lifted = np.array([ch.tag.recorded or (ch.x != 0.0 and ch.y != 0.0)
                                  for ch in self._nodes])
+        self._x = np.array([ch.x for ch in self._nodes], dtype=float)
+        self._y = np.array([ch.y for ch in self._nodes], dtype=float)
         self._u = _scipy_expm(-1j * self.dt * self._h)   # the node's fixed step
         self.psi0 = initial_state(params)
         w, v = np.linalg.eig(self._h)
@@ -275,6 +311,7 @@ class StageEngine:
         self.spectral = bool(np.linalg.cond(v) ** 2 <= EIG_COND_MAX)
         v = v if self.spectral else np.eye(v.shape[0])
         self._w, self._nv, self._nv_inv = w, v, np.linalg.inv(v)
+        self._mw = -1j * w   # t mw is -i t w, to the bit
         self._perm = node_order(params.n_max)
         self._node0 = self._nv_inv @ node_initial_state(params)   # v^-1 a0, psi0 = two_nodes(a0, a0)
         self._fixed_cache: dict = {}
@@ -456,12 +493,12 @@ class StageEngine:
         window length."""
         seg = self._coarse_cache.get(t_max)
         if seg is None:
-            phi, n2, _ = self._node_rows(self._node0[None, None],
-                                         np.linspace(0.0, t_max, _TABLE_POINTS))
+            grid = _ring_grid(self._w, self._nv, self._node0, t_max)
+            phi, n2 = self._node_rows(self._node0[None, None], grid.times(), 0)
             table = -np.minimum.accumulate(n2)
             seg = self._coarse_cache[t_max] = _Segment(
                 None, self._lift(phi[-1, 0]), n2[-1],
-                table=table, table_list=table.tolist(), node=self._node0)
+                table=table, table_list=table.tolist(), grid=grid, node=self._node0)
         return seg
 
     def _first_guess(self, seg: _Segment, r: float, span: float) -> float:
@@ -473,7 +510,7 @@ class StageEngine:
         k = min(max(bisect.bisect_left(table, -r), 1), len(table) - 1)
         above, below = -table[k - 1], -table[k]
         frac = min(max((above - r) / (above - below), 0.0), 1.0) if above > below else 0.5
-        return span * (k - 1 + frac) / (len(table) - 1)
+        return seg.grid.at(k - 1 + frac)
 
     def _crossing(self, seg: _Segment, r: float, span: float) -> tuple[float, np.ndarray]:
         """The time t in (0, span) at which the segment's squared norm falls to
@@ -557,21 +594,33 @@ class StageEngine:
         psi = self._evolve_rows(coeffs, t)
         return psi, _vdots(psi, psi), -_vdots(psi, psi * self._total)
 
-    def _node_rows(self, c: np.ndarray, t: np.ndarray):
+    def _node_rows(self, c: np.ndarray, t: np.ndarray, derivatives: int = 1):
         """_pair_at of each product row two_nodes(phi[i, 0], phi[i, -1]) at
         time t[i], evaluated on the node: c (R, k, d), or its one shared row,
         holds the rows' node states as v^-1 a, and k = 1 is a row two_nodes(a,
         a).  Returns the node states phi = u(t) a, the squared norm s_a s_b
-        and the slope -(s_b <a|j|a> + s_a <b|j|b>), s the nodes' squared
-        norms (for k = 1, _node_at's norm and slope)."""
+        and its first `derivatives` time derivatives: the slope -(s_b <a|j|a>
+        + s_a <b|j|b>), s the nodes' squared norms (for k = 1, _node_at's norm
+        and slope), and the curvature s_a'' s_b + 2 s_a' s_b' + s_a s_b'',
+        where s' = -<j> and s'' = -2 Im <phi|j h|phi>, at one more product."""
         if self.spectral:
-            e = np.exp(np.multiply.outer(-1j * t, self._w))[:, None, :] * c
+            e = np.exp(np.multiply.outer(t, self._mw))[:, None, :] * c
             phi = _rows(e.reshape(-1, c.shape[-1]), self._nv).reshape(e.shape)
         else:
             u = _scipy_expm(np.multiply.outer(-1j * t, self._h))
             phi = (u @ c.swapaxes(1, 2)).swapaxes(1, 2)
-        s, sj = _vdots(phi, phi), _vdots(phi, phi * self._j)
-        return phi, s[:, 0] * s[:, -1], -(s[:, -1] * sj[:, 0] + s[:, 0] * sj[:, -1])
+        s = _vdots(phi, phi)
+        out = phi, s[:, 0] * s[:, -1]
+        if not derivatives:
+            return out
+        jphi = phi * self._j
+        sj = _vdots(phi, jphi)
+        out += (-(s[:, -1] * sj[:, 0] + s[:, 0] * sj[:, -1]),)
+        if derivatives == 1:
+            return out
+        hphi = _rows(phi.reshape(-1, phi.shape[-1]), self._h).reshape(phi.shape)
+        s2 = -2.0 * _dots(jphi, hphi).imag
+        return out + (s2[:, 0] * s[:, -1] + 2.0 * sj[:, 0] * sj[:, -1] + s[:, 0] * s2[:, -1],)
 
     def _segment_rows(self, psi: np.ndarray, span: np.ndarray):
         """_segment of each row: its coefficients and its end state's squared norm."""
@@ -583,56 +632,79 @@ class StageEngine:
         """_segment_rows of each product row two_nodes(nodes[i, 0], nodes[i, 1]),
         on the node: its node coefficients and its end state's squared norm."""
         coeffs = _rows(nodes.reshape(-1, nodes.shape[-1]), self._nv_inv).reshape(nodes.shape)
-        return coeffs, self._node_rows(coeffs, span)[1]
+        return coeffs, self._node_rows(coeffs, span, 0)[1]
 
-    def _first_guess_rows(self, table, n2_end, r, span) -> np.ndarray:
-        """_first_guess of each row, from the shared segment's norm table if
-        table is given, otherwise from each row's n2_end."""
-        if table is None:
+    def _first_guess_rows(self, seg, n2_end, r, span) -> np.ndarray:
+        """_first_guess of each row, from the psi0 segment's norm table if
+        seg is given, otherwise from each row's n2_end."""
+        if seg is None:
             return span * np.log(r) / np.log(np.maximum(n2_end, _TINY))
+        table = seg.table
         k = np.clip(np.searchsorted(table, -r), 1, table.size - 1)
         above, below = -table[k - 1], -table[k]
         falls = above > below
         frac = np.clip((above - r) / np.where(falls, above - below, 1.0), 0.0, 1.0)
-        return span * (k - 1 + np.where(falls, frac, 0.5)) / (table.size - 1)
+        return seg.grid.at(k - 1 + np.where(falls, frac, 0.5))
 
-    def _crossing_rows(self, at, coeffs, r, span, t) -> tuple[np.ndarray, np.ndarray]:
+    def _crossing_rows(self, at, coeffs, r, span, t, first=None) -> tuple[np.ndarray, np.ndarray]:
         """_crossing of each row from the first guesses t, evaluated by at
         (_node_rows or _pair_rows): the crossing times and the states there,
         as at gives them (node states, or states of the pair).  Each row
-        iterates with the scalar safeguards and leaves at their stop."""
-        t = np.minimum(t, np.nextafter(span, 0.0))
-        t_out, out = np.empty(r.size), None
-        live = np.arange(r.size)
-        r_live, lo, hi, end = r, np.zeros(r.size), span, span
-        last = before = span   # sizes of the last two steps
-        for _ in range(_NEWTON_MAX):
-            x, n2, slope = at(coeffs if coeffs.shape[0] == 1 else coeffs[live], t)
-            f = n2 - r_live
-            lo = np.where(f > 0.0, t, lo)
-            hi = np.where(f > 0.0, hi, t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(slope < 0.0, -f / slope, np.nan)
-            nxt = t + step
-            newton = (lo <= nxt) & (nxt <= hi) & (nxt < end) & (np.abs(step) <= 0.5 * before)
-            mid = 0.5 * (lo + hi)
-            step = np.where(newton, step, np.where(mid < end, mid, lo) - t)
-            before, last = last, np.abs(step)
-            t = t + step
-            done = last <= _XTOL + _RTOL * t
-            if done.any():
+        iterates with the scalar safeguards, its bracket topped by the float
+        below span (which no step may pass), and stops at their stop.  An
+        evaluator first, given for the first iteration, also returns the
+        norm's second derivative (_node_rows with 2 derivatives): that step is
+        Halley's, f / f' / (1 - f f'' / (2 f'^2)), where the correction is at
+        most twofold.  A stopped row goes on in the stack, unrecorded, until
+        half of it has stopped; a row's steps depend on its own values alone."""
+        top = np.nextafter(span, 0.0)
+        t = np.minimum(t, top)
+        # each row's time, evaluated state and last step at its stop
+        t_out, out, last_step = np.empty(r.size), None, np.empty(r.size)
+        live, going = np.arange(r.size), np.ones(r.size, dtype=bool)
+        c_live, r_live, lo, hi = coeffs, r, np.zeros(r.size), top
+        before = last = span   # sizes of the last two steps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_MAX):
+                x, n2, slope, *curv = (first or at)(c_live, t)
+                first = None
+                f = n2 - r_live
+                above = f > 0.0
+                lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+                # slope < 0 away from a dark state; a step at slope 0 is not
+                # finite, and bisects
+                step = -f / slope
+                if curv:
+                    q = 1.0 + 0.5 * step * curv[0] / slope
+                    step = np.where(q >= 0.5, step / q, step)
+                nxt = t + step
+                size = np.abs(step)
+                newton = (lo <= nxt) & (nxt <= hi) & (size <= 0.5 * before)
+                if not newton.all():
+                    step = np.where(newton, step, 0.5 * (lo + hi) - t)
+                    nxt = t + step
+                    size = np.abs(step)
+                before, last, t = last, size, nxt
+                stop = (last <= _XTOL + _RTOL * t) & going
+                if not stop.any():
+                    continue
                 if out is None:
                     out = np.empty((r.size,) + x.shape[1:], dtype=complex)
-                t_out[live[done]] = t[done]
-                out[live[done]] = self._carry(x[done], step[done])
-                go = ~done
-                if not go.any():
-                    return t_out, out
-                live, r_live, t, lo, hi, end, last, before = (
-                    a[go] for a in (live, r_live, t, lo, hi, end, last, before)
-                )
-        raise RuntimeError(f"no norm crossing of r = {r[live[0]]!r} found in {_NEWTON_MAX} "
-                           f"iterations on [0, {span[live[0]]!r}]")
+                rows = live[stop]
+                t_out[rows], out[rows], last_step[rows] = t[stop], x[stop], step[stop]
+                going = going & ~stop
+                left = np.count_nonzero(going)
+                if not left:
+                    return t_out, self._carry(out, last_step)
+                if 2 * left <= going.size:
+                    if c_live.shape[0] > 1:
+                        c_live = c_live[going]
+                    live, r_live, t, lo, hi, last, before = (
+                        a[going] for a in (live, r_live, t, lo, hi, last, before))
+                    going = np.ones(left, dtype=bool)
+        i = live[going][0]
+        raise RuntimeError(f"no norm crossing of r = {r[i]!r} found in {_NEWTON_MAX} "
+                           f"iterations on [0, {span[i]!r}]")
 
     def _carry(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
         """One first-order step of each state to its returned crossing time:
@@ -653,14 +725,14 @@ class StageEngine:
         w = coef @ terms if psi.ndim == 1 else _rows(terms, coef)
         return np.maximum(w.real, 0.0)
 
-    def _product_weights(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """_weights of each product row two_nodes(a[i], b[i]) of normalized
-        node states, from the nodes' expectations (_node_weight_terms)."""
-        ab = np.concatenate((a, b))
-        m = _dots(ab, _rows(ab, self._mix))   # <a|m|a>, then <b|m|b>
-        cross = m[: len(a)].conj() * m[len(a):]
-        power = ab.real ** 2 + ab.imag ** 2
-        terms = np.concatenate((power[: len(a)], power[len(a):], cross[:, None]), axis=1)
+    def _product_weights(self, x: np.ndarray) -> np.ndarray:
+        """_weights of each product row two_nodes(x[i, 0], x[i, -1]) of
+        normalized node states, from the nodes' expectations
+        (_node_weight_terms)."""
+        m = _dots(x, _rows(x.reshape(-1, x.shape[-1]), self._mix).reshape(x.shape))
+        cross = m[:, 0].conj() * m[:, -1]
+        power = x.real ** 2 + x.imag ** 2
+        terms = np.concatenate((power[:, 0], power[:, -1], cross[:, None]), axis=1)
         return np.maximum(_rows(terms, self._node_coef).real, 0.0)
 
     def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
@@ -673,29 +745,43 @@ class StageEngine:
             post[chosen] = _rows(psi_hat[chosen], self.ops[k])
         return idx, _unit(post)
 
+    @cached_property
+    def _node_ops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The channels' node operators, each array once (the model builds
+        one array per operator), and the identity, stacked (n_ops d, d) so
+        that one product applies all of them; and for each channel the index
+        of the operator it applies to node 1 and to node 2 (the identity's
+        on a node it leaves alone)."""
+        index = {}
+        for ch in self._nodes:
+            index.setdefault(id(ch.op), (len(index), ch.op))
+        ops = [op for _, op in index.values()] + [np.eye(self._h.shape[0])]
+        sides = [[index[id(ch.op)][0] if amp != 0.0 else len(index) for amp in (ch.x, ch.y)]
+                 for ch in self._nodes]
+        return np.concatenate(ops), np.array(sides, dtype=int).reshape(-1, 2)
+
     def _collapse_products(self, x: np.ndarray, u: np.ndarray):
         """_collapse of each product row two_nodes(x[i, 0], x[i, -1]) with its
         channel draw u, on the node: the channel indices; the normalized
         node pairs (R', 2, d) of the rows a local channel left products,
         applied to one node; and the normalized states of the pair L (a (x)
         b) = amp (x (op a) (x) b + y a (x) (op b)) of the others, those whose
-        channel is recorded or acts on both nodes (_lifted), in row order."""
+        channel is recorded or acts on both nodes (_lifted), in row order.
+        One product applies every operator to every node state, and one
+        gather picks each row's (op a, b), (a, op b) or (op a, op b)."""
         x = _unit(x)
-        a, b = x[:, 0], x[:, -1]
-        idx = _pick_rows(self._product_weights(a, b), u)
+        rows, k, d = x.shape
+        idx = _pick_rows(self._product_weights(x), u)
+        ops, sides = self._node_ops
+        applied = _rows(x.reshape(-1, d), ops).reshape(-1, d)
+        # row (i k + s) n_ops + o of applied: operator o on node s of row i
+        out = applied[(np.arange(rows)[:, None] * k + [0, k - 1]) * (len(ops) // d) + sides[idx]]
         lift = self._lifted[idx]
-        nodes = np.stack((a, b), axis=1)
-        pair = np.empty((int(lift.sum()), self.psi0.dim), dtype=complex)
-        for k in np.unique(idx):
-            chosen, ch = idx == k, self._nodes[k]
-            if self._lifted[k]:
-                ak, bk = a[chosen], b[chosen]
-                pair[chosen[lift]] = (ch.x * self._products(_rows(ak, ch.op), bk)
-                                      + ch.y * self._products(ak, _rows(bk, ch.op)))
-            else:
-                side = int(ch.x == 0.0)
-                nodes[chosen, side] = _rows(nodes[chosen, side], ch.op)
-        return idx, _unit(nodes[~lift]), _unit(pair)
+        up = idx[lift]
+        a, b, op_a, op_b = x[lift, 0], x[lift, -1], out[lift, 0], out[lift, 1]
+        pair = (self._x[up, None] * self._products(op_a, b)
+                + self._y[up, None] * self._products(a, op_b))
+        return idx, _unit(out[~lift]), _unit(pair)
 
     def _wrap(self, arr: np.ndarray) -> StateVector:
         return StateVector(arr, self.dims)
@@ -705,12 +791,58 @@ def _weight_terms(ops: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray],
     """The terms of <psi|M_k|psi> = Re sum_(i <= j) c_kij conj(psi_i) psi_j,
     M_k = L_k^dag L_k, over all channels k: the index pairs (i, j), i <= j,
     at which some M_k is nonzero, and the coefficients c (n_channels,
-    n_pairs), M_ii on the diagonal and 2 M_ij above it (M_k is Hermitian)."""
+    n_pairs), M_ii on the diagonal and 2 M_ij above it (M_k is Hermitian).
+    The operators are real, so M_k comes from one real product: its bytes
+    are the complex product's, which adds the same terms in the same order."""
     stack = np.stack(ops)
-    gram = stack.conj().transpose(0, 2, 1) @ stack
-    i, j = np.nonzero(gram.any(axis=0))
-    i, j = i[i <= j], j[i <= j]
-    return (i, j), gram[:, i, j] * np.where(i == j, 1.0, 2.0)
+    assert not stack.imag.any(), "a channel operator is not real"
+    real = stack.real
+    gram = real.transpose(0, 2, 1) @ real
+    i, j = np.nonzero(np.triu(gram.any(axis=0)))
+    return (i, j), (gram[:, i, j] * np.where(i == j, 1.0, 2.0)).astype(complex)
+
+
+def _ring_grid(w: np.ndarray, v: np.ndarray, c: np.ndarray, span: float) -> _Grid:
+    """The grid of the norm table of the node's no-jump segment u(t) a0 over
+    span, from the spectrum the evaluator uses: eigenvalues w, eigenvectors
+    v and c = v^-1 a0 (v = 1 and c = a0 where it propagates with expm).
+
+    The node's squared norm is sum_ij A_ij exp(-g_ij t), A_ij = conj(c_i) c_j
+    <v_i|v_j> and g_ij = i (w_j - conj(w_i)): it rings at the frequencies
+    |Re(w_i - w_j)|.  A term rings while its slope |A_ij g_ij| exp(-Re(g_ij) t)
+    is above _RING_LEVEL of that of the slowest-decaying populated mode
+    (|c_i|^2 above _RING_LEVEL of the largest), and the coarse grid samples
+    it fewer than _RING_POINTS times a period; until the last such term
+    stops, the grid takes _RING_POINTS points a period of the fastest, at
+    most _FINE_MAX of them."""
+    coarse = span / (_TABLE_POINTS - 1)
+    freq = np.abs(w.real[:, None] - w.real)
+    i, j = np.nonzero(freq * (coarse * _RING_POINTS) > 2.0 * math.pi)
+    if not i.size:
+        return _Grid(span, 0, 0.0, 0)
+    amp = np.abs(c) ** 2
+    held = np.flatnonzero(amp >= _RING_LEVEL * amp.max())
+    ref = held[np.argmax(w.imag[held])]
+    ref_rate = max(-2.0 * w.imag[ref], 0.0)
+    floor = _RING_LEVEL * amp[ref] * np.vdot(v[:, ref], v[:, ref]).real * ref_rate
+    rate = -(w.imag[i] + w.imag[j])
+    slope = np.abs(c[i].conj() * c[j] * np.einsum("ki,ki->i", v[:, i].conj(), v[:, j]))
+    slope *= np.hypot(freq[i, j], rate)
+    # when each term's slope falls below the floor: never, if it decays no
+    # faster than the reference term, or that one does not decay
+    lasts = slope > floor
+    if not lasts.any():
+        return _Grid(span, 0, 0.0, 0)
+    life = np.full(i.size, np.inf)
+    fades = lasts & (rate > ref_rate)
+    if floor > 0.0:
+        life[fades] = np.log(slope[fades] / floor) / (rate[fades] - ref_rate)
+    life = life[lasts]
+    k0 = math.ceil(min(life.max(), span) / coarse)
+    t_fine = span * k0 / (_TABLE_POINTS - 1)
+    n_fine = min(math.ceil(t_fine * freq[i, j][lasts].max() * _RING_POINTS / (2.0 * math.pi)),
+                 _FINE_MAX)
+    return _Grid(span, n_fine, t_fine, k0)
 
 
 def _node_weight_terms(nodes: list[NodeChannel]) -> tuple[np.ndarray, np.ndarray]:
@@ -882,7 +1014,7 @@ def run_windows(
         # psi0's shared segment, from one shared row of node coefficients
         seg = engine.coarse_curve(t_max)
         nodes = _Waiting(np.arange(n), np.zeros(n), np.full(n, seg.n2_end), seg.node[None, None])
-        pairs, table = none, seg.table
+        pairs = none
     else:
         psi = np.asarray(start, dtype=complex)
         n2 = _vdots(psi, psi)
@@ -890,49 +1022,58 @@ def run_windows(
             raise ValueError("start state must have a positive norm, got squared norm "
                              f"{n2[~(n2 > 0.0)][0]}")
         coeffs, n2_end = engine._segment_rows(_unit(psi), np.full(n, t_max))
-        nodes, pairs, table = none, _Waiting(np.arange(n), np.zeros(n), n2_end, coeffs), None
+        nodes, pairs, seg = none, _Waiting(np.arange(n), np.zeros(n), n2_end, coeffs), None
 
-    def cross(at, waiting, r, table):
+    def cross(at, waiting, r, seg, first=None):
         """The crossing times from the window's opening and the states there."""
         span = t_max - waiting.t_seg
         wait, x = engine._crossing_rows(
-            at, waiting.coeffs, r, span, engine._first_guess_rows(table, waiting.n2_end, r, span))
+            at, waiting.coeffs, r, span, engine._first_guess_rows(seg, waiting.n2_end, r, span),
+            first)
         return waiting.t_seg + wait, x
 
+    def halley(c, t):
+        return engine._node_rows(c, t, 2)
+
     for k in itertools.count():
-        live = np.concatenate((nodes.rows, pairs.rows))
+        m = nodes.rows.size
+        live = np.concatenate((nodes.rows, pairs.rows)) if pairs.rows.size else nodes.rows
         if not live.size:
             return WindowBatch(channel, time, jumps, states[channel >= 0])
         # draw k of both substreams: step (column 0) and channel (column 1)
         draws = nth_uniforms(keys[live], head[live], k)
-        m = nodes.rows.size
-        nodes, node_draws = nodes.crossing(draws[:m])
-        pairs, pair_draws = pairs.crossing(draws[m:])
         # the collapses that leave a state of the pair: (rows, times, channels, states)
         lifted = []
+        if m:
+            nodes, node_draws = nodes.crossing(draws[:m])
         if nodes.rows.size:
-            t, x = cross(engine._node_rows, nodes, node_draws[:, 0], table)
+            t, x = cross(engine._node_rows, nodes, node_draws[:, 0], seg, halley)
             chan, kept, post = engine._collapse_products(x, node_draws[:, 1])
             up = engine._lifted[chan]
-            lifted.append((nodes.rows[up], t[up], chan[up], post))
-            coeffs, n2_end = engine._node_segment_rows(kept, t_max - t[~up])
+            stay = ~up
             jumps[nodes.rows] += 1
-            nodes = _Waiting(nodes.rows[~up], t[~up], n2_end, coeffs)
+            lifted.append((nodes.rows[up], t[up], chan[up], post))
+            coeffs, n2_end = engine._node_segment_rows(kept, t_max - t[stay])
+            nodes = _Waiting(nodes.rows[stay], t[stay], n2_end, coeffs)
+        if pairs.rows.size:
+            pairs, pair_draws = pairs.crossing(draws[m:])
         if pairs.rows.size:
             t, x = cross(engine._pair_rows, pairs, pair_draws[:, 0], None)
             chan, post = engine._collapse_rows(_unit(x), pair_draws[:, 1])
             lifted.append((pairs.rows, t, chan, post))
             jumps[pairs.rows] += 1
+        pairs = none
         if lifted:
-            live, t, chan, post = (np.concatenate(c) for c in zip(*lifted))
+            live, t, chan, post = (lifted[0] if len(lifted) == 1 else
+                                   (np.concatenate(c) for c in zip(*lifted)))
             hit = recorded[chan]
-            channel[live[hit]], time[live[hit]], states[live[hit]] = chan[hit], t[hit], post[hit]
+            clicked = live[hit]
+            channel[clicked], time[clicked], states[clicked] = chan[hit], t[hit], post[hit]
             go = ~hit
-            pairs = none
             if go.any():
                 coeffs, n2_end = engine._segment_rows(post[go], t_max - t[go])
                 pairs = _Waiting(live[go], t[go], n2_end, coeffs)
-        table = None
+        seg = None
 
 
 def run_protocol(engine: StageEngine, rng: RngStream, *, sampler: str = "fast") -> TrajectoryRecord:

@@ -20,6 +20,9 @@ from homsim.trajectory import (
     StageEngine,
     StepSizeError,
     _pick,
+    _RING_POINTS,
+    _TABLE_POINTS,
+    _Grid,
     _rows,
     _unit,
     _Segment,
@@ -276,7 +279,8 @@ def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max,
     assert seg.node is not None and pair.node is None
     assert abs(seg.n2_end - pair.n2_end) <= 1e-12
     assert np.max(np.abs(seg.end - pair.end)) <= 1e-12
-    times = np.linspace(0.0, t_wait, seg.table.size)
+    times = seg.grid.times()
+    assert times.size == seg.table.size and times[0] == 0.0 and times[-1] == t_wait
     grid, n2, slope = eng._pair_rows(pair.coeffs[None], times)
     assert np.max(np.abs(seg.table + np.minimum.accumulate(n2))) <= 1e-12
     # the Newton slope too: -2 (phi^dag phi)(phi^dag j phi) = -<psi| sum L^dag L |psi>
@@ -288,7 +292,7 @@ def test_psi0_segment_on_the_node_matches_the_pair(adiabatic, gamma, eta, n_max,
     r = r[(seg.n2_end < r) & (r <= 1.0 - 1e-8)]
     assume(r.size)
     span = np.full(r.size, t_wait)
-    guess = eng._first_guess_rows(seg.table, None, r, span)
+    guess = eng._first_guess_rows(seg, None, r, span)
     ts, states = eng._crossing_rows(eng._node_rows, seg.node[None, None], r, span, guess)
     # the crossing states stay on the node, as two_nodes(phi, phi)
     assert states.shape == (r.size, 1, eng._h.shape[0])
@@ -359,17 +363,161 @@ def test_crossing_stays_below_an_end_within_rounding_of_the_root():
         assert ts[0] == t == math.nextafter(p.t_wait, 0.0)
 
 
+def halley_rows(eng):
+    """The first-step evaluator run_windows gives the node crossings."""
+    return lambda c, t: eng._node_rows(c, t, 2)
+
+
+def test_node_curvature_is_the_norms_second_derivative():
+    # the Halley evaluator's second derivative against central differences of
+    # its slope, for rows from psi0 (k = 1) and for unequal node pairs
+    for p in (SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.1),
+              SystemParams(adiabatic=True, n_max=2, lam=2.0), EXCEPTIONAL):
+        eng = StageEngine(p)
+        gen = np.random.default_rng(3)
+        d = eng._h.shape[0]
+        nodes = gen.normal(size=(20, 2, d)) + 1j * gen.normal(size=(20, 2, d))
+        nodes /= np.linalg.norm(nodes, axis=2, keepdims=True)
+        t = gen.random(20) * 5.0
+        for c in (eng._node0[None, None], eng._node_segment_rows(nodes, t)[0]):
+            phi, n2, slope, curv = eng._node_rows(c, t, 2)
+            assert eng._node_rows(c, t)[1].tobytes() == n2.tobytes()
+            h = 1e-5
+            diff = (eng._node_rows(c, t + h)[2] - eng._node_rows(c, t - h)[2]) / (2.0 * h)
+            assert np.all(np.abs(curv - diff) <= 1e-6 * (1.0 + np.abs(curv)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adiabatic=st.booleans(),
+    gamma=st.floats(0.0, 0.5),
+    n_max=st.sampled_from([1, 2]),
+    # the usual range, and within 2e-3 of the reduced generator's exceptional
+    # point, where the node propagates with expm
+    kappa=st.one_of(st.floats(0.5, 20.0), st.floats(0.0998, 0.1002)),
+    t_wait=st.floats(1.0, 300.0),
+    kind=st.sampled_from(["psi0", "product"]),
+    t_prep=st.floats(0.1, 30.0),
+    u=st.floats(0.0, 1.0),
+)
+@example(adiabatic=True, gamma=0.0, n_max=1, kappa=0.1, t_wait=20.0, kind="psi0", t_prep=1.0,
+         u=0.5)
+@example(adiabatic=True, gamma=0.0, n_max=1, kappa=0.1, t_wait=20.0, kind="product",
+         t_prep=1.0, u=0.5)
+@example(adiabatic=False, gamma=0.3, n_max=1, kappa=10.0, t_wait=100.0, kind="product",
+         t_prep=2.0, u=0.97)
+def test_halley_first_step_stays_in_the_bracket(adiabatic, gamma, n_max, kappa, t_wait, kind,
+                                                 t_prep, u):
+    # the crossing from run_windows' first guess with a Halley first step: a
+    # row from psi0 on its norm table, or a product row two_nodes(a, b) on
+    # its log-linear guess, a the no-jump node state of a0 at t_prep and b
+    # a0; every evaluation lies inside the bracket the earlier ones left, and
+    # the crossing is brentq's root within 1e-9
+    gamma = 0.0 if adiabatic else gamma
+    p = SystemParams(adiabatic=adiabatic, gamma_ca=gamma, gamma_cb=gamma, n_max=n_max,
+                     kappa=kappa, t_wait=t_wait)
+    eng = StageEngine(p)
+    seg = eng.coarse_curve(t_wait)
+    if kind == "psi0":
+        c, n2_end = seg.node[None, None], seg.n2_end
+    else:
+        a = eng._node_rows(eng._node0[None, None], np.array([t_prep]))[0][0, 0]
+        pair = np.stack((a, np.eye(eng._h.shape[0])[0]))[None]
+        c, n2_end = eng._node_segment_rows(pair / np.linalg.norm(pair, axis=2, keepdims=True),
+                                           np.array([t_wait]))
+        n2_end = n2_end[0]
+    r = n2_end + u * (1.0 - n2_end)
+    assume(n2_end < r <= 1.0 - 1e-8)
+    r, span = np.array([r]), np.array([t_wait])
+    guess = eng._first_guess_rows(seg if kind == "psi0" else None, np.array([n2_end]), r, span)
+    seen = []
+
+    def record(at):
+        def evaluate(c_, t_):
+            out = at(c_, t_)
+            seen.append((float(t_[0]), float(out[1][0]) - float(r[0])))
+            return out
+        return evaluate
+
+    t, _ = eng._crossing_rows(record(eng._node_rows), c, r, span, guess,
+                              record(halley_rows(eng)))
+    lo, hi = 0.0, t_wait
+    for at_t, f in seen:
+        assert lo <= at_t < hi or at_t == lo == math.nextafter(t_wait, 0.0)
+        lo, hi = (at_t, hi) if f > 0.0 else (lo, at_t)
+    root = brentq(lambda x: eng._node_rows(c, np.array([x]))[1][0] - r[0], 0.0, t_wait)
+    assert abs(t[0] - root) <= 1e-9
+
+
+def test_crossing_work_of_a_decay_point(monkeypatch):
+    # one decay-gamma point (full generator, gamma 0.3, 1000 herald windows):
+    # the Newton iterations of each _crossing_rows call, counted by wrapping
+    # its evaluators; 25 in four calls (8, 7, 6, 4) from the uniform
+    # 257-point psi0 table with Newton steps alone
+    p = SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.3)
+    eng = StageEngine(p)
+    iterations = []
+    crossing = eng._crossing_rows
+
+    def counted(at, coeffs, r, span, t, first=None):
+        calls = [0]
+
+        def count(fn):
+            def evaluate(*args):
+                calls[0] += 1
+                return fn(*args)
+            return evaluate
+
+        out = crossing(count(at), coeffs, r, span, t, first and count(first))
+        iterations.append(calls[0])
+        return out
+
+    monkeypatch.setattr(eng, "_crossing_rows", counted)
+    run_windows(eng, StreamBlock(2024, 0, 1000), p.t_wait)
+    assert len(iterations) == 4 and sum(iterations) <= 21, iterations
+
+
+def test_psi0_table_resolves_the_ringing_norm():
+    # the full generator's psi0 norm rings at about delta (|c> is detuned):
+    # the table takes a fine piece of _RING_POINTS points a period where it
+    # rings, and its worst first guess lands at most half as far from the
+    # root as the uniform grid's; the reduced generator's norm does not
+    # ring, and its table keeps the uniform grid, as at the exceptional point
+    for gamma in (0.05, 0.5):
+        p = SystemParams(adiabatic=False, gamma_ca=gamma, gamma_cb=gamma)
+        eng = StageEngine(p)
+        seg = eng.coarse_curve(p.t_wait)
+        grid = seg.grid
+        assert grid.n_fine > 0 and 0.0 < grid.t_fine < p.t_wait
+        assert grid.t_fine / grid.n_fine <= 2.0 * math.pi / p.delta / _RING_POINTS * 1.01
+        uniform = _Grid(p.t_wait, 0, 0.0, 0)
+        n2 = eng._node_rows(seg.node[None, None], uniform.times(), 0)[1]
+        coarse = _Segment(None, None, seg.n2_end, table=-np.minimum.accumulate(n2), grid=uniform)
+        r = np.random.default_rng(8).uniform(seg.n2_end, 1.0 - 1e-8, 300)
+        span = np.full(r.size, p.t_wait)
+        guess = eng._first_guess_rows(seg, None, r, span)
+        roots, _ = eng._crossing_rows(eng._node_rows, seg.node[None, None], r, span, guess)
+        worst = np.max(np.abs(eng._first_guess_rows(coarse, None, r, span) - roots))
+        assert np.max(np.abs(guess - roots)) <= 0.5 * worst
+    for p in (SystemParams(adiabatic=True), EXCEPTIONAL):
+        seg = StageEngine(p).coarse_curve(p.t_wait)
+        assert seg.grid.n_fine == 0
+        assert seg.grid.times().tobytes() == np.linspace(0.0, p.t_wait, _TABLE_POINTS).tobytes()
+
+
 # -- the scalar window's list paths ---------------------------------------------------
 # the scalar window replaces numpy calls on short arrays by the same
 # arithmetic on Python lists; each must give the numpy call's bits
 
 
-def searchsorted_guess(table, r, span):
-    """_first_guess from a norm table, on numpy's searchsorted."""
+def searchsorted_guess(seg, r):
+    """_first_guess from a norm table, on numpy's searchsorted, at the time
+    the table's grid gives its fractional index."""
+    table = seg.table
     k = min(max(int(np.searchsorted(table, -r)), 1), table.size - 1)
     above, below = -float(table[k - 1]), -float(table[k])
     frac = min(max((above - r) / (above - below), 0.0), 1.0) if above > below else 0.5
-    return span * (k - 1 + frac) / (table.size - 1)
+    return seg.grid.at(k - 1 + frac)
 
 
 @settings(max_examples=200, deadline=None)
@@ -386,9 +534,16 @@ def test_first_guess_bisects_as_searchsorted(n2, span, u, on_entry, data):
     table = -np.minimum.accumulate(np.array([1.0] + n2))
     # r on a table entry is a tie for the search
     r = -data.draw(st.sampled_from(table.tolist())) if on_entry else u
-    seg = _Segment(None, None, float(-table[-1]), table=table, table_list=table.tolist())
+    # the table's last len(n2) intervals, n_fine of them on the fine piece
+    # of the grid and the others on the coarse linspace's end
+    n_fine = data.draw(st.integers(0, len(n2)))
+    k0 = _TABLE_POINTS - 1 - (len(n2) - n_fine)
+    grid = _Grid(span, n_fine, float(np.linspace(0.0, span, _TABLE_POINTS)[k0]), k0)
+    assert grid.times().size == table.size
+    seg = _Segment(None, None, float(-table[-1]), table=table, table_list=table.tolist(),
+                   grid=grid)
     eng = StageEngine(EXCEPTIONAL)
-    assert eng._first_guess(seg, r, span) == searchsorted_guess(table, r, span)
+    assert eng._first_guess(seg, r, span) == searchsorted_guess(seg, r)
 
 
 def test_first_guess_on_the_psi0_table_bisects_as_searchsorted():
@@ -396,7 +551,7 @@ def test_first_guess_on_the_psi0_table_bisects_as_searchsorted():
     span = eng.params.t_wait
     seg = eng.coarse_curve(span)
     for r in np.concatenate((-seg.table, RNG.uniform(seg.n2_end, 1.0, 200))).tolist():
-        assert eng._first_guess(seg, r, span) == searchsorted_guess(seg.table, r, span)
+        assert eng._first_guess(seg, r, span) == searchsorted_guess(seg, r)
 
 
 def searchsorted_pick(weights, u):
@@ -828,15 +983,19 @@ def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, 
     a = np.concatenate((ab[0], [a0, phi, phi]))
     b = np.concatenate((ab[1], [a0, phi, a0]))
     a, b = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (a, b))
-    got, want = eng._product_weights(a, b), dense_product_weights(eng, a, b)
+    got, want = eng._product_weights(np.stack((a, b), axis=1)), dense_product_weights(eng, a, b)
     assert got.shape == want.shape and (got >= 0.0).all()
     assert np.all(np.abs(got - want) <= 1e-13 * want.sum(axis=1, keepdims=True))
     psi = np.stack([two_nodes(x, y) for x, y in zip(a, b)])
     dark = ~np.einsum("kij,nj->nki", np.stack(eng.ops), psi).any(axis=2)
     assert (got[dark] == 0.0).all() and (got[want >= np.finfo(float).tiny] > 0.0).all()
-    # a lone row keeps its bytes
+    # a lone row keeps its bytes, and a row two_nodes(a, a) carried as one
+    # node state (as a row from psi0 is) has those of the pair (a, a)
     for i in range(len(a)):
-        assert eng._product_weights(a[i : i + 1], b[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
+        one = np.stack((a[i : i + 1], b[i : i + 1]), axis=1)
+        assert eng._product_weights(one).tobytes() == got[i : i + 1].tobytes()
+    same = np.stack((a, a), axis=1)
+    assert eng._product_weights(a[:, None]).tobytes() == eng._product_weights(same).tobytes()
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
@@ -846,9 +1005,10 @@ def test_product_weights_of_a_row_do_not_depend_on_the_stack(n_max):
     gen = np.random.default_rng(5)
     d = eng._h.shape[0]
     a, b = gen.normal(size=(2, 3000, d)) + 1j * gen.normal(size=(2, 3000, d))
-    lone = np.concatenate([eng._product_weights(a[i : i + 1], b[i : i + 1]) for i in range(40)])
+    ab = np.stack((a, b), axis=1)
+    lone = np.concatenate([eng._product_weights(ab[i : i + 1]) for i in range(40)])
     for n in (2, 3, 40, 257, 1000, 3000):
-        assert eng._product_weights(a[:n], b[:n])[:40].tobytes() == lone[:n].tobytes(), n
+        assert eng._product_weights(ab[:n])[:40].tobytes() == lone[:n].tobytes(), n
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
