@@ -363,11 +363,6 @@ def test_crossing_stays_below_an_end_within_rounding_of_the_root():
         assert ts[0] == t == math.nextafter(p.t_wait, 0.0)
 
 
-def halley_rows(eng):
-    """The first-step evaluator run_windows gives the node crossings."""
-    return lambda c, t: eng._node_rows(c, t, 2)
-
-
 def test_node_curvature_is_the_norms_second_derivative():
     # the Halley evaluator's second derivative against central differences of
     # its slope, for rows from psi0 (k = 1) and for unequal node pairs
@@ -439,8 +434,9 @@ def test_halley_first_step_stays_in_the_bracket(adiabatic, gamma, n_max, kappa, 
             return out
         return evaluate
 
+    # the first-step evaluator run_windows gives the node crossings
     t, _ = eng._crossing_rows(record(eng._node_rows), c, r, span, guess,
-                              record(halley_rows(eng)))
+                              record(lambda c_, t_: eng._node_rows(c_, t_, 2)))
     lo, hi = 0.0, t_wait
     for at_t, f in seen:
         assert lo <= at_t < hi or at_t == lo == math.nextafter(t_wait, 0.0)
