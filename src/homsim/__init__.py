@@ -40,9 +40,7 @@ from .analytic import (
     ModePair,
     EmitterParams,
     bs_mode_transform,
-    detection_rate,
     heralded_states,
     same_detector_probability,
-    success_probability,
     emission_amplitude,
 )

@@ -1,6 +1,6 @@
 """Closed-form reference results: the free-space emission toy model, the
-beam-splitter mode algebra on up-to-two-photon states, and the perturbative
-rate/probability formulas the trajectory engine is checked against.
+beam-splitter mode algebra on up-to-two-photon states, the heralded target
+states and the same-detector probability (1 + cos phi)/2.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import StateVector
-from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,6 @@ def heralded_states() -> tuple[StateVector, StateVector]:
     minus[i_ba] = 1.0 / math.sqrt(2.0)
     minus[i_ab] = -1.0 / math.sqrt(2.0)
     return StateVector(plus, (3, 3)), StateVector(minus, (3, 3))
-
-
-def detection_rate(p: SystemParams) -> float:
-    """Perturbative first-photon detection rate 4*kappa*(g*omega/(delta*kappa))^2,
-    thinned by the detection efficiency."""
-    return 4.0 * p.kappa * (p.g * p.omega / (p.delta * p.kappa)) ** 2 * p.eta
-
-
-def success_probability(p: SystemParams) -> float:
-    """Linearized herald probability rate * t_wait, clamped to [0, 1].
-    Accurate only while rate * t_wait is small."""
-    return min(1.0, detection_rate(p) * p.t_wait)
 
 
 def same_detector_probability(phi: float) -> float:

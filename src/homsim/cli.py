@@ -36,7 +36,9 @@ from typing import Literal, Optional, Sequence, Union, get_args, get_origin, get
 import numpy as np
 
 from . import __version__
-from .analytic import EmitterParams, emission_amplitude, emission_norm, same_detector_probability
+from .analytic import (
+    EmitterParams, emission_amplitude, emission_norm, same_detector_probability, spectral_density,
+)
 from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
 from .lindblad import IntegrationError
 from .model import ParamError, SystemParams
@@ -302,9 +304,9 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     p = EmitterParams(cfg.rate, cfg.center)
     nus = np.linspace(cfg.nu_min, cfg.nu_max, cfg.nu_points)
     rows = []
-    for nu in nus:
-        amp = emission_amplitude(float(nu), cfg.time, p)
-        rows.append([float(nu), amp.real, amp.imag, abs(amp) ** 2])
+    for nu in map(float, nus):
+        amp = emission_amplitude(nu, cfg.time, p)
+        rows.append([nu, amp.real, amp.imag, spectral_density(nu, cfg.time, p)])
     norm = emission_norm(cfg.time, p)
     meta = _meta(cfg, rate=cfg.rate, center=cfg.center, time=cfg.time,
                  emission_norm=norm, footer=f"emission_norm = {norm:.17g}")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import OperatorMatrix, StateVector
-from .model import JumpChannel, SystemParams, build_jump_channels, stage_hamiltonian
+from .model import JumpChannel, SystemParams
 from .rng import StreamBlock
 from .trajectory import StageEngine, run_unconditioned
 
@@ -141,8 +141,6 @@ def ensemble_compare(
 ) -> EnsembleReport:
     """Run n_traj unconditioned trajectories and z-score their observable
     means against the RK4 master-equation solution at each grid time."""
-    from .model import initial_state
-
     eng = StageEngine(params)
     names = tuple(name for name, _ in observables)
     ops = [op for _, op in observables]
@@ -152,7 +150,7 @@ def ensemble_compare(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
 
-    psi0 = initial_state(params)
+    psi0 = eng.psi0
     block = StreamBlock(seed, 0, n_traj)
     # deviations from the first trajectory's values: a sample whose values
     # are all equal then has exactly zero variance, with no cancellation
@@ -168,15 +166,13 @@ def ensemble_compare(
     var = np.maximum(acc2 / n_traj - mean_dev**2, 0.0)
     stderr = np.sqrt(var / max(n_traj - 1, 1))
 
-    h_stage = stage_hamiltonian(params).entries
-    h_herm = OperatorMatrix((h_stage + h_stage.conj().T) / 2.0, params.dims)
-    channels = build_jump_channels(params)
+    h_herm = OperatorMatrix((eng.h_eff + eng.h_eff.conj().T) / 2.0, params.dims)
     rho = DensityMatrix.from_state(psi0)
     ref = np.empty((len(ops), len(t_grid)))
     t_prev = 0.0
     for j, t in enumerate(t_grid):
         if t > t_prev:
-            rho = integrate(rho, h_herm, channels, t - t_prev, params.dt / RK_STEP_DIVISOR)
+            rho = integrate(rho, h_herm, eng.channels, t - t_prev, params.dt / RK_STEP_DIVISOR)
             t_prev = t
         for a, op in enumerate(ops):
             ref[a, j] = np.trace(op.entries @ rho.entries).real

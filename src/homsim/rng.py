@@ -8,17 +8,18 @@ output block is counter 1, and a uniform is `(raw >> 11) * 2**-53`
 stream, more than the physics of a typical trajectory, so `StreamBlock`
 derives the keys and first output blocks of a whole range of streams in one
 vectorized pass, one stage at a time and only when a stage is first used,
-both substreams together: numpy's SeedSequence hash mix on 32-bit words,
-with the substream as one more entropy word per row and the words all rows
-share mixed once on ints, and Philox4x64-10 (Salmon et al., SC'11) with
-each 64x64 -> 128-bit multiply split into 32-bit halves and a round's two
-multiplies run as one (2, n) array.  `block_uniforms` gives the output
-block at any counter, so a batch of streams draws past its first block in
-the same vectorized way, both substreams in one call (`nth_uniforms`).
-Both match numpy bit for bit.  numpy stays the
-reference: a stream made outside a block draws from the numpy objects, and a
-block-bound stream that has used its first block continues on a Philox at
-its key and counter 1, whose next block is counter 2 (`_KeySeed`).
+both substreams together.  `stream_keys` runs numpy's SeedSequence hash mix
+on 32-bit words over (index, substream) rows, with the substream as the
+last entropy word and the words all rows share mixed once on ints;
+Philox4x64-10 (Salmon et al., SC'11) runs with each 64x64 -> 128-bit
+multiply split into 32-bit halves and a round's two multiplies as one
+(2, n) array.  `block_uniforms` gives the output block at any counter, so a
+batch of streams draws past its first block in the same vectorized way,
+both substreams in one call (`nth_uniforms`).  Both match numpy bit for
+bit.  numpy stays the reference: a stream made outside a block draws from
+the numpy objects, and a block-bound stream that has used its first block
+continues on a Philox at its key and counter 1, whose next block is
+counter 2 (`_KeySeed`).
 """
 
 from __future__ import annotations
@@ -93,11 +94,10 @@ def _wrap32(value):
     return value & _MASK32 if isinstance(value, int) else value
 
 
-def stream_keys(master_seed: int, indices, stage: int, substream) -> np.ndarray:
-    """Philox keys, shape (len(indices), 2) uint64, equal row by row to
-    `SeedSequence(master_seed, spawn_key=(i, stage, substream))
-    .generate_state(2, np.uint64)`.  substream is one int for every index,
-    or one below 2**32 per index, so that one pass keys several substreams."""
+def stream_keys(master_seed: int, indices, stage: int) -> np.ndarray:
+    """Philox keys of both substreams of each index, shape (len(indices),
+    SUBSTREAMS, 2) uint64: [i, s] equals `SeedSequence(master_seed,
+    spawn_key=(indices[i], stage, s)).generate_state(2, np.uint64)`."""
     seed_words = _words(check_seed(master_seed))
     # with a spawn key, SeedSequence pads a short seed with zeros to the pool size
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
@@ -107,25 +107,18 @@ def stream_keys(master_seed: int, indices, stage: int, substream) -> np.ndarray:
         raise ValueError("stream indices must be a 1-d integer array")
     if idx.size and idx.min() < 0:
         raise ValueError(f"stream index must be a non-negative integer, got {idx.min()}")
-    sub = np.asarray(substream)
-    if sub.ndim == 0:
-        sub_words = _words(_non_negative(substream, "substream"))
-    else:
-        if sub.shape != idx.shape or sub.dtype.kind not in "iu":
-            raise ValueError("substreams must be one integer per stream index")
-        if sub.size and not 0 <= sub.min() <= sub.max() <= _MASK32:
-            raise ValueError(f"substream must lie in [0, 2**32), got {sub.min()}, {sub.max()}")
-        sub_words = [sub.astype(np.uint32)]
-    idx = idx.astype(np.uint64)
+    # one pass over (index, substream) pairs, substream fastest; the
+    # substream is the last entropy word
+    idx = np.repeat(idx.astype(np.uint64), SUBSTREAMS)
+    sub = np.tile(np.arange(SUBSTREAMS, dtype=np.uint32), idx.size // SUBSTREAMS)
     lo = (idx & _MASK32).astype(np.uint32)
     hi = (idx >> 32).astype(np.uint32)
-    keys = _mix_keys(seed_words + [lo] + stage_words + sub_words, idx.size)
+    keys = _mix_keys(seed_words + [lo] + stage_words + [sub], idx.size)
     wide = hi != 0   # an index of 2**32 or more is two entropy words
     if wide.any():
-        sub_wide = [w[wide] if isinstance(w, np.ndarray) else w for w in sub_words]
-        keys[wide] = _mix_keys(seed_words + [lo[wide], hi[wide]] + stage_words + sub_wide,
+        keys[wide] = _mix_keys(seed_words + [lo[wide], hi[wide]] + stage_words + [sub[wide]],
                                int(wide.sum()))
-    return keys
+    return keys.reshape(-1, SUBSTREAMS, 2)
 
 
 def _mix_keys(entropy: list, n: int) -> np.ndarray:
@@ -245,11 +238,9 @@ class StreamBlock:
         if tables is not None:
             return tables[0][rows], tables[1][rows]
         idx = np.arange(self.start, self.stop, dtype=np.uint64)[rows]
-        # one pass over (row, substream) pairs, substream fastest
-        keys = stream_keys(self.master_seed, np.repeat(idx, SUBSTREAMS), stage,
-                           np.tile(np.arange(SUBSTREAMS), idx.size))
-        head = block_uniforms(keys)
-        return keys.reshape(-1, SUBSTREAMS, 2), head.reshape(-1, SUBSTREAMS, HEAD)
+        keys = stream_keys(self.master_seed, idx, stage)
+        head = block_uniforms(keys.reshape(-1, 2))
+        return keys, head.reshape(-1, SUBSTREAMS, HEAD)
 
     def stream(self, index: int) -> "RngStream":
         """The stage-0 stream of trajectory index; for_stage(1) gives its second stage."""

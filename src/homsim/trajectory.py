@@ -894,8 +894,8 @@ def whole_steps(t, dt: float, name: str) -> np.ndarray:
 def _as_unit_array(psi: StateVector | np.ndarray) -> np.ndarray:
     arr = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
     n2 = np.vdot(arr, arr).real
-    if not n2 > 0.0:
-        raise ValueError(f"start state must have a positive norm, got squared norm {n2}")
+    if not (math.isfinite(n2) and n2 > 0.0):
+        raise ValueError(f"start state must have a finite, positive norm, got squared norm {n2}")
     return arr / math.sqrt(n2)
 
 
@@ -1018,9 +1018,10 @@ def run_windows(
     else:
         psi = np.asarray(start, dtype=complex)
         n2 = _vdots(psi, psi)
-        if not np.all(n2 > 0.0):
-            raise ValueError("start state must have a positive norm, got squared norm "
-                             f"{n2[~(n2 > 0.0)][0]}")
+        bad = ~(np.isfinite(n2) & (n2 > 0.0))
+        if bad.any():
+            raise ValueError("start state must have a finite, positive norm, got squared norm "
+                             f"{n2[bad][0]}")
         coeffs, n2_end = engine._segment_rows(_unit(psi), np.full(n, t_max))
         nodes, pairs, seg = none, _Waiting(np.arange(n), np.zeros(n), n2_end, coeffs), None
 

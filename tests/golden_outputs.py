@@ -1,9 +1,10 @@
 """Golden outputs: the results of every sampler path at fixed seeds.
 
 tests/test_golden.py recomputes them and holds them to tests/golden/outputs.json:
-integer columns and lists equal, floats within 1e-12 relative, and the fixed
-engine's CSV bytes by their SHA-256.  A change that moves these outputs on
-purpose rewrites the file, in the same commit, with
+integer columns and lists equal, floats within 1e-12 relative, and the CSV
+bytes of the fixed engine's stage 1 and of the spectrum by their SHA-256.  A
+change that moves these outputs on purpose rewrites the file, in the same
+commit, with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -65,6 +66,8 @@ N_WALK = 200
 # the fixed-step sampler's stage 1, through the command line
 FIXED_ARGV = ["entangle-sweep", "--engine", "fixed", "--param", "eta", "--grid", "0.6,1.0",
               "--n_traj", "300", "--seed", "31", "--adiabatic", "0", "--gamma", "0.2"]
+# the free-space emission spectrum at its defaults, through the command line
+SPECTRUM_ARGV = ["spectrum"]
 
 
 def _floats(point, names) -> dict:
@@ -110,13 +113,14 @@ def walk_entry(params: SystemParams, t_grid, seed: int) -> dict:
             for name in ("traj_mean", "traj_stderr", "z_scores")}
 
 
-def fixed_csv_sha256() -> str:
+def csv_sha256(argv: list[str]) -> str:
+    """The SHA-256 of the CSV that the command line argv writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "fixed.csv")
+        out = os.path.join(tmp, "out.csv")
         with open(os.devnull, "w") as quiet:
             stdout, sys.stdout = sys.stdout, quiet
             try:
-                code = main(FIXED_ARGV + ["--out", out])
+                code = main(argv + ["--out", out])
             finally:
                 sys.stdout = stdout
         assert code == 0, code
@@ -127,7 +131,8 @@ def compute() -> dict:
     """Every entry of the fixture, computed by the code as it is now."""
     entries = {name: stage1_entry(*case) for name, case in STAGE1.items()}
     entries.update({name: protocol_entry(*case) for name, case in PROTOCOL.items()})
-    entries["fixed-stage1-csv"] = {"sha256": fixed_csv_sha256()}
+    entries["fixed-stage1-csv"] = {"sha256": csv_sha256(FIXED_ARGV)}
+    entries["spectrum-csv"] = {"sha256": csv_sha256(SPECTRUM_ARGV)}
     entries["fixed-protocol"] = fixed_protocol_entry(*FIXED_PROTOCOL)
     entries.update(oracle_entries())
     entries["unconditioned-walk"] = walk_entry(*WALK)

@@ -14,15 +14,12 @@ from homsim.analytic import (
     ModePair,
     EmitterParams,
     bs_mode_transform,
-    detection_rate,
     emission_norm,
     heralded_states,
     same_detector_probability,
     spectral_density,
-    success_probability,
     emission_amplitude,
 )
-from homsim.model import SystemParams
 
 RNG = np.random.default_rng(5150)
 
@@ -186,19 +183,6 @@ def test_heralded_states():
     ba = np.zeros(9)
     ba[3] = 1.0  # ion1=b, ion2=a
     assert np.vdot(plus.amplitudes, ba) == pytest.approx(1 / math.sqrt(2))
-
-
-def test_detection_rate():
-    assert detection_rate(SystemParams()) == pytest.approx(1e-3)
-    assert detection_rate(SystemParams(omega=0.0)) == 0.0
-    assert detection_rate(SystemParams(eta=0.5)) == pytest.approx(0.5e-3)
-
-
-def test_success_probability():
-    assert success_probability(SystemParams()) == pytest.approx(0.1)
-    assert success_probability(SystemParams(eta=0.5)) == pytest.approx(0.05)
-    assert success_probability(SystemParams(t_wait=0.0)) == 0.0
-    assert success_probability(SystemParams(t_wait=1e9)) == 1.0
 
 
 def test_p1_p2_split():

@@ -21,7 +21,7 @@ from homsim.lindblad import ensemble_compare
 from homsim.model import ChannelTag, SystemParams
 from homsim.oracles import ensemble_observables
 import homsim.rng
-from homsim.rng import SUBSTREAMS, StreamBlock
+from homsim.rng import StreamBlock
 from homsim.trajectory import Outcome, RngStream, StageEngine, run_protocol, run_until_click
 
 DIMS = (3, 3, 2, 2)
@@ -207,19 +207,18 @@ def test_protocol_chunk_derives_second_window_keys_for_heralded_rows_only(monkey
     derived = []
     keys = homsim.rng.stream_keys
 
-    def counting_keys(seed, indices, stage, substream):
-        derived.append((stage, sorted(set(indices.tolist())), len(indices)))
-        return keys(seed, indices, stage, substream)
+    def counting_keys(seed, indices, stage):
+        derived.append((stage, sorted(indices.tolist())))
+        return keys(seed, indices, stage)
 
     monkeypatch.setattr(homsim.rng, "stream_keys", counting_keys)
     n = 1000
     n_clicks, _, _ = _protocol_chunk((SystemParams(adiabatic=True, phi=1.0), 5, 0, n, "fast"))
     heralded = np.flatnonzero(n_clicks >= 1).tolist()
     assert 0 < len(heralded) < n / 5
-    # one pass per stage over both substreams: every stream's first window,
-    # and only the heralded rows' second one
-    assert sorted(derived) == [(0, list(range(n)), n * SUBSTREAMS),
-                               (1, heralded, len(heralded) * SUBSTREAMS)]
+    # one pass per stage, each deriving both substreams: every stream's
+    # first window, and only the heralded rows' second one
+    assert sorted(derived) == [(0, list(range(n))), (1, heralded)]
 
 
 def test_single_point_sweep_matches_direct_run():
