@@ -16,11 +16,10 @@ SystemParams owns their defaults and ranges.  The run keys are the
 config error, a NaN or infinite value included, names the key to fix (exit
 code 2).  So does a value for the parameter a command sweeps (phi for
 redistribute, the chosen param for entangle-sweep), which grid alone sets,
-and a dt too coarse for the fixed sampler's first-order jump probability or
-for oracle-check's master-equation integration, found while the command
-runs.  Every command is a pure function of (config, seed): reruns produce
-byte-identical data files, for any worker-thread count.  Only oracle-check
-imports the oracle suite, and with it scipy.stats.
+and a dt too coarse for the fixed sampler's first-order jump probability,
+found while the command runs.  Every command is a pure function of (config,
+seed): reruns produce byte-identical data files, for any worker-thread
+count.  Only oracle-check imports the oracle suite, and with it scipy.stats.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .analytic import (
     EmitterParams, emission_amplitude, emission_norm, same_detector_probability, spectral_density,
 )
 from .experiments import SWEEPABLE, _apply_sweep_value, run_redistribution, sweep
-from .lindblad import IntegrationError
 from .model import ParamError, SystemParams
 from .trajectory import StepSizeError, whole_steps
 
@@ -378,10 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except StepSizeError as exc:   # raised by the fixed sampler, in a pool worker too
         print(f"config error: value out of range for key 'dt': {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationError as exc:   # oracle-check's master equation, integrated at dt / 8
-        print(f"config error: value out of range for key 'dt': master equation: {exc}; "
-              f"reduce dt", file=sys.stderr)
         return EXIT_CONFIG
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)

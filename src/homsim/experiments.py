@@ -150,9 +150,9 @@ def _protocol_chunk(args):
 
 
 def _run_chunked(worker, grid_params, n_traj, seed, sampler, threads):
-    """Run every (grid point, chunk) task of a scan, through one pool when
-    threads > 1 and there is more than one task; return each grid point's
-    concatenated columns, in grid order."""
+    """Run every (grid point, chunk) task of a scan, through one pool of at
+    most one worker a task when threads > 1 and there is more than one task;
+    return each grid point's concatenated columns, in grid order."""
     check_seed(seed)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -161,7 +161,7 @@ def _run_chunked(worker, grid_params, n_traj, seed, sampler, threads):
     bounds = [(lo, min(lo + _CHUNK, n_traj)) for lo in range(0, n_traj, _CHUNK)]
     tasks = [(params, seed, lo, hi, sampler) for params in grid_params for lo, hi in bounds]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             parts = list(pool.map(worker, tasks))
     else:
         parts = [worker(t) for t in tasks]

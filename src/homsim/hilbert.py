@@ -94,6 +94,8 @@ def embed(op: np.ndarray | OperatorMatrix, subsystem: int, dims: tuple[int, ...]
     Identity acts on every other subsystem; ordering follows the fixed
     (ion1, ion2, cav1, cav2) layout.
     """
+    if subsystem not in range(len(dims)):
+        raise ValueError(f"subsystem {subsystem} out of range for dims {tuple(dims)}")
     mat = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
     if mat.shape != (dims[subsystem], dims[subsystem]):
         raise ValueError(

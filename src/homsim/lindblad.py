@@ -1,13 +1,14 @@
-"""Density-matrix reference integrator.
+"""The master equation and the trajectory-vs-master-equation oracle.
 
 The master equation whose stochastic unraveling the trajectory engine
 implements:
 
     d rho/dt = -i[H, rho] + sum_k ( L_k rho L_k^dag - {L_k^dag L_k, rho}/2 )
 
-with the Hermitian Hamiltonian and the identical jump-channel set.  Averaged
-trajectories must reproduce this evolution; ensemble_compare quantifies the
-agreement as z-scores and is the core correctness oracle.
+with the Hermitian Hamiltonian and the identical jump-channel set; integrate
+steps it by RK4.  Averaged trajectories must reproduce this evolution;
+ensemble_compare quantifies the agreement as z-scores against its exact
+solution and is the core correctness oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
-from .hilbert import OperatorMatrix, StateVector
-from .model import JumpChannel, SystemParams
+from .hilbert import OperatorMatrix
+from .model import (JumpChannel, SystemParams, node_channels, node_generator,
+                    node_initial_state, two_nodes)
 from .rng import StreamBlock
 from .trajectory import StageEngine, run_unconditioned
 
@@ -28,11 +31,6 @@ HERM_TOL = 1e-10
 EIG_TOL = 1e-8
 CHECKPOINTS = 20     # physicality checks per integrate() call
 Z_LIMIT = 3.0        # EnsembleReport.passed: largest accepted |z|
-
-# RK4 truncation pushes near-zero eigenvalues slightly negative; dt/8 keeps
-# the worst case near -2e-9, inside EIG_TOL with margin (dt/2 gives -4.5e-7
-# at the standard operating point).
-RK_STEP_DIVISOR = 8.0
 
 
 class IntegrationError(RuntimeError):
@@ -55,11 +53,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "basis_dims", tuple(int(d) for d in self.basis_dims))
 
-    @staticmethod
-    def from_state(psi: StateVector) -> "DensityMatrix":
-        amp = psi.amplitudes
-        return DensityMatrix(np.outer(amp, amp.conj()), psi.basis_dims)
-
     def validate(self):
         rho = self.entries
         if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
@@ -72,7 +65,7 @@ class DensityMatrix:
 
 
 def _master_rhs(hamiltonian: OperatorMatrix, channels: Sequence[JumpChannel]):
-    """d rho/dt as a function of rho, with the L^dag L products formed once."""
+    """d rho/dt as a function of rho (any leading axes), with L^dag L formed once."""
     h = hamiltonian.entries
     ells = [ch.operator.entries for ch in channels]
     ldls = [e.conj().T @ e for e in ells]
@@ -140,7 +133,9 @@ def ensemble_compare(
     seed: int,
 ) -> EnsembleReport:
     """Run n_traj unconditioned trajectories and z-score their observable
-    means against the RK4 master-equation solution at each grid time."""
+    means against the exact master-equation solution at each grid time,
+    propagated by one matrix exponential per grid interval and checked
+    physical there."""
     eng = StageEngine(params)
     names = tuple(name for name, _ in observables)
     ops = [op for _, op in observables]
@@ -166,16 +161,24 @@ def ensemble_compare(
     var = np.maximum(acc2 / n_traj - mean_dev**2, 0.0)
     stderr = np.sqrt(var / max(n_traj - 1, 1))
 
-    h_herm = OperatorMatrix((eng.h_eff + eng.h_eff.conj().T) / 2.0, params.dims)
-    rho = DensityMatrix.from_state(psi0)
+    # the beam splitter is unitary, so the detectors' cross terms cancel: the state
+    # stays two_nodes(rho_n, rho_n), rho_n under the channels' node-1 parts amp x op
+    h, dims = node_generator(params), (3, params.n_max + 1)
+    rhs = _master_rhs(OperatorMatrix((h + h.conj().T) / 2.0, dims),
+                      [JumpChannel(OperatorMatrix(ch.amp * ch.x * ch.op, dims), ch.tag)
+                       for ch in node_channels(params) if ch.x != 0])
+    liouvillian = rhs(np.eye(h.size, dtype=complex).reshape(-1, *h.shape)).reshape(h.size, -1).T
+    node = node_initial_state(params)
+    rho_n = np.outer(node, node.conj())
     ref = np.empty((len(ops), len(t_grid)))
     t_prev = 0.0
     for j, t in enumerate(t_grid):
         if t > t_prev:
-            rho = integrate(rho, h_herm, eng.channels, t - t_prev, params.dt / RK_STEP_DIVISOR)
+            rho_n = (expm((t - t_prev) * liouvillian) @ rho_n.ravel()).reshape(h.shape)
             t_prev = t
-        for a, op in enumerate(ops):
-            ref[a, j] = np.trace(op.entries @ rho.entries).real
+        rho = DensityMatrix(two_nodes(rho_n, rho_n), params.dims)
+        rho.validate()
+        ref[:, j] = [np.trace(op.entries @ rho.entries).real for op in ops]
     # a degenerate (zero-variance) sample of size n cannot resolve effects
     # smaller than ~(observable range)/n: score those 0 within the Poisson
     # zero-count bound, infinite beyond it

@@ -961,9 +961,9 @@ def run_windows(
     sampler: str = "fast",
 ) -> WindowBatch:
     """The stage `stage` windows of block's streams (those in rows, all by
-    default), by either sampler: from engine.psi0, or row i from start[i],
-    normalized as run_until_click normalizes it.  Times count from the
-    window's opening.
+    default), by either sampler: from engine.psi0, or row i from start[i]
+    scaled to unit norm (its bytes can differ from run_until_click's in the
+    last bits).  Times count from the window's opening.
 
     Row i draws the numbers run_until_click draws on the same stream and
     start state and decides from them as it does; that scalar window is the
@@ -1119,8 +1119,8 @@ def run_unconditioned(
     returning <O>(t) on the grid for each observable.
 
     All jumps, recorded or not, are applied and the walk continues to the
-    end of the grid; averaging many of these against the density-matrix
-    integrator is the correctness oracle for the whole unraveling.  The walk
+    end of the grid; averaging many of these against the master equation's
+    solution is the correctness oracle for the whole unraveling.  The walk
     is a chain of fast-sampler windows (run_until_click) from grid time to
     grid time (repeats allowed): a recorded click opens the next window from
     its state, a timeout gives the state at the grid time.  The unraveling

@@ -2,7 +2,8 @@
 
 None of these has a caller in homsim: each is the literal, unoptimized form
 of something the package computes another way (the fixed-step replay kernel
-against `step`, the spectral propagators against `matrix_exp`), or a
+against `step`, the spectral propagators against `matrix_exp`, the one-node
+master-equation reference against `master_equation_values`), or a
 convenience only the tests need.
 """
 
@@ -12,11 +13,16 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from homsim.hilbert import ION_LEVELS, BasisIndex, OperatorMatrix, StateVector
 from homsim.lindblad import DensityMatrix, _master_rhs
-from homsim.model import JumpChannel, total_jump_operator
+from homsim.model import (
+    JumpChannel, SystemParams, build_jump_channels, initial_state, stage_hamiltonian,
+    total_jump_operator,
+)
 from homsim.rng import RngStream
 from homsim.trajectory import P_STEP_MAX, Event, StepSizeError
 
@@ -29,6 +35,12 @@ def matrix_exp(a: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
     """exp(scale * A) for a general (not necessarily Hermitian) operator, by
     scipy's scaling-and-squaring with Pade approximants."""
     return OperatorMatrix(expm(scale * a.entries), a.basis_dims)
+
+
+def density_matrix(psi: StateVector) -> DensityMatrix:
+    """|psi><psi| as a DensityMatrix."""
+    amp = psi.amplitudes
+    return DensityMatrix(np.outer(amp, amp.conj()), psi.basis_dims)
 
 
 def unflatten(flat: int, dims: tuple[int, ...]) -> BasisIndex:
@@ -47,6 +59,43 @@ def liouvillian_apply(
     if r.shape != hamiltonian.entries.shape:
         raise ValueError("dimension mismatch between rho and H")
     return _master_rhs(hamiltonian, channels)(r)
+
+
+def pair_liouvillian(params: SystemParams) -> sparse.csr_matrix:
+    """The master equation of the whole pair as a sparse matrix on the
+    row-major flattened density matrix: every channel of build_jump_channels,
+    cross terms between the nodes included, and the Hermitian part of
+    stage_hamiltonian.  Row-major, vec(A rho B) = (A (x) B^T) vec(rho)."""
+    h = stage_hamiltonian(params).entries
+    h = (h + h.conj().T) / 2.0
+    one = sparse.identity(h.shape[0], dtype=complex, format="csr")
+    out = -1j * (sparse.kron(h, one) - sparse.kron(one, h.T))
+    for ch in build_jump_channels(params):
+        ell = sparse.csr_matrix(ch.operator.entries)
+        ldl = ell.conj().T @ ell
+        out = out + sparse.kron(ell, ell.conj()) - 0.5 * (sparse.kron(ldl, one)
+                                                          + sparse.kron(one, ldl.T))
+    return out.tocsr()
+
+
+def master_equation_values(
+    params: SystemParams, observables: Sequence[OperatorMatrix], t_grid: Sequence[float]
+) -> np.ndarray:
+    """<O>(t) on the non-decreasing t_grid for each observable, from the
+    initial state under pair_liouvillian, propagated from grid time to grid
+    time by expm_multiply: the full-space exact solution, (n_obs, n_t)."""
+    liouvillian = pair_liouvillian(params)
+    psi = initial_state(params).amplitudes
+    rho = np.outer(psi, psi.conj()).ravel()
+    out = np.empty((len(observables), len(t_grid)))
+    t_prev = 0.0
+    for j, t in enumerate(t_grid):
+        if t > t_prev:
+            rho = expm_multiply((t - t_prev) * liouvillian, rho)
+            t_prev = t
+        mat = rho.reshape(psi.size, psi.size)
+        out[:, j] = [np.trace(op.entries @ mat).real for op in observables]
+    return out
 
 
 def step(

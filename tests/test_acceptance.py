@@ -20,7 +20,7 @@ from homsim.experiments import (
     run_redistribution,
     sweep,
 )
-from homsim.lindblad import DensityMatrix, integrate
+from homsim.lindblad import integrate
 from homsim.model import (
     ChannelTag,
     SystemParams,
@@ -29,6 +29,7 @@ from homsim.model import (
     initial_state,
 )
 from homsim.trajectory import RngStream, StageEngine, run_until_click
+from reference import density_matrix
 
 SEED = 20260808
 N_SWEEP = 100_000
@@ -224,7 +225,7 @@ def test_criterion_09_structural_invariants():
     msgs.append(f"max norm growth {grow:.1e} (need <= 1e-9)")
 
     # density-matrix physicality along an integration
-    rho = integrate(DensityMatrix.from_state(initial_state(FULL)),
+    rho = integrate(density_matrix(initial_state(FULL)),
                     build_hamiltonian(FULL), build_jump_channels(FULL), 10.0,
                     FULL.dt / 8.0)
     rho.validate()   # trace 1e-8, hermiticity 1e-10, eigenvalues >= -1e-8

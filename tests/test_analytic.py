@@ -69,14 +69,25 @@ def test_emission_norm_never_exceeds_one(rate, t):
         emission_norm(-1.0 - t, EmitterParams(rate))
 
 
-def test_import_leaves_scipy_integrate_out():
-    # the library needs no quadrature; only the oracle suite's scipy.stats loads it
+def _import_loads(module: str) -> bool:
+    """Whether `import homsim` in a fresh interpreter loads module."""
     src = os.path.dirname(os.path.dirname(homsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, homsim; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, homsim; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_import_leaves_scipy_integrate_out():
+    # the library needs no quadrature; only the oracle suite's scipy.stats loads it
+    assert not _import_loads("scipy.integrate")
+
+
+def test_import_leaves_scipy_sparse_out():
+    # the master-equation reference is one node's dense propagator; only the
+    # tests' full-space reference needs scipy.sparse
+    assert not _import_loads("scipy.sparse")
 
 
 def test_emitter_lorentzian_fwhm():

@@ -339,19 +339,6 @@ def test_a_too_coarse_dt_is_a_config_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_dt_too_coarse_for_the_master_equation_is_a_config_error(tmp_path, capsys):
-    # oracle-check integrates the master equation at dt / 8; at dt = 0.1 its
-    # positivity check trips, and the error names dt
-    out = tmp_path / "oracle.json"
-    argv = ["oracle-check", "--kappa", "1", "--dt", "0.1", "--T", "10", "--n_traj", "5"]
-    assert _run(argv + ["--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: value out of range for key 'dt': master equation: "
-                          "negative eigenvalue ")
-    assert err.endswith("; reduce dt\n")
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_import_leaves_scipy_stats_out():
     # only oracle-check needs the oracle suite's scipy.stats, which takes most
     # of a second to import

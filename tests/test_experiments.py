@@ -255,6 +255,37 @@ def test_a_scan_starts_one_pool(monkeypatch, scan, chunk):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("grid, threads, workers", [
+    ([0.5, 1.0], 4096, 2), ([0.5, 0.75, 1.0], 2, 2), ([0.5, 1.0], 1, None),
+])
+def test_the_pool_has_at_most_one_worker_a_task(monkeypatch, grid, threads, workers):
+    # a pool starts all its workers at its first task: a 2-task sweep asked
+    # for 4096 threads opens 2.  The pool here runs its tasks inline, so no
+    # process starts
+    import homsim.experiments as ex
+
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", InlinePool)
+    p = SystemParams(adiabatic=True)
+    got = sweep(p, "eta", grid, 300, seed=31, threads=threads)
+    assert opened == ([] if workers is None else [workers])
+    assert got == sweep(p, "eta", grid, 300, seed=31)
+
+
 def test_sweep_validation():
     p = SystemParams()
     with pytest.raises(ValueError):

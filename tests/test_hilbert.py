@@ -63,6 +63,14 @@ def test_embed_dimension_mismatch():
         embed(np.eye(2), 0, (3, 3))
 
 
+@pytest.mark.parametrize("subsystem", [-1, 4])
+def test_embed_rejects_a_subsystem_out_of_range(subsystem):
+    # below the range it once returned the identity, dropping the operator;
+    # above it, a bare IndexError
+    with pytest.raises(ValueError, match=rf"subsystem {subsystem} out of range"):
+        embed(fock_destroy(2), subsystem, (3, 3, 2, 2))
+
+
 def test_matrix_exp_zero():
     z = OperatorMatrix(np.zeros((4, 4)), (4,))
     assert np.allclose(matrix_exp(z, 3.7j).entries, np.eye(4))
