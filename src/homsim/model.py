@@ -96,7 +96,8 @@ class SystemParams:
         for name in ("t_wait", "t_wait2"):
             if getattr(self, name) < 0:
                 raise ParamError(name, "must be >= 0")
-        if self.n_max not in (1, 2):
+        # an integer, numpy's included, and not a bool (a float fails in node_order)
+        if not (np.issubdtype(type(self.n_max), np.integer) and self.n_max in (1, 2)):
             raise ParamError("n_max", "must be 1 or 2")
         if self.adiabatic and (self.gamma_ca > 0 or self.gamma_cb > 0):
             raise ParamError(

@@ -44,7 +44,7 @@ Two statistically equivalent samplers over the same jump-channel set:
   it stays a product, as it does through every spontaneous decay, a local
   jump: it is crossed on the node (the first round from psi0's norm
   table), with a Halley first step from the norm's second derivative,
-  its channel weights come from node expectations, and one product
+  its channel weights come from node populations alone, and one product
   applies every channel's node operator, so a local jump acts on one
   node.  Only its click lifts it to the pair space, and a
   lost photon, which acts on both nodes, moves it there for good.  The
@@ -296,7 +296,7 @@ class StageEngine:
         self.tags = [ch.tag for ch in self._nodes]
         # diagonal (node_jump_rate), so it acts elementwise
         self._j = _diagonal(node_jump_rate(params))
-        self._mix, self._node_coef = _node_weight_terms(self._nodes)
+        self._node_coef = _node_weight_terms(self._nodes)
         # a channel that entangles the nodes, or a recorded one, leaves a
         # product row for the pair space
         self._lifted = np.array([ch.tag.recorded or (ch.x != 0.0 and ch.y != 0.0)
@@ -429,7 +429,7 @@ class StageEngine:
         return self.tags[idx], post
 
     def _run_fixed(self, psi_n, rng, t_max, shared) -> StageResult:
-        n_steps = int(whole_steps(t_max, self.dt, "t_max"))
+        n_steps = whole_steps(t_max, self.dt, "t_max")
         events: list[Event] = []
         r = rng.step_uniforms(n_steps)
         k0 = 0
@@ -727,12 +727,10 @@ class StageEngine:
 
     def _product_weights(self, x: np.ndarray) -> np.ndarray:
         """_weights of each product row two_nodes(x[i, 0], x[i, -1]) of
-        normalized node states, from the nodes' expectations
-        (_node_weight_terms)."""
-        m = _dots(x, _rows(x.reshape(-1, x.shape[-1]), self._mix).reshape(x.shape))
-        cross = m[:, 0].conj() * m[:, -1]
+        normalized node states, each inside one excitation block, from the
+        nodes' populations (_node_weight_terms)."""
         power = x.real ** 2 + x.imag ** 2
-        terms = np.concatenate((power[:, 0], power[:, -1], cross[:, None]), axis=1)
+        terms = np.concatenate((power[:, 0], power[:, -1]), axis=1)
         return np.maximum(_rows(terms, self._node_coef).real, 0.0)
 
     def _collapse_rows(self, psi_hat: np.ndarray, u: np.ndarray):
@@ -845,25 +843,20 @@ def _ring_grid(w: np.ndarray, v: np.ndarray, c: np.ndarray, span: float) -> _Gri
     return _Grid(span, n_fine, t_fine, k0)
 
 
-def _node_weight_terms(nodes: list[NodeChannel]) -> tuple[np.ndarray, np.ndarray]:
-    """What the channel weights of a product state two_nodes(a, b), a and b
-    normalized, are made of: <L^dag L> = amp^2 (x^2 <op^dag op>_a + y^2
-    <op^dag op>_b + 2 x y Re(conj(<op>_a) <op>_b)).  Each op^dag op is
-    diagonal, so with the terms [|a_i|^2, |b_i|^2, conj(<m>_a) <m>_b], m the
-    one operator of the channels that act on both nodes, the weights are a
-    product with coefficients (n_channels, 2 d + 1).  Returns m and the
-    coefficients, complex for zgemm (see _weights)."""
+def _node_weight_terms(nodes: list[NodeChannel]) -> np.ndarray:
+    """The channel weights of a product state two_nodes(a, b), a and b
+    normalized, are <L^dag L> = amp^2 (x^2 <op^dag op>_a + y^2 <op^dag op>_b):
+    each node state lies in one block of N = n - [ion in |b>], which the
+    node's generator keeps and each op shifts by a fixed amount, so the cross
+    term 2 x y Re(conj(<op>_a) <op>_b) is 0.  Each op^dag op is diagonal, so
+    the weights are the product of [|a_i|^2, |b_i|^2] with the coefficients
+    (n_channels, 2 d) returned, complex for zgemm (see _weights)."""
     ops = np.stack([ch.op for ch in nodes])
     gram = ops.conj().transpose(0, 2, 1) @ ops
     g = np.diagonal(gram, axis1=1, axis2=2).real
     assert np.count_nonzero(gram) == np.count_nonzero(g), "an op^dag op is not diagonal"
-    amp2, x, y = (np.array(col, dtype=float)[:, None] for col in zip(*(
-        (ch.amp ** 2, ch.x, ch.y) for ch in nodes)))
-    mixed = ops[(x * y != 0.0)[:, 0]]
-    assert (mixed == mixed[:1]).all(), "channels mix the nodes unalike"
-    coef = amp2 * np.concatenate((x ** 2 * g, y ** 2 * g, 2.0 * x * y), axis=1)
-    m = mixed[0] if len(mixed) else np.zeros(ops.shape[1:])
-    return m.astype(complex), coef.astype(complex)
+    amp2, x, y = np.array([(ch.amp ** 2, ch.x, ch.y) for ch in nodes], dtype=float).T[..., None]
+    return (amp2 * np.concatenate((x ** 2 * g, y ** 2 * g), axis=1)).astype(complex)
 
 
 def _pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -882,17 +875,19 @@ def _pick(weights: np.ndarray, u: float) -> int:
     return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
-def whole_steps(t, dt: float, name: str) -> np.ndarray:
-    """The number of dt steps in each time of t; a ParamError naming `name`
-    unless every time is a whole number of steps, to 1e-9."""
-    n = np.rint(np.asarray(t, dtype=float) / dt).astype(int)
-    if np.any(np.abs(n * dt - t) > 1e-9):
+def whole_steps(t: float, dt: float, name: str) -> int:
+    """The number of dt steps in t; a ParamError naming `name` unless t is a
+    whole number of steps, to 1e-9."""
+    n = round(float(t) / dt)   # half to even
+    if abs(n * dt - t) > 1e-9:
         raise ParamError(name, f"must be a whole number of dt = {dt} steps, got {t}")
     return n
 
 
-def _as_unit_array(psi: StateVector | np.ndarray) -> np.ndarray:
+def _as_unit_array(psi: StateVector | np.ndarray, dim: int) -> np.ndarray:
     arr = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
+    if arr.size != dim:
+        raise ValueError(f"start state must have {dim} amplitudes, got {arr.size}")
     n2 = np.vdot(arr, arr).real
     if not (math.isfinite(n2) and n2 > 0.0):
         raise ValueError(f"start state must have a finite, positive norm, got squared norm {n2}")
@@ -915,15 +910,14 @@ def run_until_click(
     to it bit for bit) replays the engine-cached deterministic no-jump
     evolution from it, which changes nothing about the sampled statistics.
     """
-    # the engine's own start state is normalized already
-    psi_n = engine.psi0.amplitudes if psi0 is engine.psi0 else _as_unit_array(psi0)
+    # the engine's own start state is normalized already, and has the shared curve
+    own = engine.psi0.amplitudes
+    psi_n = own if psi0 is engine.psi0 else _as_unit_array(psi0, own.size)
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if t_max == 0.0:
         return StageResult(None, None, engine._wrap(psi_n), [])
-    # the one shared curve is psi0's
-    psi0 = engine.psi0.amplitudes
-    shared = psi_n is psi0 or psi_n.tobytes() == psi0.tobytes()
+    shared = psi_n is own or psi_n.tobytes() == own.tobytes()
     if sampler == "fixed":
         return engine._run_fixed(psi_n, rng, t_max, shared)
     if sampler == "fast":
@@ -979,7 +973,7 @@ def run_windows(
     from psi0 = two_nodes(a0, a0) stays a product two_nodes(a, b) until a
     channel acting on both nodes, and is carried as its two node states:
     crossed on the node (_node_rows, the first round from psi0's norm
-    table), weighed from node expectations and collapsed on one node by a
+    table), weighed from node populations and collapsed on one node by a
     local (spontaneous) jump.  A click lifts it to the pair space for its
     post-click state, and an unrecorded jump on both nodes (a lost photon)
     moves it there, to the windows from start states: those are crossed
@@ -998,7 +992,8 @@ def run_windows(
     if t_max == 0.0 or n == 0:
         return WindowBatch(channel, time, jumps, states[:0])
     if sampler == "fixed":
-        psi = [engine.psi0.amplitudes] * n if start is None else [_as_unit_array(x) for x in start]
+        psi = ([engine.psi0.amplitudes] * n if start is None
+               else [_as_unit_array(x, engine.psi0.dim) for x in start])
         shared = start is None or n > 1 and all(x.tobytes() == psi[0].tobytes() for x in psi)
         for i, (index, x) in enumerate(zip(streams, psi)):
             res = engine._run_fixed(x, block.stream(index).for_stage(stage), t_max, shared)
@@ -1017,6 +1012,9 @@ def run_windows(
         pairs = none
     else:
         psi = np.asarray(start, dtype=complex)
+        if psi.shape[-1] != engine.psi0.dim:
+            raise ValueError(f"start state must have {engine.psi0.dim} amplitudes, "
+                             f"got {psi.shape[-1]}")
         n2 = _vdots(psi, psi)
         bad = ~(np.isfinite(n2) & (n2 > 0.0))
         if bad.any():
@@ -1132,7 +1130,7 @@ def run_unconditioned(
         raise ValueError(f"t_grid must be a non-empty set of finite times >= 0, got {t_grid}")
     obs = [o.entries for o in observables]
     vals = np.empty((len(obs), t_grid.size))
-    psi, t = _as_unit_array(psi0), 0.0
+    psi, t = _as_unit_array(psi0, engine.psi0.dim), 0.0
     for j in np.argsort(t_grid, kind="stable"):
         while t < t_grid[j]:
             res = run_until_click(psi, engine, rng, t_grid[j] - t, sampler="fast")

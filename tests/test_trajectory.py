@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 from homsim.hilbert import BasisIndex, OperatorMatrix, StateVector, basis_state
 from homsim.model import (
-    ChannelTag, SystemParams, initial_state, node_generator, node_jump_rate, stage_hamiltonian,
-    two_nodes,
+    ChannelTag, ParamError, SystemParams, initial_state, node_generator, node_jump_rate,
+    stage_hamiltonian, two_nodes,
 )
 from homsim.rng import HEAD, StreamBlock
 from homsim.trajectory import (
@@ -30,9 +30,10 @@ from homsim.trajectory import (
     run_unconditioned,
     run_until_click,
     run_windows,
+    whole_steps,
 )
 from homsim.experiments import fidelity_to_target
-from reference import identity, matrix_exp, step
+from reference import block_states, excitation_number, identity, matrix_exp, step
 
 IDEAL = SystemParams(adiabatic=False)
 # kappa = 2 g omega / delta: the reduced generator is defective here
@@ -965,19 +966,23 @@ def dense_product_weights(eng, a, b):
 @example(eta=0.0, lam=3.0, gamma=0.5, n_max=2, rows=4, seed=1, support=0.2)
 @example(eta=0.0, lam=1.0, gamma=5e-324, n_max=1, rows=1, seed=1, support=1.0)
 def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, support):
-    # the weights of two_nodes(a, b) from node expectations against |L_k psi|^2
-    # in the pair space: to 1e-13 of the total weight, never negative, 0 for
-    # a channel whose operator meets only zero amplitudes (L_k psi = 0), and
-    # nonzero wherever |L_k psi|^2 is a normal float; below that, at a
-    # subnormal gamma, either of the two may round to 0 and the other not
+    # the weights of two_nodes(a, b) from node populations against |L_k psi|^2
+    # in the pair space, a and b each inside one excitation block (as every
+    # node state the sampler meets is): to 1e-13 of the total weight, never
+    # negative, 0 for a channel whose operator meets only zero amplitudes
+    # (L_k psi = 0), and nonzero wherever |L_k psi|^2 is a normal float;
+    # below that, at a subnormal gamma, either of the two may round to 0 and
+    # the other not
     p = SystemParams(adiabatic=False, gamma_ca=gamma, gamma_cb=gamma / 3, eta=eta, lam=lam,
                      n_max=n_max)
     eng = StageEngine(p)
     gen = np.random.default_rng(seed)
     d = eng._h.shape[0]
-    ab = gen.normal(size=(2, rows, d)) + 1j * gen.normal(size=(2, rows, d))
+    ab, blocks = block_states(gen, (2, rows), n_max)
     ab *= gen.random(ab.shape) < support
-    ab[:, :, 0] += 1.0   # no zero node
+    # no zero node: the first state of its block
+    first = np.argmax(excitation_number(n_max) == blocks[..., None], axis=-1)
+    ab[(*np.indices(blocks.shape), first)] += 1.0
     # and the node states the sampler meets: a0, and the no-jump state after a while
     a0 = np.eye(d)[0]
     phi = eng._node_rows(eng._node0[None, None], np.array([3.0]))[0][0, 0]
@@ -999,6 +1004,45 @@ def test_product_weights_are_the_dense_ones(eta, lam, gamma, n_max, rows, seed, 
     assert eng._product_weights(a[:, None]).tobytes() == eng._product_weights(same).tobytes()
 
 
+# decay, unequal decay, lost photons, two photons in a long window, the
+# reduced generator, its exceptional point (expm, not the eigenbasis) and a
+# strong drive
+BLOCK_REGIMES = {
+    "gamma": IDEAL.with_(gamma_ca=0.3, gamma_cb=0.3),
+    "unequal-gamma": IDEAL.with_(gamma_ca=0.1, gamma_cb=0.5),
+    "eta": IDEAL.with_(gamma_ca=0.3, gamma_cb=0.3, eta=0.7),
+    "n_max-2": IDEAL.with_(gamma_ca=0.3, gamma_cb=0.3, n_max=2, t_wait=1000.0),
+    "reduced": SystemParams(adiabatic=True, eta=0.6),
+    "exceptional": EXCEPTIONAL.with_(t_wait=100.0),
+    "strong-drive": IDEAL.with_(omega=5.0, delta=10.0, gamma_ca=0.3, gamma_cb=0.3),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_REGIMES)
+def test_product_rows_keep_one_excitation_number_per_node(name, monkeypatch):
+    # the law _product_weights rests on: every node state it weighs in a
+    # window from psi0 lies inside one excitation block, with exact zeros in
+    # the others, so the detectors' cross term it leaves out is exactly 0
+    p = BLOCK_REGIMES[name]
+    eng = StageEngine(p)
+    assert eng.spectral == (name != "exceptional")
+    seen = []
+    weights = eng._product_weights
+
+    def spy(x):
+        seen.append(x.reshape(-1, x.shape[-1]))
+        return weights(x)
+
+    monkeypatch.setattr(eng, "_product_weights", spy)
+    run_windows(eng, StreamBlock(7, 0, 3000), p.t_wait)
+    states = np.concatenate(seen)
+    number = excitation_number(p.n_max)
+    blocks = np.stack([(states[:, number == k] != 0.0).any(axis=1) for k in np.unique(number)])
+    assert (blocks.sum(axis=0) == 1).all()
+    print(f"{name}: {len(states)} node states in {len(seen)} collapse rounds, "
+          f"each inside one excitation block")
+
+
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_product_weights_of_a_row_do_not_depend_on_the_stack(n_max):
     eng = StageEngine(SystemParams(adiabatic=False, gamma_ca=0.3, gamma_cb=0.2, eta=0.5,
@@ -1015,14 +1059,16 @@ def test_product_weights_of_a_row_do_not_depend_on_the_stack(n_max):
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_product_collapse_is_the_pair_collapse(n_max):
     # the channel and the post-jump state of two_nodes(a, b), on the node,
-    # against _collapse_rows on the lifted state: equal channels, and post
-    # states within 1e-14 (lifted, or as node pairs after a local jump)
+    # a and b each inside one excitation block, against _collapse_rows on
+    # the lifted state: equal channels, and post states within 1e-14
+    # (lifted, or as node pairs after a local jump)
     p = SystemParams(adiabatic=False, gamma_ca=0.4, gamma_cb=0.2, eta=0.6, n_max=n_max)
     eng = StageEngine(p)
     gen = np.random.default_rng(n_max)
-    d = eng._h.shape[0]
-    x = gen.normal(size=(2000, 2, d)) + 1j * gen.normal(size=(2000, 2, d))
-    u = gen.random(2000)
+    x, blocks = block_states(gen, (2000, 2), n_max)
+    # each node state inside one excitation block; not both in the dark |b, 0>
+    x = x[(blocks >= 0).any(axis=1)]
+    u = gen.random(len(x))
     idx, kept, lifted = eng._collapse_products(x, u)
     unit = x / np.linalg.norm(x, axis=2, keepdims=True)
     want_idx, want_post = eng._collapse_rows(eng._products(unit[:, 0], unit[:, 1]), u)
@@ -1182,6 +1228,11 @@ def test_fixed_window_is_a_whole_number_of_steps():
     # rounding error in t_max is no fault
     res = run_until_click(eng.psi0, eng, RngStream(0, 0), 0.1 + 0.2, sampler="fixed")
     assert not res.clicked
+    n = whole_steps(0.1 + 0.2, 0.01, "t_max")
+    assert n == 30 and type(n) is int
+    with pytest.raises(ParamError, match=r"^T2 must be a whole number of dt = 0.01 steps, "
+                                         r"got 0.015$"):
+        whole_steps(0.015, 0.01, "T2")
 
 
 # -- single step ------------------------------------------------------------------
@@ -1368,6 +1419,24 @@ def test_zero_norm_start_state_rejected():
                     run_windows(eng, StreamBlock(0, 0, 2), 10.0, start=np.stack((psi0, bad)),
                                 sampler=sampler)
             with pytest.raises(ValueError, match="positive norm"):
+                run_unconditioned(bad, eng, RngStream(0, 0), (1.0,), [identity(params.dims)])
+
+
+def test_start_state_of_the_wrong_length_rejected():
+    # every entry names the length it wants and the one it got, on either
+    # generator, before numpy's shape error in the first product
+    for params in (IDEAL, SystemParams(adiabatic=True)):
+        eng = StageEngine(params)
+        for size in (35, 72):
+            bad = np.resize(eng.psi0.amplitudes, size)
+            msg = f"start state must have 36 amplitudes, got {size}"
+            for sampler in ("fixed", "fast"):
+                with pytest.raises(ValueError, match=msg):
+                    run_until_click(bad, eng, RngStream(0, 0), 10.0, sampler=sampler)
+                with pytest.raises(ValueError, match=msg):
+                    run_windows(eng, StreamBlock(0, 0, 2), 10.0, start=np.stack((bad, bad)),
+                                sampler=sampler)
+            with pytest.raises(ValueError, match=msg):
                 run_unconditioned(bad, eng, RngStream(0, 0), (1.0,), [identity(params.dims)])
 
 
