@@ -23,7 +23,7 @@ import numpy as np
 from .analytic import heralded_states
 from .hilbert import StateVector
 from .model import ChannelTag, SystemParams
-from .rng import StreamBlock, check_seed
+from .rng import StreamBlock
 from .trajectory import StageEngine, _rows, run_until_click, run_windows
 
 _CHUNK = 5000   # trajectories per worker task; fixed so results never depend on thread count
@@ -153,9 +153,9 @@ def _run_chunked(worker, grid_params, n_traj, seed, sampler, threads):
     """Run every (grid point, chunk) task of a scan, through one pool of at
     most one worker a task when threads > 1 and there is more than one task;
     return each grid point's concatenated columns, in grid order."""
-    check_seed(seed)
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+    for key, value, least in (("seed", seed, 0), ("n_traj", n_traj, 1), ("threads", threads, 1)):
+        if not (np.issubdtype(type(value), np.integer) and value >= least):
+            raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
     if not grid_params:
         raise ValueError("grid must be nonempty")
     bounds = [(lo, min(lo + _CHUNK, n_traj)) for lo in range(0, n_traj, _CHUNK)]

@@ -13,7 +13,6 @@ solution and is the core correctness oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,21 +36,8 @@ class IntegrationError(RuntimeError):
     """A physicality invariant (trace, Hermiticity, positivity) was violated."""
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    entries: np.ndarray
-    basis_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError("density matrix must be square")
-        if ent.shape[0] != math.prod(self.basis_dims):
-            raise ValueError("dimension does not match basis dims")
-        ent = ent.copy()
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "basis_dims", tuple(int(d) for d in self.basis_dims))
+class DensityMatrix(OperatorMatrix):
+    """A density matrix: an OperatorMatrix that can check it is physical."""
 
     def validate(self):
         rho = self.entries
@@ -64,10 +50,9 @@ class DensityMatrix:
             raise IntegrationError(f"negative eigenvalue {w.min():.3g}")
 
 
-def _master_rhs(hamiltonian: OperatorMatrix, channels: Sequence[JumpChannel]):
-    """d rho/dt as a function of rho (any leading axes), with L^dag L formed once."""
-    h = hamiltonian.entries
-    ells = [ch.operator.entries for ch in channels]
+def _master_rhs(h: np.ndarray, ells: Sequence[np.ndarray]):
+    """d rho/dt as a function of rho (any leading axes), for the Hamiltonian h
+    and the collapse operators ells, with L^dag L formed once."""
     ldls = [e.conj().T @ e for e in ells]
 
     def rhs(r):
@@ -89,7 +74,7 @@ def integrate(
     """Classical fourth-order Runge-Kutta with physicality checks along the way."""
     if dt_rk <= 0:
         raise ValueError("dt_rk must be > 0")
-    rhs = _master_rhs(hamiltonian, channels)
+    rhs = _master_rhs(hamiltonian.entries, [ch.operator.entries for ch in channels])
     n = max(1, int(round(t_end / dt_rk)))
     step_len = t_end / n
     check_every = max(1, n // CHECKPOINTS)
@@ -163,10 +148,9 @@ def ensemble_compare(
 
     # the beam splitter is unitary, so the detectors' cross terms cancel: the state
     # stays two_nodes(rho_n, rho_n), rho_n under the channels' node-1 parts amp x op
-    h, dims = node_generator(params), (3, params.n_max + 1)
-    rhs = _master_rhs(OperatorMatrix((h + h.conj().T) / 2.0, dims),
-                      [JumpChannel(OperatorMatrix(ch.amp * ch.x * ch.op, dims), ch.tag)
-                       for ch in node_channels(params) if ch.x != 0])
+    h = node_generator(params)
+    rhs = _master_rhs((h + h.conj().T) / 2.0,
+                      [ch.amp * ch.x * ch.op for ch in node_channels(params) if ch.x != 0])
     liouvillian = rhs(np.eye(h.size, dtype=complex).reshape(-1, *h.shape)).reshape(h.size, -1).T
     node = node_initial_state(params)
     rho_n = np.outer(node, node.conj())

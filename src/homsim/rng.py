@@ -72,6 +72,16 @@ def check_seed(seed) -> int:
     return _non_negative(seed, "seed")
 
 
+def check_rows(rows, n: int) -> np.ndarray:
+    """rows (every row for None) as an index into a block of n streams, or an
+    IndexError naming the first row outside [0, n), a negative one included."""
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    outside = rows[(rows < 0) | (rows >= n)]
+    if outside.size:
+        raise IndexError(f"row {outside[0]} is outside a block of {n} streams")
+    return rows
+
+
 def _non_negative(value, name: str) -> int:
     value = operator.index(value)
     if value < 0:
@@ -228,12 +238,13 @@ class StreamBlock:
         HEAD) float64 of every stream's stage: 96 bytes a stream."""
         tables = self._tables.get(stage)
         if tables is None:
-            tables = self._tables[stage] = self.row_tables(stage, slice(None))
+            tables = self._tables[stage] = self.row_tables(stage, None)
         return tables
 
     def row_tables(self, stage: int, rows) -> tuple[np.ndarray, np.ndarray]:
-        """stage_tables(stage)[rows], to the same bytes: sliced from the
-        stage's tables once they exist, otherwise derived for those rows alone."""
+        """stage_tables(stage) at the rows check_rows gives, to the same bytes: sliced
+        from the stage's tables once they exist, otherwise derived for those rows alone."""
+        rows = check_rows(rows, self.stop - self.start)
         tables = self._tables.get(stage)
         if tables is not None:
             return tables[0][rows], tables[1][rows]

@@ -109,7 +109,7 @@ from .model import (
     phase_gate,
     two_nodes,
 )
-from .rng import RngStream, StreamBlock, nth_uniforms
+from .rng import RngStream, StreamBlock, check_rows, nth_uniforms
 
 P_STEP_MAX = 0.05           # abort threshold for the first-order jump probability
 EIG_COND_MAX = 1e4          # above this cond(V) the fast sampler propagates with expm
@@ -519,13 +519,15 @@ class StageEngine:
         Safeguarded Newton on f(t) = ||psi(t)||^2 - r with the analytic slope
         f' = -<psi| sum L^dag L |psi>, as in Numerical Recipes' rtsafe.  f never
         grows along a no-jump segment, so the sign of each evaluation tightens
-        a bracket [lo, hi] around the root.  A Newton step that leaves the
-        bracket, lands on span (never evaluated) or fails to halve the step
-        before last (as it does where rounding makes a flat f wander) bisects
-        the bracket instead; the guess is held below span, and a bisection
-        onto it stays at lo, so a root within rounding of span comes back as
-        the float below it.  Stops at brentq's tolerance.  The evaluator is
-        _node_at on the segment from two_nodes(a0, a0), _pair_at on any other.
+        a bracket [lo, hi] around the root.  A Newton step is taken if it lands
+        in [lo, hi) (hi is span, never evaluated, or a time already evaluated)
+        and halves the step before last (it fails to where rounding makes a
+        flat f wander), or if it is zero (f exactly 0, which stops); any other
+        step bisects the bracket.  The guess is held below span, and a
+        bisection onto it stays at lo, so a root within rounding of span comes
+        back as the float below it.  Stops at brentq's tolerance.  The
+        evaluator is _node_at on the segment from two_nodes(a0, a0), _pair_at
+        on any other.
         """
         at, coeffs = (self._pair_at, seg.coeffs) if seg.node is None else (self._node_at, seg.node)
         lo, hi = 0.0, span
@@ -539,7 +541,7 @@ class StageEngine:
             else:
                 hi = t
             step = -f / slope if slope < 0.0 else math.nan
-            if not (lo <= t + step <= hi and t + step < span and abs(step) <= 0.5 * before):
+            if not ((lo <= t + step < hi and abs(step) <= 0.5 * before) or step == 0.0):
                 mid = 0.5 * (lo + hi)
                 step = (mid if mid < span else lo) - t
             before, last = last, abs(step)
@@ -650,8 +652,10 @@ class StageEngine:
         """_crossing of each row from the first guesses t, evaluated by at
         (_node_rows or _pair_rows): the crossing times and the states there,
         as at gives them (node states, or states of the pair).  Each row
-        iterates with the scalar safeguards, its bracket topped by the float
-        below span (which no step may pass), and stops at their stop.  An
+        iterates with the scalar safeguards and stops at their stop, its
+        bracket topped by the float below span: a Newton or Halley step is
+        taken only if it lands in [lo, hi), strictly below hi, and halves the
+        step before last, or is zero (f exactly 0); otherwise it bisects.  An
         evaluator first, given for the first iteration, also returns the
         norm's second derivative (_node_rows with 2 derivatives): that step is
         Halley's, f / f' / (1 - f f'' / (2 f'^2)), where the correction is at
@@ -679,7 +683,7 @@ class StageEngine:
                     step = np.where(q >= 0.5, step / q, step)
                 nxt = t + step
                 size = np.abs(step)
-                newton = (lo <= nxt) & (nxt <= hi) & (size <= 0.5 * before)
+                newton = ((lo <= nxt) & (nxt < hi) & (size <= 0.5 * before)) | (step == 0.0)
                 if not newton.all():
                     step = np.where(newton, step, 0.5 * (lo + hi) - t)
                     nxt = t + step
@@ -915,14 +919,14 @@ def run_until_click(
     psi_n = own if psi0 is engine.psi0 else _as_unit_array(psi0, own.size)
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if sampler not in ("fast", "fixed"):
+        raise ValueError(f"unknown sampler {sampler!r}")
     if t_max == 0.0:
         return StageResult(None, None, engine._wrap(psi_n), [])
     shared = psi_n is own or psi_n.tobytes() == own.tobytes()
     if sampler == "fixed":
         return engine._run_fixed(psi_n, rng, t_max, shared)
-    if sampler == "fast":
-        return engine._run_fast(psi_n, rng, t_max, shared)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    return engine._run_fast(psi_n, rng, t_max, shared)
 
 
 class _Waiting(NamedTuple):
@@ -983,7 +987,7 @@ def run_windows(
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if sampler not in ("fast", "fixed"):
         raise ValueError(f"unknown sampler {sampler!r}")
-    streams = np.arange(block.start, block.stop)[slice(None) if rows is None else rows]
+    streams = np.arange(block.start, block.stop)[check_rows(rows, block.stop - block.start)]
     n = streams.size
     channel, time, jumps = np.full(n, -1), np.full(n, np.nan), np.zeros(n, dtype=int)
     states = np.empty((n, engine.psi0.dim), dtype=complex)   # row i: window i's click

@@ -75,7 +75,7 @@ def liouvillian_apply(
     r = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if r.shape != hamiltonian.entries.shape:
         raise ValueError("dimension mismatch between rho and H")
-    return _master_rhs(hamiltonian, channels)(r)
+    return _master_rhs(hamiltonian.entries, [ch.operator.entries for ch in channels])(r)
 
 
 def pair_liouvillian(params: SystemParams) -> sparse.csr_matrix:

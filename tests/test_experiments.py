@@ -298,7 +298,7 @@ def test_sweep_validation():
         run_entanglement_generation(p, 0, 0)
 
 
-@pytest.mark.parametrize("n_traj", [0, -3])
+@pytest.mark.parametrize("n_traj", [0, -3, 2.5, True])
 def test_library_entry_points_name_a_bad_n_traj(n_traj):
     p = SystemParams(adiabatic=True)
     with pytest.raises(ValueError, match="n_traj"):
@@ -307,6 +307,19 @@ def test_library_entry_points_name_a_bad_n_traj(n_traj):
         run_entanglement_generation(p, n_traj, 0)
     with pytest.raises(ValueError, match="n_traj"):
         run_redistribution(p, [0.0], n_traj, 0, threads=2)
+
+
+@pytest.mark.parametrize("key, value", [("threads", 0), ("threads", -3), ("threads", 2.5),
+                                        ("threads", True), ("seed", 1.5), ("seed", True)])
+def test_library_entry_points_name_a_bad_threads_or_seed(key, value):
+    p = SystemParams(adiabatic=True)
+    seed, threads = (value, 1) if key == "seed" else (0, value)
+    with pytest.raises(ValueError, match=key):
+        sweep(p, "eta", [1.0], 10, seed, threads=threads)
+    with pytest.raises(ValueError, match=key):
+        run_entanglement_generation(p, 10, seed, threads=threads)
+    with pytest.raises(ValueError, match=key):
+        run_redistribution(p, [0.0], 10, seed, threads=threads)
 
 
 def test_library_entry_points_name_a_negative_seed():

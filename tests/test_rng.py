@@ -10,7 +10,7 @@ from homsim.model import SystemParams
 from homsim.rng import (
     HEAD, SUBSTREAMS, RngStream, StreamBlock, block_uniforms, nth_uniforms, stream_keys,
 )
-from homsim.trajectory import StageEngine, run_until_click
+from homsim.trajectory import StageEngine, run_until_click, run_windows
 
 SEEDS = st.integers(0, 2**160 - 1)
 INDICES = st.one_of(
@@ -197,9 +197,18 @@ def test_row_tables_are_each_substreams_keys_and_first_block(seed, start, stage,
 
 def test_row_tables_reject_rows_outside_the_block():
     block = StreamBlock(3, 10, 14)
-    for rows in ([4], [-5], [0.0]):
+    for rows in ([4], [-5], [-1], [0.0]):
         with pytest.raises(IndexError):
             block.row_tables(0, np.array(rows))
+    block.stage_tables(0)   # sliced from the stage's tables, checked the same
+    with pytest.raises(IndexError, match="row -1 "):
+        block.row_tables(0, np.array([2, -1]))
+    # run_windows takes its rows' streams through the same check
+    eng = StageEngine(SystemParams(adiabatic=True))
+    for sampler in ("fast", "fixed"):
+        for row in (-1, 4):
+            with pytest.raises(IndexError, match=f"row {row} "):
+                run_windows(eng, block, 1.0, rows=np.array([0, row]), sampler=sampler)
 
 
 def test_negative_seed_or_index_is_rejected():

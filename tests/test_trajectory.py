@@ -402,6 +402,10 @@ def test_node_curvature_is_the_norms_second_derivative():
          t_prep=1.0, u=0.5)
 @example(adiabatic=False, gamma=0.3, n_max=1, kappa=10.0, t_wait=100.0, kind="product",
          t_prep=2.0, u=0.97)
+# f changes sign, within rounding, between two floats near 0.766, and a
+# Newton step lands on the upper one, already evaluated as hi
+@example(adiabatic=True, gamma=0.0, n_max=1, kappa=0.1002, t_wait=1.0, kind="psi0", t_prep=1.0,
+         u=0.5419907113430217)
 def test_halley_first_step_stays_in_the_bracket(adiabatic, gamma, n_max, kappa, t_wait, kind,
                                                  t_prep, u):
     # the crossing from run_windows' first guess with a Halley first step: a
@@ -1158,6 +1162,11 @@ def test_windows_reject_an_unknown_sampler():
         run_windows(eng, StreamBlock(0, 0, 3), 1.0, sampler="exact")
     with pytest.raises(ValueError, match="unknown sampler 'exact'"):
         run_until_click(eng.psi0, eng, RngStream(0, 0), 1.0, sampler="exact")
+    # a zero-length window is no reason to pass a bad sampler
+    with pytest.raises(ValueError, match="unknown sampler 'exact'"):
+        run_windows(eng, StreamBlock(0, 0, 3), 0.0, sampler="exact")
+    with pytest.raises(ValueError, match="unknown sampler 'exact'"):
+        run_until_click(eng.psi0, eng, RngStream(0, 0), 0.0, sampler="exact")
 
 
 @pytest.mark.parametrize("p", [SystemParams(adiabatic=False, gamma_ca=0.5, gamma_cb=0.5,
